@@ -333,8 +333,6 @@ def _add_shape_args(sp, required=False):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="localhom",
                                  description="local homology from point samples")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="parallelism bound (results are thread-count independent)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate a verified eps-sample")

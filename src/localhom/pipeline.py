@@ -150,17 +150,7 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
-def _image_columns(eng: ImageRankEngine, det_src, det_dst):
-    """Columns of a source point's relative cycles pushed into a destination
-    point's level-2 pair (basis-diagonal chain map)."""
-    if det_src is None or det_dst is None:
-        return []
-    return eng._map_cycles(det_src["cycles"], det_src["cycle_simplices"],
-                           det_dst["mask2"], det_dst["loc2"])
-
-
-def _subspaces_equal(eng: ImageRankEngine, det_i, det_j, lmax: int,
-                     q: int) -> bool:
+def _subspaces_equal(det_i, det_j, lmax: int, q: int) -> bool:
     """Images of i's cross map and j's self map agree mod boundaries in j's
     level-2 homology (per degree)."""
     for ell in range(lmax + 1):
@@ -170,9 +160,10 @@ def _subspaces_equal(eng: ImageRankEngine, det_i, det_j, lmax: int,
             # j's level-1 pair carries no cycles, so both images are zero in
             # a codomain we did not materialize; nothing to compare
             continue
-        b2 = dj["b2"]
-        A = _image_columns(eng, dj, dj)
-        B = _image_columns(eng, di, dj)
+        pair = dj["pair"]
+        b2 = pair.boundary_columns(ell)
+        A = pair.image_columns(ell, dj["cycles"], dj["simplices"])
+        B = [] if di is None else pair.image_columns(ell, di["cycles"], di["simplices"])
         ra = _rank_cols(b2 + A, q)
         rbb = _rank_cols(b2 + B, q)
         rab = _rank_cols(b2 + A + B, q)
@@ -197,21 +188,27 @@ def group_strata(P: Sample, scales: SelectedScales, cc: ScaleConstants,
     own map as subspaces of j's level-2 homology.  Heuristic — the chain-level
     cross map is only inclusion-induced when the deleted balls nest.
     """
-    eng = make_engine(P, scales, cc, q, lmax)
     n = len(P)
-    details = [eng.query_index(i, keep_detail=True).detail for i in range(n)]
     uf = _UnionFind(n)
-    thr2 = (2 * P.epsilon) ** 2
-    pts = P.points
-    for i in range(n):
-        d2 = ((pts - pts[i]) ** 2).sum(-1)
-        for j in np.flatnonzero(d2 < thr2):
-            j = int(j)
-            if j <= i:
-                continue
-            if _subspaces_equal(eng, details[i], details[j], lmax, q):
-                uf.union(i, j)
+    for i, j, equal in _pair_decisions(P, make_engine(P, scales, cc, q, lmax), q, lmax):
+        if equal:
+            uf.union(i, j)
     groups: Dict[int, List[int]] = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
     return [sorted(v) for _, v in sorted(groups.items())]
+
+
+def _pair_decisions(P: Sample, eng: ImageRankEngine, q: int, lmax: int):
+    """(i, j, images equal) for each pair i < j closer than 2*eps."""
+    details = [eng.query_index(i, keep_detail=True).detail for i in range(len(P))]
+    thr2 = (2 * P.epsilon) ** 2
+    pts = P.points
+    out = []
+    for i in range(len(P)):
+        d2 = ((pts - pts[i]) ** 2).sum(-1)
+        for j in np.flatnonzero(d2 < thr2):
+            j = int(j)
+            if j > i:
+                out.append((i, j, _subspaces_equal(details[i], details[j], lmax, q)))
+    return out

@@ -8,6 +8,9 @@ Two independent computations of the same quantity:
   * the coned oracle — two-level persistence on the cone model
     H(X, A) = reduced H(X ∪ ωA).
 The direct method is the production path; the oracle cross-checks it.
+``ImageRankEngine`` evaluates the direct method for many query points on
+shared global complexes.  Its level-2 pair is edge-collapsed per query for
+Rips up to degree 1, and a view of the global level-2 complex otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from . import _gf2fast
 from .complexes import (QuotientPairComplex, _adjacency_bits, _bits, build_complex,
                         collapse_edges, cone_pair, delete_ball, quotient_pair)
 from .fieldla import FieldMatrix, _addmul_q, persistent_reduce, rank, reduce_columns
@@ -221,12 +223,22 @@ class QueryResult:
 class ImageRankEngine:
     """Evaluates many image-rank queries sharing one scale configuration.
 
-    The two global complexes (level-1 scale capped at lmax, level-2 scale at
-    lmax + 1) are built once; each query selects level-1 basis simplices by
-    ball-membership masks, and level-2 ones the same way or, for Rips, from
-    an edge-collapsed local pair (see ``query``), then reduces the resulting
-    small matrices.  Results are identical to sequential per-point
-    evaluation with ``image_rank``.
+    The global level-1 complex (scale a1, built to lmax) is built once; each
+    query selects its basis by ball-membership masks and reduces the level-1
+    boundary for the relative cycles.  These are pushed into the query's
+    level-2 pair, which comes from one of two places, chosen by ``flavor``
+    and ``lmax`` alone:
+
+      * Rips with lmax <= 1: a ``_CollapsedRipsPair``, built on the vertices
+        near the smaller ball and shrunk by edge collapse; no global level-2
+        complex is built;
+      * Cech, or lmax >= 2: a ``_GlobalPair``, the view of a global level-2
+        complex (scale a2, built to lmax + 1) under the query's ball masks.
+        Cech complexes are not flag complexes, and the collapse only pushes
+        1-chains.
+
+    Results are identical to sequential per-point evaluation with
+    ``image_rank``.
     """
 
     def __init__(self, points: np.ndarray, level1, level2,
@@ -239,39 +251,43 @@ class ImageRankEngine:
         self.flavor = flavor
         self.q = q
         self.lmax = lmax
-        # flag complexes up to degree 1 let default queries edge-collapse
         self.collapse = flavor == "rips" and lmax <= 1
-        n = len(self.points)
+        self.base = len(self.points) + 1
         c1 = build_complex(self.points, None, self.a1, lmax, flavor)
-        c2 = build_complex(self.points, None, self.a2, lmax + 1, flavor)
-        base = n + 1
-        self.arr1 = {d: np.array(ss, dtype=np.int64).reshape(len(ss), d + 1)
-                     for d, ss in c1.simplices.items()}
-        self.arr2 = {d: np.array(ss, dtype=np.int64).reshape(len(ss), d + 1)
-                     for d, ss in c2.simplices.items()}
-        self.keys2 = {d: self._pack(a, base) for d, a in self.arr2.items()}
-        self.face1 = {}
-        self.face2 = {}
-        self.map12 = {}
-        for d, a in self.arr2.items():
-            if d >= 1:
-                self.face2[d] = self._face_index(a, self.keys2.get(d - 1), base)
-        for d, a in self.arr1.items():
-            if d >= 1:
-                keys1_dm1 = self._pack(self.arr1[d - 1], base)
-                self.face1[d] = self._face_index(a, keys1_dm1, base)
-            k = self._pack(a, base)
-            pos = np.searchsorted(self.keys2[d], k)
-            if not np.array_equal(self.keys2[d][pos], k):
-                raise AssertionError("level-1 simplex missing from level 2")
-            self.map12[d] = pos
+        c2 = None if self.collapse else build_complex(self.points, None, self.a2,
+                                                      lmax + 1, flavor)
+        for cx in (c1, c2):
+            if cx is not None:
+                self._check_keys(cx)
+        self.arr1, _, self.face1 = self._index(c1)
+        if c2 is not None:
+            self.arr2, self.keys2, self.face2 = self._index(c2)
 
     @property
     def kernel(self) -> str:
-        """The level-2 path of a default query, for reports."""
-        if self.collapse:
-            return "rips edge collapse, python"
-        return "global, numba" if self.q == 2 and _gf2fast.AVAILABLE else "global, python"
+        """The level-2 pair of every query, for reports."""
+        return "local rips edge collapse" if self.collapse else "global level-2 basis"
+
+    def _check_keys(self, cx) -> None:
+        """Simplices are keyed as base-(n+1) int64 numbers; the key of the
+        lexicographically last simplex of each degree is the largest."""
+        top = int(np.iinfo(np.int64).max)
+        for d, ss in cx.simplices.items():
+            key = 0
+            for v in (ss[-1] if ss else ()):
+                key = key * self.base + v
+            if key > top:
+                raise ValueError(f"{self.base - 1} points are too many to key the "
+                                 f"{d}-simplices of the complex as int64")
+
+    def _index(self, cx):
+        """Per degree: simplex arrays, their sorted keys, and facet indices."""
+        arr = {d: np.array(ss, dtype=np.int64).reshape(len(ss), d + 1)
+               for d, ss in cx.simplices.items()}
+        keys = {d: self._pack(a, self.base) for d, a in arr.items()}
+        face = {d: self._face_index(a, keys[d - 1], self.base)
+                for d, a in arr.items() if d >= 1}
+        return arr, keys, face
 
     @staticmethod
     def _pack(arr: np.ndarray, base: int) -> np.ndarray:
@@ -287,47 +303,22 @@ class ImageRankEngine:
         m, w = arr.shape
         out = np.empty((m, w), dtype=np.int64)
         for k in range(w):
-            facet = np.delete(arr, k, axis=1)
-            keys = np.zeros(m, dtype=np.int64)
-            for j in range(w - 1):
-                keys = keys * base + facet[:, j]
+            keys = ImageRankEngine._pack(np.delete(arr, k, axis=1), base)
             pos = np.searchsorted(facet_keys, keys)
             if not np.array_equal(facet_keys[pos], keys):
                 raise AssertionError("face closure violated")
             out[:, k] = pos
         return out
 
-    def _assemble(self, simp_idx, face_idx, row_mask, loc):
-        """Boundary columns restricted to a basis, in the field representation."""
-        cols = []
-        if self.q == 2:
-            for j in simp_idx:
-                x = 0
-                for f in face_idx[j]:
-                    if row_mask[f]:
-                        x ^= 1 << int(loc[f])
-                cols.append(x)
-        else:
-            for j in simp_idx:
-                d = {}
-                sign = 1
-                for f in face_idx[j]:
-                    if row_mask[f]:
-                        d[int(loc[f])] = sign % self.q
-                    sign = -sign
-                cols.append(d)
-        return cols
-
     def query(self, center, keep_detail: bool = False,
               b1: Optional[float] = None, b2: Optional[float] = None) -> QueryResult:
         """One image-rank query; ``b1``/``b2`` override the default deleted-ball
         radii (the complex scales stay fixed per engine).
 
-        Rips queries up to degree 1 reduce against a ``_CollapsedRipsPair``:
-        the level-2 pair on the vertices near the smaller ball, shrunk by
-        edge collapse.  Cech complexes are not flag complexes, and the detail
-        is kept in the global level-2 basis, so those queries select from the
-        global level-2 complex instead.
+        With ``keep_detail`` the result also holds, per degree with relative
+        cycles, the level-2 ``pair`` and the ``cycles`` as combinations over
+        the level-1 basis ``simplices``, so images of other points' cycles can
+        be compared in this point's level-2 pair.
         """
         center = np.asarray(center, dtype=float)
         if b1 is None:
@@ -340,125 +331,142 @@ class ImageRankEngine:
         near1 = sq < b1 * b1
         near2 = sq < b2 * b2
         m1 = {d: near1[a].any(axis=1) for d, a in self.arr1.items()}
-        collapsed = self.collapse and not keep_detail
-        if collapsed:
-            m2 = pair2 = None
-        else:
-            m2 = {d: near2[a].any(axis=1) for d, a in self.arr2.items()}
         ranks: Dict[int, int] = {}
         detail = {} if keep_detail else None
+        pair = None
         for ell in range(self.lmax + 1):
             ranks[ell] = 0
+            if keep_detail:
+                detail[ell] = None
             mask1 = m1.get(ell)
-            # an empty ball leaves the level-2 basis empty in every degree
-            mask2 = near2 if collapsed else m2.get(ell)
-            if mask1 is None or mask2 is None or not mask1.any() or not mask2.any():
-                if keep_detail:
-                    detail[ell] = None
+            # an empty smaller ball leaves the level-2 basis empty in every degree
+            if mask1 is None or not mask1.any() or not near2.any():
                 continue
             b1idx = np.flatnonzero(mask1)
             # kernel of the level-1 restricted boundary
             if ell == 0:
                 d1cols = ([0] * len(b1idx)) if self.q == 2 else [{} for _ in b1idx]
             else:
-                rmask = m1.get(ell - 1)
+                rmask = m1[ell - 1]
                 loc1 = np.full(len(rmask), -1, dtype=np.int64)
                 loc1[np.flatnonzero(rmask)] = np.arange(int(rmask.sum()))
-                d1cols = self._assemble(b1idx, self.face1[ell], rmask, loc1)
+                d1cols = _assemble(b1idx, self.face1[ell], rmask, loc1, self.q)
             lows, combos = reduce_columns(d1cols, self.q, track=True)
             kern = [combos[j] for j in range(len(d1cols)) if lows[j] < 0]
             if not kern:
-                if keep_detail:
-                    detail[ell] = None
                 continue
-            if collapsed:
-                if pair2 is None:
-                    pair2 = _CollapsedRipsPair(self.points, sq, self.a2, b2, self.q)
-                ranks[ell] = pair2.image_rank(ell, kern, self.arr1[ell][b1idx])
+            if pair is None:
+                pair = (_CollapsedRipsPair(self.points, sq, self.a2, b2, self.q)
+                        if self.collapse else _GlobalPair(self, near2))
+            # no level-2 basis: the image is 0, and the detail stays None so
+            # that group_strata leaves these cycles out of its comparisons
+            if not pair.nrows(ell):
                 continue
-            rows2 = np.flatnonzero(mask2)
-            loc2 = np.full(len(mask2), -1, dtype=np.int64)
-            loc2[rows2] = np.arange(len(rows2))
-            g = self.map12[ell][b1idx]       # arr2 indices of level-1 basis
-            if self.q == 2 and _gf2fast.AVAILABLE and not keep_detail:
-                ranks[ell] = self._image_rank_fast(ell, m2, loc2, len(rows2),
-                                                   kern, g, mask2)
-            else:
-                icols = self._map_cycles(kern, g, mask2, loc2)
-                b2cols = self._b2_columns(ell, m2, loc2)
-                nb2 = len(b2cols)
-                lows, _ = reduce_columns(b2cols + icols, self.q)
-                ranks[ell] = _count_pivots(lows) - _count_pivots(lows, nb2)
+            simplices = self.arr1[ell][b1idx]
+            ranks[ell] = pair.image_rank(ell, kern, simplices)
             if keep_detail:
-                detail[ell] = {
-                    "cycle_simplices": g,          # arr2 indices, level-1 basis order
-                    "cycles": kern,                # combos over that order
-                    "mask2": mask2,
-                    "loc2": loc2,
-                    "b2": self._b2_columns(ell, m2, loc2),
-                }
+                detail[ell] = {"pair": pair, "cycles": kern, "simplices": simplices}
         return QueryResult(ranks, detail)
-
-    def _image_rank_fast(self, ell, m2, loc2, nrows2, kern, g, mask2) -> int:
-        """Packed-bitset GF(2) evaluation of rank([B2 | i(Z1)]) - rank(B2)."""
-        nwords = max(1, (nrows2 + 63) // 64)
-        up = m2.get(ell + 1)
-        if up is not None and up.any():
-            idx = np.flatnonzero(up)
-            faces = self.face2[ell + 1][idx]
-            rows_mat = np.where(m2[ell][faces], loc2[faces], -1)
-            packed_b2 = _gf2fast.pack_rows(np.ascontiguousarray(rows_mat), nwords)
-        else:
-            packed_b2 = np.zeros((0, nwords), dtype=np.uint64)
-        icols = self._map_cycles(kern, g, mask2, loc2)
-        packed_i = np.stack([_gf2fast.int_to_words(x, nwords) for x in icols])
-        cols = np.vstack([packed_b2, packed_i])
-        lows = _gf2fast.reduce_packed(cols, nrows2)
-        nb2 = len(packed_b2)
-        return int((lows >= 0).sum()) - int((lows[:nb2] >= 0).sum())
-
-    def _b2_columns(self, ell, m2, loc2):
-        up = m2.get(ell + 1)
-        if up is None or not up.any():
-            return []
-        return self._assemble(np.flatnonzero(up), self.face2[ell + 1],
-                              m2[ell], loc2)
-
-    def _map_cycles(self, kern, g, mask2, loc2):
-        """Push level-1 cycle combinations through the basis-diagonal map."""
-        cols = []
-        if self.q == 2:
-            for combo in kern:
-                x = 0
-                c = combo
-                while c:
-                    lowbit = c & -c
-                    k = lowbit.bit_length() - 1
-                    c ^= lowbit
-                    gi = int(g[k])
-                    if mask2[gi]:
-                        x ^= 1 << int(loc2[gi])
-                cols.append(x)
-        else:
-            for combo in kern:
-                d = {}
-                for k, coef in combo.items():
-                    gi = int(g[k])
-                    if mask2[gi]:
-                        r = int(loc2[gi])
-                        v = (d.get(r, 0) + coef) % self.q
-                        if v:
-                            d[r] = v
-                        else:
-                            d.pop(r, None)
-                cols.append(d)
-        return cols
 
     def query_index(self, i: int, keep_detail: bool = False) -> QueryResult:
         return self.query(self.points[i], keep_detail=keep_detail)
 
 
-class _CollapsedRipsPair:
+def _assemble(simp_idx, face_idx, row_mask, loc, q: int):
+    """Boundary columns restricted to a basis, in the field representation."""
+    cols = []
+    if q == 2:
+        for j in simp_idx:
+            x = 0
+            for f in face_idx[j]:
+                if row_mask[f]:
+                    x ^= 1 << int(loc[f])
+            cols.append(x)
+    else:
+        for j in simp_idx:
+            d = {}
+            sign = 1
+            for f in face_idx[j]:
+                if row_mask[f]:
+                    d[int(loc[f])] = sign % q
+                sign = -sign
+            cols.append(d)
+    return cols
+
+
+class _Level2Pair:
+    """The level-2 pair of one query, seen through two operations: the
+    images of level-1 relative cycles, and the boundary columns of degree
+    ell + 1, both over the pair's degree-ell basis.
+
+    Subclasses give ``nrows``, ``boundary_columns`` and ``_images``, the
+    image column of each level-1 basis simplex.  Both operations return fresh
+    columns, which ``reduce_columns`` may change in place.
+    """
+
+    q: int
+
+    def image_columns(self, ell: int, kern, simplices: np.ndarray) -> list:
+        """Images of the cycles ``kern``, combinations over the global
+        ``simplices`` (one row per level-1 basis simplex)."""
+        images = self._images(ell, simplices)
+        cols = []
+        for combo in kern:
+            if self.q == 2:
+                x = 0
+                for k in _bits(combo):
+                    x ^= images[k]
+            else:
+                x = {}
+                for k, c in combo.items():
+                    _addmul_q(x, images[k], c, self.q)
+            cols.append(x)
+        return cols
+
+    def image_rank(self, ell: int, kern, simplices: np.ndarray) -> int:
+        """rank([B2 | i(Z1)]) - rank(B2) in degree ell."""
+        b2cols = self.boundary_columns(ell)
+        lows, _ = reduce_columns(b2cols + self.image_columns(ell, kern, simplices),
+                                 self.q)
+        return _count_pivots(lows) - _count_pivots(lows, len(b2cols))
+
+
+class _GlobalPair(_Level2Pair):
+    """The level-2 pair of one query as a view of the engine's global level-2
+    complex: its basis in degree d is the d-simplices meeting the smaller
+    ball ``near2``, and a level-1 simplex maps to itself or, off the ball,
+    to 0."""
+
+    def __init__(self, engine: ImageRankEngine, near2: np.ndarray):
+        self.q = engine.q
+        self.engine = engine
+        self.mask = {d: near2[a].any(axis=1) for d, a in engine.arr2.items()}
+        self.loc = {}
+        for d, m in self.mask.items():
+            if d <= engine.lmax:        # rows of degree lmax + 1 are never read
+                self.loc[d] = np.full(len(m), -1, dtype=np.int64)
+                self.loc[d][m] = np.arange(int(m.sum()))
+
+    def nrows(self, ell: int) -> int:
+        return int(self.mask[ell].sum()) if ell in self.mask else 0
+
+    def boundary_columns(self, ell: int) -> list:
+        up = self.mask.get(ell + 1)
+        if up is None or not up.any():
+            return []
+        return _assemble(np.flatnonzero(up), self.engine.face2[ell + 1],
+                         self.mask[ell], self.loc[ell], self.q)
+
+    def _images(self, ell: int, simplices: np.ndarray) -> list:
+        eng = self.engine
+        g = np.searchsorted(eng.keys2[ell], eng._pack(simplices, eng.base))
+        rows = np.where(self.mask[ell][g], self.loc[ell][g], -1)
+        if self.q == 2:
+            return [1 << int(r) if r >= 0 else 0 for r in rows]
+        return [{int(r): 1} if r >= 0 else {} for r in rows]
+
+
+class _CollapsedRipsPair(_Level2Pair):
     """The level-2 Rips pair (X, A) of one query, for degrees 0 and 1.
 
     Only the vertices within b + 2a of the centre carry relative chains, so
@@ -524,26 +532,15 @@ class _CollapsedRipsPair:
             return x
         return dict(x) if u < w else {r: -c % self.q for r, c in x.items()}
 
-    def image_rank(self, ell: int, kern, simplices: np.ndarray) -> int:
-        """rank([B2 | i(Z1)]) - rank(B2) for the level-1 cycles ``kern``,
-        combinations over the global ``simplices`` (one row per basis)."""
+    def nrows(self, ell: int) -> int:
+        return len(self.vrow) if ell == 0 else len(self.erow)
+
+    def boundary_columns(self, ell: int) -> list:
+        return list(self.bnd[ell]) if self.q == 2 else [dict(c) for c in self.bnd[ell]]
+
+    def _images(self, ell: int, simplices: np.ndarray) -> list:
         loc = self.loc[simplices]
         if ell == 0:
-            images = [self._unit(self.vrow[v]) if v in self.vrow
-                      else (0 if self.q == 2 else {}) for v in loc[:, 0]]
-        else:
-            images = [self._edge_image(int(u), int(v)) for u, v in loc]
-        icols = []
-        for combo in kern:
-            if self.q == 2:
-                x = 0
-                for k in _bits(combo):
-                    x ^= images[k]
-            else:
-                x = {}
-                for k, c in combo.items():
-                    _addmul_q(x, images[k], c, self.q)
-            icols.append(x)
-        b2cols = list(self.bnd[ell]) if self.q == 2 else [dict(c) for c in self.bnd[ell]]
-        lows, _ = reduce_columns(b2cols + icols, self.q)
-        return _count_pivots(lows) - _count_pivots(lows, len(b2cols))
+            return [self._unit(self.vrow[v]) if v in self.vrow
+                    else (0 if self.q == 2 else {}) for v in loc[:, 0]]
+        return [self._edge_image(int(u), int(v)) for u, v in loc]

@@ -1,13 +1,15 @@
 import math
 
 import numpy as np
+import pytest
 
-from localhom.geometry import Sample, circle, generate_sample, segment
-from localhom.pipeline import (DEFAULT_W0_GRID, classify, group_strata,
-                               infer_all, label_of, make_engine)
+from localhom.geometry import (Sample, circle, circle_chord, generate_sample,
+                               segment)
+from localhom.pipeline import (DEFAULT_W0_GRID, _pair_decisions, classify,
+                               group_strata, infer_all, label_of, make_engine)
 from localhom.relhom import HomologySignature
 from localhom.scales import (ReachBound, ScaleConstants, SelectedScales,
-                             select_manifold)
+                             manual_scales, select_manifold)
 
 S2 = math.sqrt(2.0)
 
@@ -111,3 +113,25 @@ def test_group_strata_all_singletons_when_eps_tiny():
     scales = SelectedScales(0.05, 0.1207, 1.0, 0.5, "manual")
     groups = group_strata(P, scales, cc)
     assert groups == [[i] for i in range(len(P))]
+
+
+# Close pairs of the widened circle-with-chord sample below whose images
+# differ; on the chord, points three apart see different junction sides.
+CHORD_REJECTED = [
+    (0, 116), (1, 116), (38, 41), (44, 94), (45, 94), (46, 94), (47, 94),
+    (90, 116), (91, 94)] + [(i, i + 3) for i in range(92, 113)]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_group_strata_pair_decisions_pinned(q):
+    # 120 points 0.05-dense on the circle with a chord, tagged eps = 0.12 so
+    # that pairs across a junction are compared; decisions recorded with the
+    # global level-2 basis, which the collapsed pair must reproduce
+    P0 = generate_sample(circle_chord(), 0.05, 120, seed=3)
+    P = Sample(points=P0.points, epsilon=0.12, noisy=False, seed=None,
+               shape_meta=P0.shape_meta)
+    cc = ScaleConstants(t=1, c=S2)
+    scales = manual_scales(cc, 0.05, 0.05, 0.165, 0.485, 0.32)
+    decisions = _pair_decisions(P, make_engine(P, scales, cc, q), q, 1)
+    assert len(decisions) == 400
+    assert [(i, j) for i, j, equal in decisions if not equal] == CHORD_REJECTED

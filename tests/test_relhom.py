@@ -10,7 +10,7 @@ from localhom.relhom import (HomologySignature, ImageRankEngine, QuerySpec,
                              relative_betti)
 
 
-def _random_instance(rng, max_pts=10):
+def _random_instance(rng, max_pts=10, lmax=1):
     n = int(rng.integers(4, max_pts + 1))
     pts = rng.uniform(-1, 1, size=(n, 2))
     a1 = float(rng.uniform(0.1, 0.5))
@@ -20,7 +20,7 @@ def _random_instance(rng, max_pts=10):
     q = int(rng.choice([2, 3]))
     flavor = str(rng.choice(["rips", "cech"]))
     p = int(rng.integers(0, n))
-    return pts, QuerySpec(p, (a1, b1), (a2, b2), flavor=flavor, q=q, lmax=1)
+    return pts, QuerySpec(p, (a1, b1), (a2, b2), flavor=flavor, q=q, lmax=lmax)
 
 
 GRID = 1 / 64
@@ -137,6 +137,16 @@ def test_engine_matches_direct():
         slow = eng.query(pts[spec.p], keep_detail=True).ranks
         direct = image_rank(spec, pts).ranks
         assert fast == slow == direct
+    # lmax = 2 reads the global level-2 complex for Rips as well as Cech
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        pts, spec = _random_instance(rng, lmax=2)
+        eng = ImageRankEngine(pts, spec.level1, spec.level2,
+                              flavor=spec.flavor, q=spec.q, lmax=spec.lmax)
+        assert eng.kernel == "global level-2 basis"
+        fast = eng.query(pts[spec.p]).ranks
+        assert fast == image_rank(spec, pts).ranks
+        assert fast == image_rank_oracle(spec, pts).ranks
 
 
 @pytest.mark.parametrize("junction", [False, True])
@@ -156,25 +166,48 @@ def test_engine_collapse_matches_direct_clustered(junction):
             spec = QuerySpec(p, level1, level2, flavor="rips", q=q, lmax=1)
             eng = ImageRankEngine(pts, level1, level2, flavor="rips", q=q, lmax=1)
             fast = eng.query(c).ranks
-            assert fast == eng.query(c, keep_detail=True).ranks
             assert fast == image_rank(spec, pts).ranks
             assert fast == image_rank_oracle(spec, pts).ranks
     assert removed > 0
 
 
-def test_engine_collapse_matches_detail_on_criterion_1_sample():
+def test_engine_collapse_matches_direct_on_criterion_1_sample():
     # the criterion-1 sample and scales; near the junctions the local sets
     # reach about 130 vertices
     pts = generate_sample(circle_chord(), 0.018, 1500, noise=0.009, seed=7).points
     eng = ImageRankEngine(pts, (0.018, 0.175), (0.06, 0.116))
+    assert eng.kernel == "local rips edge collapse"
     picks = set()
-    for x in [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.0)]:       # two junctions, an arc
-        picks.update(np.argsort(((pts - x) ** 2).sum(-1))[:20].tolist())
+    # the two junctions and an arc; image_rank takes about 0.45 s a junction point
+    for x, k in [((-1.0, 0.0), 4), ((1.0, 0.0), 4), ((0.0, 1.0), 6)]:
+        picks.update(np.argsort(((pts - x) ** 2).sum(-1))[:k].tolist())
     ranks = {}
     for i in sorted(picks):
         ranks[i] = eng.query_index(i).ranks
-        assert ranks[i] == eng.query_index(i, keep_detail=True).ranks
+        spec = QuerySpec(i, (0.018, 0.175), (0.06, 0.116))
+        assert ranks[i] == image_rank(spec, pts).ranks
     assert {r[1] for r in ranks.values()} >= {1, 2}
+
+
+def _line_with_clusters(far_cluster):
+    """1500 points on a line at unit spacing; points 0-5 lie within 1e-3, as
+    do points 1494-1499 when ``far_cluster``."""
+    pts = np.c_[np.arange(1500.0), np.zeros(1500)]
+    pts[0:6, 0] = np.arange(6) * 1.5e-4
+    if far_cluster:
+        pts[1494:1500, 0] = 1494 + np.arange(6) * 1.5e-4
+    return pts
+
+
+def test_engine_rejects_int64_key_overflow():
+    # the 5-simplex on points 1494-1499 keys above 2**63 in base 1501
+    with pytest.raises(ValueError, match="1500 points .* 5-simplices"):
+        ImageRankEngine(_line_with_clusters(True), (0.01, 0.5), (0.01, 0.5),
+                        flavor="rips", lmax=5)
+    # the 5-simplex on points 0-5 keys well below it
+    eng = ImageRankEngine(_line_with_clusters(False), (0.01, 0.5), (0.01, 0.5),
+                          flavor="rips", lmax=5)
+    assert eng.query_index(0).ranks == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0}
 
 
 def test_functoriality_sandwich():
