@@ -1,9 +1,9 @@
 """Command-line surface: generate, scales, infer, group, scan, check, plot.
 
 Exit codes: 0 success, 2 validation error, 3 infeasible scales, 4 oracle
-mismatch.  All machine-readable output is JSON with fixed key order and
-17-significant-digit floats, so identical inputs produce byte-identical
-files.
+or engine mismatch.  All machine-readable output is JSON with fixed key
+order and 17-significant-digit floats, so identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import geometry, pipeline, plotting
 from .explorer import scan_alpha_section, scan_to_csv, section_properties
 from .geometry import (Sample, generate_sample, load_sample_csv, make_shape,
                        save_sample_csv, shape_from_meta)
-from .relhom import QuerySpec, image_rank, image_rank_oracle
+from .relhom import ImageRankEngine, QuerySpec, image_rank, image_rank_oracle
 from .scales import (InfeasibleScales, ReachBound, ScaleConstants,
                      SeemlinessBound, SelectedScales, manual_scales,
                      select_bounded, select_manifold, select_strong)
@@ -266,10 +266,13 @@ def cmd_check(args) -> int:
             pts, spec = _random_instance(rng)
         d = image_rank(spec, pts).ranks
         o = image_rank_oracle(spec, pts).ranks
-        if d != o:
-            failures.append({"instance": k, "direct": d, "coned": o})
-    ok = total - len(failures)
-    print(f"{ok}/{total} direct==coned")
+        e = ImageRankEngine(pts, spec.level1, spec.level2, flavor=spec.flavor,
+                            q=spec.q, lmax=spec.lmax).query_index(spec.p).ranks
+        if d != o or e != d:
+            failures.append({"instance": k, "direct": d, "coned": o, "engine": e})
+    bad = {k: sum(f[k] != f["direct"] for f in failures) for k in ("coned", "engine")}
+    print(f"{total - bad['coned']}/{total} direct==coned")
+    print(f"{total - bad['engine']}/{total} engine==direct")
     if failures:
         sys.stdout.write(emit_json({"failures": failures}))
         return EXIT_ORACLE
@@ -380,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("-o", "--output")
     sc.set_defaults(func=cmd_scan)
 
-    ck = sub.add_parser("check", help="direct-vs-oracle cross validation")
+    ck = sub.add_parser("check", help="direct-vs-oracle-vs-engine cross validation")
     ck.add_argument("--random", type=int, default=200)
     ck.add_argument("--max-pts", dest="max_pts", type=int, default=10)
     ck.add_argument("--seed", type=int, default=1)

@@ -17,13 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-
-def _bits(x: int):
-    """Indices of set bits of a nonnegative int, ascending."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+from .fieldla import _bits
 
 
 def _adjacency_bits(points: np.ndarray, subset: np.ndarray, alpha: float):
@@ -33,20 +27,19 @@ def _adjacency_bits(points: np.ndarray, subset: np.ndarray, alpha: float):
     distance <= (2*alpha)^2.
     """
     pts = points[subset]
-    m = len(subset)
-    thr = (2.0 * alpha) ** 2
-    adj = [0] * m
-    if m == 0:
-        return adj
     sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-    close = sq <= thr
+    close = sq <= (2.0 * alpha) ** 2
     np.fill_diagonal(close, False)
-    for i in range(m):
-        row = 0
-        for j in np.flatnonzero(close[i]):
-            row |= 1 << int(j)
-        adj[i] = row
-    return adj
+    return _bitmasks(close)
+
+
+def _bitmasks(mask: np.ndarray) -> List[int]:
+    """Python-int bitmask of each row of a 2-D boolean array, bit j set
+    where column j is True."""
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    raw, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[k * w:(k + 1) * w], "little")
+            for k in range(len(packed))]
 
 
 @dataclass

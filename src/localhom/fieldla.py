@@ -149,11 +149,12 @@ class FieldMatrix:
     def entries(self, j: int):
         """Sorted (row, coefficient) pairs of column j."""
         if self.q == 2:
-            return [(r, 1) for r in sorted(_bit_rows(self.columns[j]))]
+            return [(r, 1) for r in _bits(self.columns[j])]
         return sorted(self.columns[j].items())
 
 
-def _bit_rows(x: int):
+def _bits(x: int):
+    """Indices of set bits of a nonnegative int, ascending."""
     while x:
         low = x & -x
         yield low.bit_length() - 1

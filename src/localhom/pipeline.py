@@ -15,7 +15,7 @@ import numpy as np
 
 from .fieldla import reduce_columns
 from .geometry import Sample, StratifiedShape
-from .relhom import HomologySignature, ImageRankEngine
+from .relhom import HomologySignature, ImageRankEngine, _count_below
 from .scales import ScaleConstants, SelectedScales
 
 DEFAULT_W0_GRID = tuple(round(0.05 * k, 2) for k in range(11))  # 0, 0.05, ..., 0.5
@@ -152,7 +152,13 @@ class _UnionFind:
 
 def _subspaces_equal(det_i, det_j, lmax: int, q: int) -> bool:
     """Images of i's cross map and j's self map agree mod boundaries in j's
-    level-2 homology (per degree)."""
+    level-2 homology (per degree).
+
+    j's detail holds a reduced basis of B2 + A, A the image of j's cycles.
+    i's stacked columns are reduced after the basis's B2 part for rank(B2 +
+    B), B the image of i's cycles, and its A part after them for rank(B2 +
+    A + B).
+    """
     for ell in range(lmax + 1):
         dj = det_j.get(ell) if det_j else None
         di = det_i.get(ell) if det_i else None
@@ -160,22 +166,17 @@ def _subspaces_equal(det_i, det_j, lmax: int, q: int) -> bool:
             # j's level-1 pair carries no cycles, so both images are zero in
             # a codomain we did not materialize; nothing to compare
             continue
-        pair = dj["pair"]
-        b2 = pair.boundary_columns(ell)
-        A = pair.image_columns(ell, dj["cycles"], dj["simplices"])
-        B = [] if di is None else pair.image_columns(ell, di["cycles"], di["simplices"])
-        ra = _rank_cols(b2 + A, q)
-        rbb = _rank_cols(b2 + B, q)
-        rab = _rank_cols(b2 + A + B, q)
-        if not (ra == rbb == rab):
+        pair, basis, rb2 = dj["pair"], dj["basis"], dj["b2"]
+        n2 = pair.nrows(ell)
+        cols = basis[:rb2]
+        if di is not None:
+            cols += pair.stacked_columns(ell, di["simplices"], di["boundary"], n2)
+        lows_b, _ = reduce_columns(cols, q)
+        A = basis[rb2:] if q == 2 else [dict(c) for c in basis[rb2:]]
+        lows_ab, _ = reduce_columns(cols + A, q)
+        if not len(basis) == _count_below(lows_b, n2) == _count_below(lows_ab, n2):
             return False
     return True
-
-
-def _rank_cols(cols, q):
-    cols = list(cols) if q == 2 else [dict(c) for c in cols]
-    lows, _ = reduce_columns(cols, q)
-    return sum(1 for low in lows if low >= 0)
 
 
 def group_strata(P: Sample, scales: SelectedScales, cc: ScaleConstants,

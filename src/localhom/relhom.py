@@ -11,6 +11,9 @@ The direct method is the production path; the oracle cross-checks it.
 ``ImageRankEngine`` evaluates the direct method for many query points on
 shared global complexes.  Its level-2 pair is edge-collapsed per query for
 Rips up to degree 1, and a view of the global level-2 complex otherwise.
+It reduces one stacked matrix per degree instead of a kernel basis
+(Cohen-Steiner, Edelsbrunner, Harer & Morozov, "Persistent homology for
+kernels, images, and cokernels", SODA 2009).
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .complexes import (QuotientPairComplex, _adjacency_bits, _bits, build_complex,
-                        collapse_edges, cone_pair, delete_ball, quotient_pair)
-from .fieldla import FieldMatrix, _addmul_q, persistent_reduce, rank, reduce_columns
+from .complexes import (QuotientPairComplex, _adjacency_bits, _bitmasks,
+                        build_complex, collapse_edges, cone_pair, delete_ball,
+                        quotient_pair)
+from .fieldla import (FieldMatrix, _addmul_q, _bits, persistent_reduce, rank,
+                      reduce_columns)
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,9 @@ def relative_betti(Q: QuotientPairComplex, ell: int, q: int = 2) -> int:
     return n_ell - r_d - r_up
 
 
-def _count_pivots(lows, upto=None):
-    it = lows if upto is None else lows[:upto]
-    return sum(1 for low in it if low >= 0)
+def _count_below(lows, n2: int) -> int:
+    """Reduced columns of a stacked matrix whose low lies in rows 0..n2-1."""
+    return sum(1 for low in lows if 0 <= low < n2)
 
 
 def _image_rank_from_pairs(Q1: QuotientPairComplex, Q2: QuotientPairComplex,
@@ -120,7 +125,7 @@ def _image_rank_from_pairs(Q1: QuotientPairComplex, Q2: QuotientPairComplex,
         B2 = _pair_boundary(Q2, ell + 1, q)
         cols = B2.copy_columns() + iZ1.copy_columns()
         lows, _ = reduce_columns(cols, q)
-        out[ell] = _count_pivots(lows) - _count_pivots(lows, B2.ncols)
+        out[ell] = sum(1 for low in lows[B2.ncols:] if low >= 0)
     return out
 
 
@@ -224,10 +229,13 @@ class ImageRankEngine:
     """Evaluates many image-rank queries sharing one scale configuration.
 
     The global level-1 complex (scale a1, built to lmax) is built once; each
-    query selects its basis by ball-membership masks and reduces the level-1
-    boundary for the relative cycles.  These are pushed into the query's
-    level-2 pair, which comes from one of two places, chosen by ``flavor``
-    and ``lmax`` alone:
+    query selects its level-1 basis S by ball-membership masks, and one
+    untracked reduction of [B2 | S] per degree answers it.  The column of s
+    in S holds its level-2 image i(s) in rows 0..n2-1 and its restricted
+    level-1 boundary in rows n2 and up.  Pivots are lowest nonzero rows, so
+    the S columns' lows below n2 count the image rank, rank(B2 + i(Z1)) -
+    rank(B2), and all lows at n2 and up count |S| - dim Z1.  The level-2
+    pair comes from one of two places, chosen by ``flavor`` and ``lmax``:
 
       * Rips with lmax <= 1: a ``_CollapsedRipsPair``, built on the vertices
         near the smaller ball and shrunk by edge collapse; no global level-2
@@ -316,9 +324,10 @@ class ImageRankEngine:
         radii (the complex scales stay fixed per engine).
 
         With ``keep_detail`` the result also holds, per degree with relative
-        cycles, the level-2 ``pair`` and the ``cycles`` as combinations over
-        the level-1 basis ``simplices``, so images of other points' cycles can
-        be compared in this point's level-2 pair.
+        cycles, the level-2 ``pair``, the level-1 basis ``simplices`` and their
+        ``boundary`` columns, and a reduced ``basis`` of B2 + i(Z1) whose first
+        ``b2`` columns span B2, so that other points' cycles can be compared
+        in this point's level-2 pair.
         """
         center = np.asarray(center, dtype=float)
         if b1 is None:
@@ -342,62 +351,65 @@ class ImageRankEngine:
             # an empty smaller ball leaves the level-2 basis empty in every degree
             if mask1 is None or not mask1.any() or not near2.any():
                 continue
-            b1idx = np.flatnonzero(mask1)
-            # kernel of the level-1 restricted boundary
-            if ell == 0:
-                d1cols = ([0] * len(b1idx)) if self.q == 2 else [{} for _ in b1idx]
-            else:
-                rmask = m1[ell - 1]
-                loc1 = np.full(len(rmask), -1, dtype=np.int64)
-                loc1[np.flatnonzero(rmask)] = np.arange(int(rmask.sum()))
-                d1cols = _assemble(b1idx, self.face1[ell], rmask, loc1, self.q)
-            lows, combos = reduce_columns(d1cols, self.q, track=True)
-            kern = [combos[j] for j in range(len(d1cols)) if lows[j] < 0]
-            if not kern:
-                continue
             if pair is None:
                 pair = (_CollapsedRipsPair(self.points, sq, self.a2, b2, self.q)
                         if self.collapse else _GlobalPair(self, near2))
             # no level-2 basis: the image is 0, and the detail stays None so
             # that group_strata leaves these cycles out of its comparisons
-            if not pair.nrows(ell):
+            n2 = pair.nrows(ell)
+            if not n2:
                 continue
+            b1idx = np.flatnonzero(mask1)
+            if ell == 0:
+                bnd1 = [0] * len(b1idx) if self.q == 2 else [{} for _ in b1idx]
+            else:
+                rmask = m1[ell - 1]
+                bnd1 = _assemble(b1idx, self.face1[ell], rmask, _rows(rmask), self.q)
             simplices = self.arr1[ell][b1idx]
-            ranks[ell] = pair.image_rank(ell, kern, simplices)
-            if keep_detail:
-                detail[ell] = {"pair": pair, "cycles": kern, "simplices": simplices}
+            cols = pair.boundary_columns(ell)
+            nb2 = len(cols)
+            cols += pair.stacked_columns(ell, simplices, bnd1, n2)
+            lows, _ = reduce_columns(cols, self.q)
+            ranks[ell] = _count_below(lows[nb2:], n2)
+            # lows at n2 and up: the level-1 boundary has rank |S| - dim Z1
+            if keep_detail and sum(1 for low in lows if low >= n2) < len(bnd1):
+                basis = [c for c, low in zip(cols, lows) if 0 <= low < n2]
+                detail[ell] = {"pair": pair, "simplices": simplices, "boundary": bnd1,
+                               "basis": basis, "b2": _count_below(lows[:nb2], n2)}
         return QueryResult(ranks, detail)
 
     def query_index(self, i: int, keep_detail: bool = False) -> QueryResult:
         return self.query(self.points[i], keep_detail=keep_detail)
 
 
+def _rows(mask: np.ndarray) -> np.ndarray:
+    """Row of each simplex in the basis ``mask`` selects (valid where True)."""
+    return np.cumsum(mask) - 1
+
+
 def _assemble(simp_idx, face_idx, row_mask, loc, q: int):
     """Boundary columns restricted to a basis, in the field representation."""
-    cols = []
+    faces = face_idx[simp_idx]
+    rows = np.where(row_mask[faces], loc[faces], -1).tolist()
     if q == 2:
-        for j in simp_idx:
-            x = 0
-            for f in face_idx[j]:
-                if row_mask[f]:
-                    x ^= 1 << int(loc[f])
-            cols.append(x)
-    else:
-        for j in simp_idx:
-            d = {}
-            sign = 1
-            for f in face_idx[j]:
-                if row_mask[f]:
-                    d[int(loc[f])] = sign % q
-                sign = -sign
-            cols.append(d)
+        # the facets of a simplex have distinct rows, so the sum is their XOR
+        return [sum(1 << r for r in fr if r >= 0) for fr in rows]
+    cols = []
+    for fr in rows:
+        d = {}
+        sign = 1
+        for r in fr:
+            if r >= 0:
+                d[r] = sign % q
+            sign = -sign
+        cols.append(d)
     return cols
 
 
 class _Level2Pair:
     """The level-2 pair of one query, seen through two operations: the
-    images of level-1 relative cycles, and the boundary columns of degree
-    ell + 1, both over the pair's degree-ell basis.
+    boundary columns of degree ell + 1 over the pair's degree-ell basis, and
+    the stacked columns of level-1 basis simplices.
 
     Subclasses give ``nrows``, ``boundary_columns`` and ``_images``, the
     image column of each level-1 basis simplex.  Both operations return fresh
@@ -406,29 +418,18 @@ class _Level2Pair:
 
     q: int
 
-    def image_columns(self, ell: int, kern, simplices: np.ndarray) -> list:
-        """Images of the cycles ``kern``, combinations over the global
-        ``simplices`` (one row per level-1 basis simplex)."""
+    def stacked_columns(self, ell: int, simplices: np.ndarray, boundary: list,
+                        shift: int) -> list:
+        """Per level-1 basis simplex (a row of the global ``simplices``): its
+        image in rows 0..nrows(ell)-1 plus its restricted level-1 ``boundary``
+        column moved up by ``shift`` >= nrows(ell) rows."""
         images = self._images(ell, simplices)
-        cols = []
-        for combo in kern:
-            if self.q == 2:
-                x = 0
-                for k in _bits(combo):
-                    x ^= images[k]
-            else:
-                x = {}
-                for k, c in combo.items():
-                    _addmul_q(x, images[k], c, self.q)
-            cols.append(x)
-        return cols
-
-    def image_rank(self, ell: int, kern, simplices: np.ndarray) -> int:
-        """rank([B2 | i(Z1)]) - rank(B2) in degree ell."""
-        b2cols = self.boundary_columns(ell)
-        lows, _ = reduce_columns(b2cols + self.image_columns(ell, kern, simplices),
-                                 self.q)
-        return _count_pivots(lows) - _count_pivots(lows, len(b2cols))
+        if self.q == 2:
+            return [x | b << shift for x, b in zip(images, boundary)]
+        for x, b in zip(images, boundary):
+            for r, c in b.items():
+                x[r + shift] = c
+        return images
 
 
 class _GlobalPair(_Level2Pair):
@@ -441,11 +442,7 @@ class _GlobalPair(_Level2Pair):
         self.q = engine.q
         self.engine = engine
         self.mask = {d: near2[a].any(axis=1) for d, a in engine.arr2.items()}
-        self.loc = {}
-        for d, m in self.mask.items():
-            if d <= engine.lmax:        # rows of degree lmax + 1 are never read
-                self.loc[d] = np.full(len(m), -1, dtype=np.int64)
-                self.loc[d][m] = np.arange(int(m.sum()))
+        self.loc = {d: _rows(m) for d, m in self.mask.items() if d <= engine.lmax}
 
     def nrows(self, ell: int) -> int:
         return int(self.mask[ell].sum()) if ell in self.mask else 0
@@ -460,10 +457,10 @@ class _GlobalPair(_Level2Pair):
     def _images(self, ell: int, simplices: np.ndarray) -> list:
         eng = self.engine
         g = np.searchsorted(eng.keys2[ell], eng._pack(simplices, eng.base))
-        rows = np.where(self.mask[ell][g], self.loc[ell][g], -1)
+        rows = np.where(self.mask[ell][g], self.loc[ell][g], -1).tolist()
         if self.q == 2:
-            return [1 << int(r) if r >= 0 else 0 for r in rows]
-        return [{int(r): 1} if r >= 0 else {} for r in rows]
+            return [1 << r if r >= 0 else 0 for r in rows]
+        return [{r: 1} if r >= 0 else {} for r in rows]
 
 
 class _CollapsedRipsPair(_Level2Pair):
@@ -483,11 +480,10 @@ class _CollapsedRipsPair(_Level2Pair):
         local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
         self.loc = np.full(len(points), -1, dtype=np.int64)
         self.loc[local] = np.arange(len(local))
-        inside = 0
-        for i in np.flatnonzero(sq[local] < b * b):
-            inside |= 1 << int(i)
+        ball = sq[local] < b * b
+        inside = _bitmasks(ball[None])[0]
         nbr, removed = collapse_edges(_adjacency_bits(points, local, a), inside)
-        self.vrow = {v: r for r, v in enumerate(_bits(inside))}
+        self.vrow = {v: r for r, v in enumerate(np.flatnonzero(ball).tolist())}
         # each simplex meeting the ball, listed from its first ball vertex x
         edges, triangles = [], []
         for x in self.vrow:
@@ -497,15 +493,16 @@ class _CollapsedRipsPair(_Level2Pair):
                 for z in _bits(free & nbr[y] >> (y + 1) << (y + 1)):
                     triangles.append(tuple(sorted((x, y, z))))
         self.erow = {e: r for r, e in enumerate(edges)}
-        self.img = {e: self._unit(r) for e, r in self.erow.items()}
-        for u, v, w in reversed(removed):
-            x = self._edge_image(u, w)
-            y = self._edge_image(w, v)
-            if q == 2:
-                self.img[(u, v)] = x ^ y
-            else:
-                _addmul_q(x, y, 1, q)
-                self.img[(u, v)] = x
+        self.img = img = {e: self._unit(r) for e, r in self.erow.items()}
+        if q == 2:
+            for u, v, w in reversed(removed):
+                img[u, v] = (img.get((u, w) if u < w else (w, u), 0)
+                             ^ img.get((w, v) if w < v else (v, w), 0))
+        else:
+            for u, v, w in reversed(removed):
+                x = self._edge_image(u, w)
+                _addmul_q(x, self._edge_image(w, v), 1, q)
+                img[u, v] = x
         self.bnd = {
             0: [self._chain([(v, 1), (u, -1)], self.vrow) for u, v in edges],
             1: [self._chain([((v, w), 1), ((u, w), -1), ((u, v), 1)], self.erow)
@@ -525,11 +522,10 @@ class _CollapsedRipsPair(_Level2Pair):
             return x
         return {rows[s]: c % self.q for s, c in terms if s in rows}
 
-    def _edge_image(self, u: int, w: int):
-        """Image of the oriented edge [u, w]; edges off the ball map to 0."""
-        x = self.img.get((min(u, w), max(u, w)), 0 if self.q == 2 else {})
-        if self.q == 2:
-            return x
+    def _edge_image(self, u: int, w: int) -> dict:
+        """Image of the oriented edge [u, w] for odd q; edges off the ball map
+        to 0."""
+        x = self.img.get((min(u, w), max(u, w)), {})
         return dict(x) if u < w else {r: -c % self.q for r, c in x.items()}
 
     def nrows(self, ell: int) -> int:
@@ -539,8 +535,11 @@ class _CollapsedRipsPair(_Level2Pair):
         return list(self.bnd[ell]) if self.q == 2 else [dict(c) for c in self.bnd[ell]]
 
     def _images(self, ell: int, simplices: np.ndarray) -> list:
-        loc = self.loc[simplices]
+        loc = self.loc[simplices].tolist()
         if ell == 0:
             return [self._unit(self.vrow[v]) if v in self.vrow
-                    else (0 if self.q == 2 else {}) for v in loc[:, 0]]
-        return [self._edge_image(int(u), int(v)) for u, v in loc]
+                    else (0 if self.q == 2 else {}) for v, in loc]
+        if self.q == 2:
+            # both ends local keeps u < v; an end off the local set keys nothing
+            return [self.img.get((u, v), 0) for u, v in loc]
+        return [self._edge_image(u, v) for u, v in loc]

@@ -6,7 +6,7 @@ import pytest
 
 from localhom import cli
 from localhom.cli import main
-from localhom.relhom import HomologySignature
+from localhom.relhom import HomologySignature, ImageRankEngine, QueryResult
 
 
 def _generate_circle(tmp_path, n=70, eps=0.05):
@@ -125,7 +125,9 @@ def test_scan_infeasible_grid(tmp_path):
 def test_check_prints_tally(capsys):
     rc = main(["check", "--random", "25", "--seed", "3"])
     assert rc == 0
-    assert "25/25 direct==coned" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "25/25 direct==coned" in out
+    assert "25/25 engine==direct" in out
 
 
 def test_check_mismatch_exit_code(monkeypatch, capsys):
@@ -135,6 +137,16 @@ def test_check_mismatch_exit_code(monkeypatch, capsys):
     rc = main(["check", "--random", "3", "--seed", "3"])
     assert rc == 4
     assert "direct==coned" in capsys.readouterr().out
+
+
+def test_check_engine_mismatch_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(
+        ImageRankEngine, "query_index",
+        lambda self, i, keep_detail=False: QueryResult({0: 99, 1: 0}))
+    rc = main(["check", "--random", "3", "--seed", "3"])
+    assert rc == 4
+    out = capsys.readouterr().out
+    assert "3/3 direct==coned" in out and "0/3 engine==direct" in out
 
 
 def test_plot_svg(tmp_path):

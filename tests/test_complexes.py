@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from localhom.complexes import (cech, cone_pair, delete_ball,
+from localhom.complexes import (_adjacency_bits, cech, cone_pair, delete_ball,
                                 min_enclosing_radius, quotient_pair, rips)
 
 
@@ -23,6 +23,39 @@ def test_rips_unit_square():
     pts = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], float)
     cx = rips(pts, None, 0.5, 2)
     assert cx.count(1) == 4 and cx.count(2) == 0        # diagonals sqrt(2) > 1
+
+
+def _adjacency_bits_by_row_loop(points, subset, alpha):
+    """Reference: each row's mask set bit by bit from its nonzero entries."""
+    pts = points[subset]
+    close = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1) <= (2 * alpha) ** 2
+    adj = []
+    for i in range(len(subset)):
+        row = 0
+        for j in np.flatnonzero(close[i]):
+            if j != i:
+                row |= 1 << int(j)
+        adj.append(row)
+    return adj
+
+
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 63, 64, 65, 200])
+def test_adjacency_bits_match_row_loop(m):
+    # a local subset of a larger 1/64-grid sample, as the engine passes it;
+    # the counts straddle byte and 64-bit word boundaries
+    rng = np.random.default_rng(m)
+    alpha = 5 / 64
+    pts = np.round(rng.uniform(0, 1, (m + 10, 2)) * 64) / 64
+    subset = np.sort(rng.choice(m + 10, m, replace=False))
+    if m >= 2:
+        # its first and last vertex exactly 2*alpha apart: an edge
+        pts[subset[-1]] = pts[subset[0]] + (0.0, 2 * alpha)
+    adj = _adjacency_bits(pts, subset, alpha)
+    assert adj == _adjacency_bits_by_row_loop(pts, subset, alpha)
+    if m >= 2:
+        assert adj[0] >> (m - 1) & 1 and adj[m - 1] & 1
+    if m >= 64:
+        assert any(row >> 63 for row in adj)        # bits past one word
 
 
 def test_rips_empty_subset():

@@ -5,9 +5,10 @@ import pytest
 
 from localhom.geometry import (Sample, circle, circle_chord, generate_sample,
                                segment)
-from localhom.pipeline import (DEFAULT_W0_GRID, _pair_decisions, classify,
-                               group_strata, infer_all, label_of, make_engine)
-from localhom.relhom import HomologySignature
+from localhom.pipeline import (DEFAULT_W0_GRID, _pair_decisions, _subspaces_equal,
+                               classify, group_strata, infer_all, label_of,
+                               make_engine)
+from localhom.relhom import HomologySignature, ImageRankEngine
 from localhom.scales import (ReachBound, ScaleConstants, SelectedScales,
                              manual_scales, select_manifold)
 
@@ -135,3 +136,22 @@ def test_group_strata_pair_decisions_pinned(q):
     decisions = _pair_decisions(P, make_engine(P, scales, cc, q), q, 1)
     assert len(decisions) == 400
     assert [(i, j) for i, j, equal in decisions if not equal] == CHORD_REJECTED
+
+
+@pytest.mark.parametrize("q,lmax", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_subspaces_equal_without_cycles(q, lmax):
+    # a segment whose level-1 edges join neighbours only: the endpoint's
+    # level-1 pair has no relative 1-cycle, an interior point's has one,
+    # which survives into its level-2 pair; with lmax 2 the level-2 pair has
+    # tetrahedra, so its triangle boundaries are dependent
+    pts = np.c_[np.arange(33) / 32, np.zeros(33)]
+    eng = ImageRankEngine(pts, (1 / 64, 0.1), (3 / 64, 0.1), q=q, lmax=lmax)
+    end = eng.query_index(0, keep_detail=True)
+    mid = eng.query_index(16, keep_detail=True)
+    assert end.ranks[1] == 0 and mid.ranks[1] == 1
+    assert end.detail[1] is None and mid.detail[1] is not None
+    # no cycles pushed into the middle's pair: the zero subspace, not its image
+    assert not _subspaces_equal(end.detail, mid.detail, 1, q)
+    # the endpoint's pair holds no cycles of its own: nothing to compare
+    assert _subspaces_equal(mid.detail, end.detail, 1, q)
+    assert _subspaces_equal(mid.detail, mid.detail, 1, q)

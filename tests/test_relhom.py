@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localhom.complexes import _adjacency_bits, collapse_edges, quotient_pair
 from localhom.geometry import circle_chord, generate_sample
@@ -55,6 +57,52 @@ def _clustered_instance(rng, junction):
     extra = [pts[p] + off * m * GRID, pts[0] + (0.0, 2 * a2),
              pts[int(rng.integers(0, n))]]
     return np.vstack([pts] + extra), p, (a1, b1), (a2, b2)
+
+
+@st.composite
+def _grid_ties(draw):
+    """6-12 points jittered around a ring and up to 3 strays, on a 1/64
+    grid, plus the three adversarial points of ``_clustered_instance``: one
+    at exactly b2 from the centre, one at exactly 2*a2 from point 0, and a
+    duplicate.  b2 = 0 leaves the smaller ball empty."""
+    n = draw(st.integers(6, 12))
+    rad = draw(st.integers(8, 16))
+    th = 2 * math.pi * np.arange(n) / n
+    ring = np.round(rad * np.c_[np.cos(th), np.sin(th)])
+    cell = st.integers(-rad - 2, rad + 2)
+    jitter = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    ring += np.array(draw(st.lists(jitter, min_size=n, max_size=n)))
+    strays = draw(st.lists(st.tuples(cell, cell), max_size=3))
+    pts = np.vstack([ring] + [np.array(strays, float).reshape(-1, 2)]) * GRID
+    p = draw(st.integers(0, len(pts) - 1))
+    a1 = GRID * draw(st.integers(2, 7))
+    a2 = a1 + GRID * draw(st.integers(0, 4))
+    m = draw(st.sampled_from([1, 2, 3, 0]))
+    b2 = GRID * 5 * m
+    b1 = b2 + GRID * draw(st.integers(0, 12))
+    off = np.array(draw(st.sampled_from([(3, 4), (-4, 3), (-3, -4), (4, -3)])))
+    extra = [pts[p] + off * m * GRID, pts[0] + (0.0, 2 * a2),
+             pts[draw(st.integers(0, len(pts) - 1))]]
+    return np.vstack([pts] + extra), p, (a1, b1), (a2, b2)
+
+
+@pytest.mark.parametrize("flavor,lmax", [("rips", 1), ("rips", 2), ("cech", 1)])
+@settings(max_examples=150)
+@given(inst=_grid_ties(), q=st.sampled_from([2, 3, 5]))
+def test_engine_paths_agree_on_grid_ties(flavor, lmax, inst, q):
+    # collapsed pair (Rips, lmax 1) and global pair (Rips lmax 2, Cech): the
+    # stacked reduction, with and without detail, against the kernel-basis
+    # formula and the coned oracle
+    pts, p, level1, level2 = inst
+    (a2, b2), c = level2, pts[p]
+    assert ((pts[-3] - c) ** 2).sum() == b2 * b2
+    assert ((pts[-2] - pts[0]) ** 2).sum() == (2 * a2) ** 2
+    spec = QuerySpec(p, level1, level2, flavor=flavor, q=q, lmax=lmax)
+    eng = ImageRankEngine(pts, level1, level2, flavor=flavor, q=q, lmax=lmax)
+    fast = eng.query(c).ranks
+    assert eng.query(c, keep_detail=True).ranks == fast
+    assert image_rank(spec, pts).ranks == fast
+    assert image_rank_oracle(spec, pts).ranks == fast
 
 
 def test_relative_betti_empty_basis():
