@@ -187,6 +187,9 @@ def _circumball(S):
     base = S[0]
     if len(S) == 1:
         return base, 0.0
+    if len(S) == 2:
+        # the midpoint: exact on grid points, where least squares is not
+        return (base + S[1]) / 2, float(((S[1] - base) ** 2).sum()) / 4
     # center lies in the affine hull of S: c = base + sum w_j (p_j - base),
     # with 2 G w = (|p_j - base|^2)_j, G the Gram matrix
     B = np.array([p - base for p in S[1:]])

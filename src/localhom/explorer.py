@@ -78,6 +78,10 @@ def scan_alpha_section(K: StratifiedShape, x, alpha: float, eps: float,
     ``values`` is the shared grid for both R and r; only cells in the domain
     R >= r > alpha >= eps are evaluated.  Membership: the image rank of the
     query equals the analytic local homology at x.
+
+    Cells are visited column by column: r in the outer loop, R rising in the
+    inner one.  The level-2 pair depends only on x and r, and the engine
+    reuses the pair of its latest query, so each r value builds one pair.
     """
     if not (alpha >= eps > 0):
         raise ValueError("need alpha >= eps > 0")
@@ -95,12 +99,12 @@ def scan_alpha_section(K: StratifiedShape, x, alpha: float, eps: float,
                                  flavor=flavor, q=q, lmax=1)
     n = len(values)
     member: List[List[Optional[bool]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        R = float(values[i])
-        for j in range(i + 1):
-            r = float(values[j])
-            if r <= alpha:
-                continue
+    for j in range(n):
+        r = float(values[j])
+        if r <= alpha:
+            continue
+        for i in range(j, n):
+            R = float(values[i])
             res = engine.query(x, b1=R, b2=r)
             nz = {d: v for d, v in res.ranks.items() if v}
             member[i][j] = (nz == gt)

@@ -256,6 +256,10 @@ class ImageRankEngine:
         self.a2, self.b2 = level2
         if self.a1 > self.a2 or self.b2 > self.b1:
             raise ValueError("nesting violated: need a1 <= a2 and b2 <= b1")
+        if self.a1 <= 0:
+            raise ValueError("scale a must be positive")
+        if self.b2 < 0:
+            raise ValueError("ball radius b must be >= 0")
         self.flavor = flavor
         self.q = q
         self.lmax = lmax
@@ -270,6 +274,8 @@ class ImageRankEngine:
         self.arr1, _, self.face1 = self._index(c1)
         if c2 is not None:
             self.arr2, self.keys2, self.face2 = self._index(c2)
+        # (key, pair): the level-2 pair of the latest query that built one
+        self._memo = (None, None)
 
     @property
     def kernel(self) -> str:
@@ -321,7 +327,13 @@ class ImageRankEngine:
     def query(self, center, keep_detail: bool = False,
               b1: Optional[float] = None, b2: Optional[float] = None) -> QueryResult:
         """One image-rank query; ``b1``/``b2`` override the default deleted-ball
-        radii (the complex scales stay fixed per engine).
+        radii (the complex scales stay fixed per engine).  Negative radii
+        raise ``ValueError``, as in ``quotient_pair``.
+
+        The level-2 pair depends only on ``center`` and ``b2``.  The engine
+        keeps the pair of its latest query, one entry, and a query with the
+        same centre and ``b2`` reuses it; so a run of queries that varies only
+        ``b1``, such as one column of an explorer scan, builds one pair.
 
         With ``keep_detail`` the result also holds, per degree with relative
         cycles, the level-2 ``pair``, the level-1 basis ``simplices`` and their
@@ -336,6 +348,8 @@ class ImageRankEngine:
             b2 = self.b2
         if b2 > b1:
             raise ValueError("nesting violated: need b2 <= b1")
+        if b2 < 0:
+            raise ValueError("ball radius b must be >= 0")
         sq = ((self.points - center) ** 2).sum(-1)
         near1 = sq < b1 * b1
         near2 = sq < b2 * b2
@@ -352,8 +366,7 @@ class ImageRankEngine:
             if mask1 is None or not mask1.any() or not near2.any():
                 continue
             if pair is None:
-                pair = (_CollapsedRipsPair(self.points, sq, self.a2, b2, self.q)
-                        if self.collapse else _GlobalPair(self, near2))
+                pair = self._pair(center, sq, near2, b2)
             # no level-2 basis: the image is 0, and the detail stays None so
             # that group_strata leaves these cycles out of its comparisons
             n2 = pair.nrows(ell)
@@ -377,6 +390,17 @@ class ImageRankEngine:
                 detail[ell] = {"pair": pair, "simplices": simplices, "boundary": bnd1,
                                "basis": basis, "b2": _count_below(lows[:nb2], n2)}
         return QueryResult(ranks, detail)
+
+    def _pair(self, center: np.ndarray, sq, near2, b2: float) -> "_Level2Pair":
+        """The level-2 pair at ``center`` with smaller ball radius ``b2``.  It
+        depends on nothing else, and it is read-only once built, so a query
+        with the same key as the latest one reuses its pair."""
+        key = (center.tobytes(), float(b2))
+        if self._memo[0] != key:
+            pair = (_CollapsedRipsPair(self.points, sq, self.a2, b2, self.q)
+                    if self.collapse else _GlobalPair(self, near2))
+            self._memo = (key, pair)
+        return self._memo[1]
 
     def query_index(self, i: int, keep_detail: bool = False) -> QueryResult:
         return self.query(self.points[i], keep_detail=keep_detail)

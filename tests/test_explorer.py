@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from localhom import relhom
 from localhom.explorer import (AlphaSectionScan, _largest_triangle,
                                scan_alpha_section, scan_to_csv,
                                section_properties)
 from localhom.geometry import circle, circle_chord
+from localhom.relhom import ImageRankEngine
 
 
 def _circle_scan(alpha, values, dense_n=400):
@@ -118,3 +120,28 @@ def test_scan_deterministic():
     a = _circle_scan(0.15, [0.3, 0.6, 0.9], dense_n=300)
     b = _circle_scan(0.15, [0.3, 0.6, 0.9], dense_n=300)
     assert a.member == b.member and a.summary == b.summary
+
+
+def test_chord_scan_builds_one_pair_per_r(monkeypatch):
+    # cells run column by column, so the engine reuses its level-2 pair
+    # while only R changes: one collapsed pair per r > alpha
+    built = []
+
+    class Counted(relhom._CollapsedRipsPair):
+        def __init__(self, *args):
+            built.append(args[3])
+            super().__init__(*args)
+
+    monkeypatch.setattr(relhom, "_CollapsedRipsPair", Counted)
+    K, x, alpha, eps = circle_chord(), (-1.0, 0.0), 0.12, 0.05
+    values = np.linspace(0.1, 1.0, 10)
+    scan = scan_alpha_section(K, x, alpha, eps, values, dense_n=400)
+    assert built == [float(r) for r in values if r > alpha]
+    assert len(built) == 9
+    # the same grid from a fresh engine per cell
+    dense, gt = K.even_points(400), K.ground_truth(np.asarray(x)).local_ranks
+    for i, j, m in scan.cells():
+        eng = ImageRankEngine(dense, (eps, float(values[-1])), (alpha, 0.0))
+        ranks = eng.query(x, b1=float(values[i]), b2=float(values[j])).ranks
+        assert m == ({d: v for d, v in ranks.items() if v} == gt)
+    assert sum(1 for _ in scan.cells()) == 45

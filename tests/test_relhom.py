@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localhom.complexes import _adjacency_bits, collapse_edges, quotient_pair
+from localhom.complexes import (_adjacency_bits, cech, collapse_edges,
+                                min_enclosing_radius, quotient_pair)
 from localhom.geometry import circle_chord, generate_sample
 from localhom.relhom import (HomologySignature, ImageRankEngine, QuerySpec,
                              exactness_check, image_rank, image_rank_oracle,
@@ -308,3 +310,113 @@ def test_signature_helpers():
     sig = HomologySignature({0: 0, 1: 2}, "direct")
     assert sig.rank(1) == 2 and sig.rank(5) == 0
     assert sig.nonzero() == {1: 2}
+
+
+def test_engine_rejects_invalid_input():
+    # the messages of quotient_pair; b2 = 0, the explorer's default, is valid
+    pts = np.random.default_rng(3).uniform(-1, 1, (30, 2))
+    eng = ImageRankEngine(pts, (0.2, 0.8), (0.3, 0.0))
+    with pytest.raises(ValueError, match="ball radius b must be >= 0"):
+        eng.query(pts[0], b1=0.8, b2=-0.4)
+    with pytest.raises(ValueError, match="ball radius b must be >= 0"):
+        ImageRankEngine(pts, (0.2, 0.8), (0.3, -0.4))
+    with pytest.raises(ValueError, match="scale a must be positive"):
+        ImageRankEngine(pts, (0.0, 0.8), (0.3, 0.4))
+    with pytest.raises(ValueError, match="scale a must be positive"):
+        ImageRankEngine(pts, (-0.1, 0.8), (0.3, 0.4), flavor="cech")
+    assert eng.query(pts[0]).ranks == {0: 0, 1: 0}
+
+
+def _same_result(got, want):
+    assert got.ranks == want.ranks
+    assert (got.detail is None) == (want.detail is None)
+    for ell, d in (want.detail or {}).items():
+        g = got.detail[ell]
+        assert (g is None) == (d is None)
+        if d is not None:
+            assert np.array_equal(g["simplices"], d["simplices"])
+            assert (g["boundary"], g["basis"], g["b2"]) == \
+                (d["boundary"], d["basis"], d["b2"])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("flavor,lmax", [("rips", 1), ("rips", 2), ("cech", 1)])
+def test_engine_pair_memo_matches_fresh_engines(flavor, lmax, q):
+    # one engine keeps the level-2 pair of its latest query; every answer of
+    # an interleaved sequence equals that of a fresh engine
+    pts, p, level1, level2 = _clustered_instance(np.random.default_rng(4), True)
+    sq = ((pts - pts[p]) ** 2).sum(-1)
+    p2 = int(np.argsort(sq)[5])
+    pts = np.vstack([pts, pts[p2]])
+    dup = len(pts) - 1
+    b1, b2 = level1[1], level2[1]
+    seq = [(p, False, None, None),
+           (p, True, b1 + 4 * GRID, None),   # detail right after a memo entry
+           (p, False, None, b2 / 2),          # r: A -> B -> A
+           (p, True, None, None),
+           (p2, False, None, None),           # new centre, same r
+           (dup, False, b1 + 2 * GRID, None),  # duplicated point, same key
+           (dup, True, None, None),
+           (p2, True, None, 0.0),             # empty smaller ball, no pair
+           (p2, True, None, None),
+           (p, False, None, None)]
+    eng = ImageRankEngine(pts, level1, level2, flavor=flavor, q=q, lmax=lmax)
+    got = []
+    for i, keep, r1, r2 in seq:
+        got.append(eng.query(pts[i], keep_detail=keep, b1=r1, b2=r2))
+        fresh = ImageRankEngine(pts, level1, level2, flavor=flavor, q=q, lmax=lmax)
+        _same_result(got[-1], fresh.query(pts[i], keep_detail=keep, b1=r1, b2=r2))
+    assert any(got[3].ranks.values()) and any(got[8].ranks.values())
+    # the duplicate and the query after the empty ball read one pair
+    shared = [ell for ell, d in got[6].detail.items() if d is not None]
+    assert shared and all(got[6].detail[ell]["pair"] is got[8].detail[ell]["pair"]
+                          for ell in shared)
+    assert all(d is None for d in got[7].detail.values())
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_collinear_cech_triples_on_grid(q):
+    # two collinear triples through the centre, along the axes, spaced at
+    # exactly a1 and a2: each one's enclosing radius is its scale, a
+    # degenerate triangle on the Cech threshold; one point lies at exactly
+    # b2 from the centre
+    for k in range(1, 9):
+        tri = np.array([(0, 0), (k, 0), (2 * k, 0)]) * GRID + (-0.1875, 0.8125)
+        for order in itertools.permutations(range(3)):
+            assert min_enclosing_radius(tri[list(order)]) == k * GRID
+    rng = np.random.default_rng(21)
+    seen = set()
+    for _ in range(8):
+        n = int(rng.integers(8, 13))
+        th = 2 * math.pi * np.arange(n) / n
+        rad = int(rng.integers(6, 11))
+        pts = np.round(rad * np.c_[np.cos(th), np.sin(th)]) * GRID
+        p = int(rng.integers(0, n))
+        c = pts[p]
+        a1 = GRID * int(rng.integers(2, 6))
+        a2 = a1 + GRID * int(rng.integers(1, 4))
+        m = int(rng.integers(1, 4))
+        b2 = GRID * 5 * m
+        b1 = b2 + GRID * int(rng.integers(0, 8))
+        u, v = np.array([(1.0, 0.0), (0.0, 1.0)])[rng.permutation(2)]
+        s = rng.choice([-1.0, 1.0], 2)
+        extra = [c + s[0] * a1 * u, c + 2 * s[0] * a1 * u,
+                 c + s[1] * a2 * v, c + 2 * s[1] * a2 * v,
+                 c + np.array([(3, 4), (-4, 3)][int(rng.integers(0, 2))]) * m * GRID]
+        pts = np.vstack([pts] + extra)
+        t1, t2 = (p, n, n + 1), (p, n + 2, n + 3)
+        assert min_enclosing_radius(pts[list(t1)]) == a1
+        assert min_enclosing_radius(pts[list(t2)]) == a2
+        assert ((pts[-1] - c) ** 2).sum() == b2 * b2
+        assert cech(pts, None, a1, 2).has(tuple(sorted(t1)))
+        assert cech(pts, None, a2, 2).has(tuple(sorted(t2)))
+        for lmax in (1, 2):
+            spec = QuerySpec(p, (a1, b1), (a2, b2), flavor="cech", q=q, lmax=lmax)
+            eng = ImageRankEngine(pts, (a1, b1), (a2, b2), flavor="cech", q=q,
+                                  lmax=lmax)
+            fast = eng.query(c).ranks
+            assert eng.query(c, keep_detail=True).ranks == fast
+            assert image_rank(spec, pts).ranks == fast
+            assert image_rank_oracle(spec, pts).ranks == fast
+            seen.add(tuple(sorted(fast.items())))
+    assert len(seen) > 1
