@@ -18,6 +18,7 @@ import numpy as np
 
 from . import geometry, pipeline, plotting
 from .explorer import scan_alpha_section, scan_to_csv, section_properties
+from .fieldla import _is_prime
 from .geometry import (Sample, generate_sample, load_sample_csv, make_shape,
                        save_sample_csv, shape_from_meta)
 from .relhom import ImageRankEngine, QuerySpec, image_rank, image_rank_oracle
@@ -78,6 +79,13 @@ def _c_value(token: str, s: float) -> float:
     if token == "s":
         return s
     raise argparse.ArgumentTypeError(f"bad c value {token!r}")
+
+
+def _prime(token: str) -> int:
+    """A ``--field`` value: the coefficient field GF(q) needs a prime q."""
+    if not token.isdigit() or not _is_prime(int(token)):
+        raise argparse.ArgumentTypeError(f"{token!r} is not a prime")
+    return int(token)
 
 
 def _constants(args, default_t=0) -> ScaleConstants:
@@ -250,7 +258,7 @@ def _random_instance(rng):
     a2 = a1 + float(rng.uniform(0.0, 0.4))
     b1 = float(rng.uniform(0.1, 1.5))
     b2 = float(rng.uniform(0.0, b1))
-    q = int(rng.choice([2, 3]))
+    q = int(rng.choice([2, 3, 5]))
     flavor = str(rng.choice(["rips", "cech"]))
     p = int(rng.integers(0, n))
     return pts, QuerySpec(p, (a1, b1), (a2, b2), flavor=flavor, q=q, lmax=1)
@@ -358,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_constants(i)
     _add_scale_args(i)
     _add_shape_args(i)
-    i.add_argument("--field", type=int, default=2)
+    i.add_argument("--field", type=_prime, default=2)
     i.add_argument("--maxdim", type=int, default=1)
     i.add_argument("-o", "--output")
     i.set_defaults(func=cmd_infer)
@@ -367,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--sample", required=True)
     _add_constants(gr)
     _add_scale_args(gr)
-    gr.add_argument("--field", type=int, default=2)
+    gr.add_argument("--field", type=_prime, default=2)
     gr.add_argument("--maxdim", type=int, default=1)
     gr.add_argument("-o", "--output")
     gr.set_defaults(func=cmd_group)
@@ -379,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--eps", type=float, required=True)
     sc.add_argument("--grid", required=True, help="lo:hi:steps for R and r")
     sc.add_argument("--dense-n", dest="dense_n", type=int, default=1000)
-    sc.add_argument("--field", type=int, default=2)
+    sc.add_argument("--field", type=_prime, default=2)
     sc.add_argument("-o", "--output")
     sc.set_defaults(func=cmd_scan)
 

@@ -1,8 +1,14 @@
 """Exact linear algebra over prime fields GF(q).
 
-Two column representations share one API:
-  * q = 2 — each column is a Python int bitmask (bit i = row i);
-  * odd prime q — each column is a dict {row: coefficient in [1, q-1]}.
+Every column is a Python int with one k-bit lane per row: the coefficient
+of row r sits in bits r*k .. r*k + k - 1.  At q = 2, k = 1: a column is a
+bitmask and addition is XOR.  At odd q, k = (q - 1).bit_length() + 1, so a
+sum of two coefficients, at most 2q - 2, stays below each lane's top (guard)
+bit: columns add with one integer addition, then adding 2^(k-1) - q to every
+lane sets the guard bit of exactly the lanes that reached q, and those have
+q subtracted.  A column's low (last nonzero row) is (bit_length - 1) // k,
+-1 for the zero column.  Only this module knows the layout; others build
+columns with ``pack`` and ``lane_width`` and combine them with ``add_sub``.
 
 All reductions use the lowest-nonzero-row pivot rule, left to right, with no
 further heuristics, so results are deterministic.
@@ -10,8 +16,10 @@ further heuristics, so results are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+import operator
+from dataclasses import dataclass
+from functools import lru_cache, partial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 
 def _is_prime(q: int) -> bool:
@@ -25,21 +33,76 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-def _low2(col: int) -> int:
-    return col.bit_length() - 1          # -1 for the zero column
+def lane_width(q: int) -> int:
+    """Bits per row of a column over GF(q)."""
+    return 1 if q == 2 else (q - 1).bit_length() + 1
 
 
-def _lowq(col: dict) -> int:
-    return max(col) if col else -1
+@lru_cache(maxsize=64)
+def _lane_masks(q: int, nbits: int) -> Tuple[int, int, int, int]:
+    """Lane width k and, over ``nbits`` bits at odd q: 2^(k-1) - 1 in every lane
+    (carries a nonzero lane into its guard bit), 2^(k-1) - q (carries a lane
+    >= q there) and the guard bits."""
+    k = lane_width(q)
+    ones = ((1 << (nbits // k + 1) * k) - 1) // ((1 << k) - 1)
+    return k, ones * ((1 << k - 1) - 1), ones * ((1 << k - 1) - q), ones << k - 1
 
 
-def _addmul_q(dst: dict, src: dict, factor: int, q: int) -> None:
-    for r, c in src.items():
-        v = (dst.get(r, 0) + factor * c) % q
-        if v:
-            dst[r] = v
-        else:
-            dst.pop(r, None)
+def _masks(q: int, x: int) -> Tuple[int, int, int, int]:
+    """``_lane_masks`` for columns up to x's length, rounded up to a power of two."""
+    return _lane_masks(q, 1 << x.bit_length().bit_length())
+
+
+def pack(cols, q: int) -> List[int]:
+    """Columns from lists of (row, coefficient) pairs with distinct rows;
+    coefficients are taken mod q."""
+    k = lane_width(q)
+    return [sum([c % q << r * k for r, c in col]) for col in cols]
+
+
+def add(x: int, y: int, q: int) -> int:
+    """Sum of two columns."""
+    if q == 2:
+        return x ^ y
+    k, _, over, guard = _masks(q, max(x, y))
+    s = x + y
+    return s - ((s + over & guard) >> k - 1) * q
+
+
+def add_sub(q: int) -> Tuple[Callable[[int, int], int], Callable[[int, int], int]]:
+    """Sum and difference of two columns as two-argument functions; at q = 2
+    both are XOR, which costs no Python call."""
+    if q == 2:
+        return operator.xor, operator.xor
+    return partial(add, q=q), lambda x, y: add(x, neg(y, q), q)
+
+
+def _nonzero(x: int, q: int) -> int:
+    """The lowest bit of every nonzero lane of x."""
+    if q == 2:
+        return x
+    k, nonzero, _, guard = _masks(q, x)
+    return (x + nonzero & guard) >> k - 1
+
+
+def neg(x: int, q: int) -> int:
+    """Negated column: q - c in every nonzero lane c."""
+    return x if q == 2 else _nonzero(x, q) * q - x
+
+
+def entries(x: int, q: int) -> List[Tuple[int, int]]:
+    """Sorted (row, coefficient) pairs of a column."""
+    k = lane_width(q)
+    return [(b // k, x >> b & (1 << k) - 1) for b in _bits(_nonzero(x, q))]
+
+
+def _multiples(x: int, q: int) -> List[int]:
+    """[0, x, 2x, ..., (q - 1)x]."""
+    out = [0, x]
+    for _ in range(2, q - 1):
+        out.append(add(out[-1], x, q))
+    out.append(neg(x, q))
+    return out
 
 
 def reduce_columns(columns, q: int, track: bool = False):
@@ -49,7 +112,7 @@ def reduce_columns(columns, q: int, track: bool = False):
     its low is unclaimed or it vanishes.  Returns (lows, combos) where
     lows[j] is the pivot row of reduced column j (-1 if zero) and combos[j]
     (when ``track``) expresses reduced column j as a combination of the input
-    columns, in the same column representation over the column index space.
+    columns, as a column over the column index space.
     """
     pivot: Dict[int, int] = {}
     lows: List[int] = []
@@ -57,35 +120,48 @@ def reduce_columns(columns, q: int, track: bool = False):
     if q == 2:
         for j, col in enumerate(columns):
             combo = 1 << j if track else 0
-            low = _low2(col)
+            low = col.bit_length() - 1
             while low >= 0 and low in pivot:
-                k = pivot[low]
-                col ^= columns[k]
+                i = pivot[low]
+                col ^= columns[i]
                 if track:
-                    combo ^= combos[k]
-                low = _low2(col)
+                    combo ^= combos[i]
+                low = col.bit_length() - 1
             columns[j] = col
             if low >= 0:
                 pivot[low] = j
             lows.append(low)
             if track:
                 combos.append(combo)
-    else:
-        for j, col in enumerate(columns):
-            combo = {j: 1} if track else None
-            low = _lowq(col)
-            while low >= 0 and low in pivot:
-                k = pivot[low]
-                factor = (-col[low] * pow(columns[k][low], -1, q)) % q
-                _addmul_q(col, columns[k], factor, q)
-                if track:
-                    _addmul_q(combo, combos[k], factor, q)
-                low = _lowq(col)
-            if low >= 0:
-                pivot[low] = j
-            lows.append(low)
+        return lows, combos
+    # a combo has one lane per column
+    span = 1 << len(columns) * lane_width(q) if track else 0
+    k, _, over, guard = _masks(q, max(max(columns, default=0), span))
+    # per pivot column i: -1 / its low coefficient, its multiples and those of
+    # its combo; adding multiple f = -c / (low coefficient) cancels a low c
+    cancel: Dict[int, tuple] = {}
+    for j, col in enumerate(columns):
+        combo = 1 << j * k if track else 0
+        low = (col.bit_length() - 1) // k
+        while low >= 0 and low in pivot:
+            i = pivot[low]
+            if i not in cancel:
+                cancel[i] = (-pow(columns[i] >> low * k, -1, q), _multiples(columns[i], q),
+                             _multiples(combos[i], q) if track else None)
+            u, mult, mult_combo = cancel[i]
+            f = (col >> low * k) * u % q
+            s = col + mult[f]
+            col = s - ((s + over & guard) >> k - 1) * q
             if track:
-                combos.append(combo)
+                s = combo + mult_combo[f]
+                combo = s - ((s + over & guard) >> k - 1) * q
+            low = (col.bit_length() - 1) // k
+        columns[j] = col
+        if low >= 0:
+            pivot[low] = j
+        lows.append(low)
+        if track:
+            combos.append(combo)
     return lows, combos
 
 
@@ -93,7 +169,7 @@ def reduce_columns(columns, q: int, track: bool = False):
 class FieldMatrix:
     """Column-major sparse matrix over GF(q).
 
-    ``columns`` uses the representation matching ``q`` (see module docstring).
+    ``columns`` holds one int per column (see module docstring).
     Construct from (row, coefficient) lists via ``from_entries``.
     """
 
@@ -111,46 +187,18 @@ class FieldMatrix:
 
     @classmethod
     def from_entries(cls, q: int, nrows: int, cols: Sequence[Sequence[Tuple[int, int]]]):
-        """cols[j] = iterable of (row, coefficient); coefficients taken mod q."""
-        if q == 2:
-            packed = []
-            for col in cols:
-                x = 0
-                for r, c in col:
-                    if c % 2:
-                        x ^= 1 << r
-                packed.append(x)
-        else:
-            packed = []
-            for col in cols:
-                d = {}
-                for r, c in col:
-                    v = (d.get(r, 0) + c) % q
-                    if v:
-                        d[r] = v
-                    else:
-                        d.pop(r, None)
-                packed.append(d)
-        return cls(q, nrows, packed)
+        """cols[j] = iterable of (row, coefficient) with distinct rows;
+        coefficients taken mod q."""
+        return cls(q, nrows, pack(cols, q))
 
     @classmethod
     def from_dense(cls, q: int, rows: Sequence[Sequence[int]]):
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        cols = [[(i, rows[i][j]) for i in range(nrows) if rows[i][j] % q]
-                for j in range(ncols)]
-        return cls.from_entries(q, nrows, cols)
+        """Matrix of a dense row-major table; numpy integers are made ints."""
+        cols = [[(i, int(c)) for i, c in enumerate(col)] for col in zip(*rows)]
+        return cls.from_entries(q, len(rows), cols)
 
     def copy_columns(self) -> list:
-        if self.q == 2:
-            return list(self.columns)
-        return [dict(c) for c in self.columns]
-
-    def entries(self, j: int):
-        """Sorted (row, coefficient) pairs of column j."""
-        if self.q == 2:
-            return [(r, 1) for r in _bits(self.columns[j])]
-        return sorted(self.columns[j].items())
+        return list(self.columns)
 
 
 def _bits(x: int):
@@ -164,20 +212,6 @@ def _bits(x: int):
 def rank(M: FieldMatrix) -> int:
     """Rank over GF(q); the input is not mutated."""
     lows, _ = reduce_columns(M.copy_columns(), M.q)
-    return sum(1 for low in lows if low >= 0)
-
-
-def rank_of_union(A: FieldMatrix, *others: FieldMatrix) -> int:
-    """Rank of the horizontal concatenation [A | B | ...]."""
-    for B in others:
-        if B.nrows != A.nrows:
-            raise ValueError("row count mismatch in rank_of_union")
-        if B.q != A.q:
-            raise ValueError("modulus mismatch in rank_of_union")
-    cols = A.copy_columns()
-    for B in others:
-        cols.extend(B.copy_columns())
-    lows, _ = reduce_columns(cols, A.q)
     return sum(1 for low in lows if low >= 0)
 
 

@@ -172,8 +172,7 @@ def _subspaces_equal(det_i, det_j, lmax: int, q: int) -> bool:
         if di is not None:
             cols += pair.stacked_columns(ell, di["simplices"], di["boundary"], n2)
         lows_b, _ = reduce_columns(cols, q)
-        A = basis[rb2:] if q == 2 else [dict(c) for c in basis[rb2:]]
-        lows_ab, _ = reduce_columns(cols + A, q)
+        lows_ab, _ = reduce_columns(cols + basis[rb2:], q)
         if not len(basis) == _count_below(lows_b, n2) == _count_below(lows_ab, n2):
             return False
     return True

@@ -26,8 +26,8 @@ import numpy as np
 from .complexes import (QuotientPairComplex, _adjacency_bits, _bitmasks,
                         build_complex, collapse_edges, cone_pair, delete_ball,
                         quotient_pair)
-from .fieldla import (FieldMatrix, _addmul_q, _bits, persistent_reduce, rank,
-                      reduce_columns)
+from .fieldla import (FieldMatrix, _bits, _is_prime, add_sub, entries, kernel_basis,
+                      lane_width, pack, persistent_reduce, rank, reduce_columns)
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,8 @@ class QuerySpec:
             raise ValueError("lmax must be >= 0")
         if self.flavor not in ("rips", "cech"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
+        if not _is_prime(self.q):
+            raise ValueError(f"modulus {self.q} is not prime")
 
 
 @dataclass
@@ -97,33 +99,22 @@ def _count_below(lows, n2: int) -> int:
 def _image_rank_from_pairs(Q1: QuotientPairComplex, Q2: QuotientPairComplex,
                            q: int, lmax: int) -> Dict[int, int]:
     """Direct image ranks from two already-built quotient pairs."""
-    from .fieldla import kernel_basis
     out = {}
     for ell in range(lmax + 1):
-        n1 = Q1.dim_count(ell)
-        if n1 == 0 or Q2.dim_count(ell) == 0:
-            out[ell] = 0
+        out[ell] = 0
+        if Q1.dim_count(ell) == 0 or Q2.dim_count(ell) == 0:
             continue
         Z1 = kernel_basis(_pair_boundary(Q1, ell, q))
         if Z1.ncols == 0:
-            out[ell] = 0
             continue
         # basis-diagonal chain map into level 2: a level-1 basis simplex maps
         # to itself when it still meets the smaller ball, else to 0
-        basis1 = Q1.basis[ell]
         row2 = Q2._index[ell]
-        mapped_rows = [row2.get(s, -1) for s in basis1]
-        icols = []
-        for j in range(Z1.ncols):
-            col = []
-            for r1, c in Z1.entries(j):
-                r2 = mapped_rows[r1]
-                if r2 >= 0:
-                    col.append((r2, c))
-            icols.append(col)
-        iZ1 = FieldMatrix.from_entries(q, Q2.dim_count(ell), icols)
+        mapped = [row2.get(s, -1) for s in Q1.basis[ell]]
+        iZ1 = pack([[(mapped[r], c) for r, c in entries(z, q) if mapped[r] >= 0]
+                    for z in Z1.columns], q)
         B2 = _pair_boundary(Q2, ell + 1, q)
-        cols = B2.copy_columns() + iZ1.copy_columns()
+        cols = B2.copy_columns() + iZ1
         lows, _ = reduce_columns(cols, q)
         out[ell] = sum(1 for low in lows[B2.ncols:] if low >= 0)
     return out
@@ -147,13 +138,8 @@ def image_rank_oracle(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
     center = points[spec.p]
     cp = cone_pair(points, center, spec.level1, spec.level2,
                    spec.flavor, spec.lmax + 1)
-    cols = cp.boundary_columns()
     q = spec.q
-    if q == 2:
-        packed = [sum(1 << r for r, _ in col) for col in cols]
-    else:
-        packed = [{r: s % q for r, s in col} for col in cols]
-    surv = persistent_reduce(packed, q, cp.levels, cp.dims)
+    surv = persistent_reduce(pack(cp.boundary_columns(), q), q, cp.levels, cp.dims)
     ranks = {}
     for ell in range(spec.lmax + 1):
         v = surv.get(ell, 0)
@@ -170,12 +156,8 @@ def _absolute_betti(cx, q: int) -> Dict[int, int]:
     top = max(cx.simplices) if cx.simplices else -1
     for d in range(1, top + 1):
         rows = index.get(d - 1, {})
-        cols = []
-        for s in cx.simplices.get(d, []):
-            col = [(rows[s[:k] + s[k + 1:]], -1 if k % 2 else 1)
-                   for k in range(d + 1)]
-            col.sort()
-            cols.append(col)
+        cols = [[(rows[s[:k] + s[k + 1:]], (-1) ** k) for k in range(d + 1)]
+                for s in cx.simplices.get(d, [])]
         ranks[d] = rank(FieldMatrix.from_entries(q, len(rows), cols))
     out = {}
     for d in range(0, top + 1):
@@ -260,6 +242,8 @@ class ImageRankEngine:
             raise ValueError("scale a must be positive")
         if self.b2 < 0:
             raise ValueError("ball radius b must be >= 0")
+        if not _is_prime(q):
+            raise ValueError(f"modulus {q} is not prime")
         self.flavor = flavor
         self.q = q
         self.lmax = lmax
@@ -374,7 +358,7 @@ class ImageRankEngine:
                 continue
             b1idx = np.flatnonzero(mask1)
             if ell == 0:
-                bnd1 = [0] * len(b1idx) if self.q == 2 else [{} for _ in b1idx]
+                bnd1 = [0] * len(b1idx)
             else:
                 rmask = m1[ell - 1]
                 bnd1 = _assemble(b1idx, self.face1[ell], rmask, _rows(rmask), self.q)
@@ -412,22 +396,17 @@ def _rows(mask: np.ndarray) -> np.ndarray:
 
 
 def _assemble(simp_idx, face_idx, row_mask, loc, q: int):
-    """Boundary columns restricted to a basis, in the field representation."""
+    """Boundary columns restricted to a basis; facet k has sign (-1)^k."""
     faces = face_idx[simp_idx]
-    rows = np.where(row_mask[faces], loc[faces], -1).tolist()
-    if q == 2:
-        # the facets of a simplex have distinct rows, so the sum is their XOR
-        return [sum(1 << r for r in fr if r >= 0) for fr in rows]
-    cols = []
-    for fr in rows:
-        d = {}
-        sign = 1
-        for r in fr:
-            if r >= 0:
-                d[r] = sign % q
-            sign = -sign
-        cols.append(d)
-    return cols
+    k, nrows = lane_width(q), int(row_mask.sum())
+    terms = []
+    # per facet position i: each simplex's term, (-1)^i at its facet's row,
+    # read from a table whose last entry, for row -1, is 0
+    for i, fr in enumerate(np.where(row_mask[faces], loc[faces], -1).T.tolist()):
+        table = [(-1) ** i % q << r * k for r in range(nrows)] + [0]
+        terms.append(list(map(table.__getitem__, fr)))
+    # the facets of a simplex have distinct rows, so no two terms share a lane
+    return list(map(sum, zip(*terms)))
 
 
 class _Level2Pair:
@@ -436,8 +415,7 @@ class _Level2Pair:
     the stacked columns of level-1 basis simplices.
 
     Subclasses give ``nrows``, ``boundary_columns`` and ``_images``, the
-    image column of each level-1 basis simplex.  Both operations return fresh
-    columns, which ``reduce_columns`` may change in place.
+    image column of each level-1 basis simplex.
     """
 
     q: int
@@ -447,13 +425,8 @@ class _Level2Pair:
         """Per level-1 basis simplex (a row of the global ``simplices``): its
         image in rows 0..nrows(ell)-1 plus its restricted level-1 ``boundary``
         column moved up by ``shift`` >= nrows(ell) rows."""
-        images = self._images(ell, simplices)
-        if self.q == 2:
-            return [x | b << shift for x, b in zip(images, boundary)]
-        for x, b in zip(images, boundary):
-            for r, c in b.items():
-                x[r + shift] = c
-        return images
+        shift *= lane_width(self.q)
+        return [x | b << shift for x, b in zip(self._images(ell, simplices), boundary)]
 
 
 class _GlobalPair(_Level2Pair):
@@ -481,10 +454,9 @@ class _GlobalPair(_Level2Pair):
     def _images(self, ell: int, simplices: np.ndarray) -> list:
         eng = self.engine
         g = np.searchsorted(eng.keys2[ell], eng._pack(simplices, eng.base))
+        k = lane_width(self.q)
         rows = np.where(self.mask[ell][g], self.loc[ell][g], -1).tolist()
-        if self.q == 2:
-            return [1 << r if r >= 0 else 0 for r in rows]
-        return [{r: 1} if r >= 0 else {} for r in rows]
+        return [1 << r * k if r >= 0 else 0 for r in rows]
 
 
 class _CollapsedRipsPair(_Level2Pair):
@@ -517,53 +489,37 @@ class _CollapsedRipsPair(_Level2Pair):
                 for z in _bits(free & nbr[y] >> (y + 1) << (y + 1)):
                     triangles.append(tuple(sorted((x, y, z))))
         self.erow = {e: r for r, e in enumerate(edges)}
-        self.img = img = {e: self._unit(r) for e, r in self.erow.items()}
-        if q == 2:
-            for u, v, w in reversed(removed):
-                img[u, v] = (img.get((u, w) if u < w else (w, u), 0)
-                             ^ img.get((w, v) if w < v else (v, w), 0))
-        else:
-            for u, v, w in reversed(removed):
-                x = self._edge_image(u, w)
-                _addmul_q(x, self._edge_image(w, v), 1, q)
-                img[u, v] = x
+        self.k = k = lane_width(q)
+        self.img = img = {e: 1 << r * k for e, r in self.erow.items()}
+        plus, minus = add_sub(q)
+        for u, v, w in reversed(removed):
+            # [u, v] = [u, w] + [w, v], each edge stored as [low, high]
+            if w < u:
+                img[u, v] = minus(img.get((w, v), 0), img.get((w, u), 0))
+            elif w < v:
+                img[u, v] = plus(img.get((u, w), 0), img.get((w, v), 0))
+            else:
+                img[u, v] = minus(img.get((u, w), 0), img.get((v, w), 0))
         self.bnd = {
-            0: [self._chain([(v, 1), (u, -1)], self.vrow) for u, v in edges],
-            1: [self._chain([((v, w), 1), ((u, w), -1), ((u, v), 1)], self.erow)
-                for u, v, w in triangles],
+            0: self._chains([[(v, 1), (u, -1)] for u, v in edges], self.vrow),
+            1: self._chains([[((v, w), 1), ((u, w), -1), ((u, v), 1)]
+                             for u, v, w in triangles], self.erow),
         }
 
-    def _unit(self, r: int):
-        return 1 << r if self.q == 2 else {r: 1}
-
-    def _chain(self, terms, rows):
-        """Column of the signed simplices that have a row."""
-        if self.q == 2:
-            x = 0
-            for s, _ in terms:
-                if s in rows:
-                    x ^= 1 << rows[s]
-            return x
-        return {rows[s]: c % self.q for s, c in terms if s in rows}
-
-    def _edge_image(self, u: int, w: int) -> dict:
-        """Image of the oriented edge [u, w] for odd q; edges off the ball map
-        to 0."""
-        x = self.img.get((min(u, w), max(u, w)), {})
-        return dict(x) if u < w else {r: -c % self.q for r, c in x.items()}
+    def _chains(self, chains, rows):
+        """Columns of chains of signed simplices; simplices without a row drop."""
+        return pack([[(rows[s], c) for s, c in terms if s in rows] for terms in chains],
+                    self.q)
 
     def nrows(self, ell: int) -> int:
         return len(self.vrow) if ell == 0 else len(self.erow)
 
     def boundary_columns(self, ell: int) -> list:
-        return list(self.bnd[ell]) if self.q == 2 else [dict(c) for c in self.bnd[ell]]
+        return list(self.bnd[ell])
 
     def _images(self, ell: int, simplices: np.ndarray) -> list:
         loc = self.loc[simplices].tolist()
         if ell == 0:
-            return [self._unit(self.vrow[v]) if v in self.vrow
-                    else (0 if self.q == 2 else {}) for v, in loc]
-        if self.q == 2:
-            # both ends local keeps u < v; an end off the local set keys nothing
-            return [self.img.get((u, v), 0) for u, v in loc]
-        return [self._edge_image(u, v) for u, v in loc]
+            return [1 << self.vrow[v] * self.k if v in self.vrow else 0 for v, in loc]
+        # both ends local keeps u < v; an end off the local set keys nothing
+        return [self.img.get((u, v), 0) for u, v in loc]

@@ -122,6 +122,18 @@ def test_scan_infeasible_grid(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("field", ["0", "1", "4", "9", "x"])
+def test_nonprime_field_is_usage_error(tmp_path, field, capsys):
+    sample = _generate_circle(tmp_path)
+    for argv in (["infer", "--sample", str(sample)], ["group", "--sample", str(sample)],
+                 ["scan", "--shape", "circle", "--x", "1.0,0.0", "--alpha", "0.12",
+                  "--eps", "0.05", "--grid", "0.2:1.6:8"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--field", field])
+        assert exc.value.code == 2
+    assert f"{field!r} is not a prime" in capsys.readouterr().err
+
+
 def test_check_prints_tally(capsys):
     rc = main(["check", "--random", "25", "--seed", "3"])
     assert rc == 0

@@ -1,13 +1,67 @@
 import numpy as np
 import pytest
 
-from localhom.fieldla import (FieldMatrix, kernel_basis, persistent_reduce,
-                              rank, rank_of_union, reduce_columns)
+from localhom.fieldla import (FieldMatrix, add, entries, kernel_basis, neg, pack,
+                              persistent_reduce, rank, reduce_columns)
+
+PRIMES = (2, 3, 5, 7)
 
 
 def _random_matrix(rng, q, m, n):
     dense = rng.integers(0, q, size=(m, n))
     return FieldMatrix.from_dense(q, dense.tolist()), dense
+
+
+def _dense_rank(A, q):
+    # reference: Gauss-Jordan elimination mod q on a dense integer array
+    A = A.copy() % q
+    m, n = A.shape
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, m) if A[i, col]), None)
+        if piv is None:
+            continue
+        A[[r, piv]] = A[[piv, r]]
+        A[r] = A[r] * pow(int(A[r, col]), -1, q) % q
+        for i in range(m):
+            if i != r and A[i, col]:
+                A[i] = (A[i] - A[i, col] * A[r]) % q
+        r += 1
+    return r
+
+
+def _dense_reduce(A, q):
+    # reference: the same left-to-right lowest-one reduction on dense columns
+    A = A.copy() % q
+    pivot, lows = {}, []
+    for j in range(A.shape[1]):
+        nz = np.flatnonzero(A[:, j])
+        while len(nz) and nz[-1] in pivot:
+            low, k = nz[-1], pivot[nz[-1]]
+            f = -A[low, j] * pow(int(A[low, k]), -1, q) % q
+            A[:, j] = (A[:, j] + f * A[:, k]) % q
+            nz = np.flatnonzero(A[:, j])
+        if len(nz):
+            pivot[nz[-1]] = j
+        lows.append(int(nz[-1]) if len(nz) else -1)
+    return A, lows
+
+
+def _column(x, q, m):
+    vec = np.zeros(m, dtype=np.int64)
+    for r, c in entries(x, q):
+        vec[r] = c
+    return vec
+
+
+def _assert_reduces_like_dense(dense, q):
+    M = FieldMatrix.from_dense(q, dense)
+    cols = M.copy_columns()
+    lows, _ = reduce_columns(cols, q)
+    want, want_lows = _dense_reduce(dense, q)
+    assert lows == want_lows
+    for j, x in enumerate(cols):
+        assert np.array_equal(_column(x, q, dense.shape[0]), want[:, j])
 
 
 def test_rank_trivial():
@@ -48,44 +102,53 @@ def test_rank_column_permutation_invariant():
 
 
 def test_rank_matches_numpy_gf2():
-    # oracle: numpy elimination mod 2
+    # oracle: numpy elimination mod q, GF(2) and odd q alike
     rng = np.random.default_rng(2)
-    for _ in range(30):
-        m, n = rng.integers(1, 10, size=2)
-        M, dense = _random_matrix(rng, 2, m, n)
-        A = dense.copy() % 2
-        r = 0
-        for col in range(n):
-            piv = next((i for i in range(r, m) if A[i, col]), None)
-            if piv is None:
-                continue
-            A[[r, piv]] = A[[piv, r]]
-            for i in range(m):
-                if i != r and A[i, col]:
-                    A[i] ^= A[r]
-            r += 1
-        assert rank(M) == r
+    for q in PRIMES:
+        for _ in range(30):
+            m, n = rng.integers(1, 10, size=2)
+            M, dense = _random_matrix(rng, q, m, n)
+            assert rank(M) == _dense_rank(dense, q)
+            _assert_reduces_like_dense(dense, q)
 
 
-def test_rank_of_union():
-    I2 = FieldMatrix.from_dense(2, [[1, 0], [0, 1]])
-    Z = FieldMatrix.from_dense(2, [[0, 0], [0, 0]])
-    assert rank_of_union(I2, I2) == 2
-    assert rank_of_union(Z, I2) == 2
-    a = FieldMatrix.from_dense(2, [[1], [0]])
-    b = FieldMatrix.from_dense(2, [[0], [1]])
-    assert rank_of_union(a, b) == 2
+def test_lane_overflow_cases():
+    # every lane at q - 1 sums to 2q - 2, the most a lane must hold
+    for q in PRIMES:
+        m = 40                       # several machine words of lanes
+        full = np.full((m, 1), q - 1)
+        # against itself (factor q - 1) and against each multiple f * pivot
+        for f in range(1, q):
+            _assert_reduces_like_dense(np.hstack([full, f * full % q]), q)
+            _assert_reduces_like_dense(np.hstack([f * full % q, full]), q)
+        # a lone nonzero in the top lane, alone and over a full pivot
+        top = np.zeros((m, 1), dtype=np.int64)
+        top[-1] = q - 1
+        _assert_reduces_like_dense(np.hstack([top, full, top, full]), q)
+        # column arithmetic on the same extremes
+        x, t = pack([[(r, q - 1) for r in range(m)], [(m - 1, q - 1)]], q)
+        assert np.array_equal(_column(add(x, x, q), q, m), 2 * full[:, 0] % q)
+        assert np.array_equal(_column(neg(x, q), q, m), np.ones(m))
+        assert add(x, neg(x, q), q) == 0
+        assert entries(neg(t, q), q) == [(m - 1, 1)]
+        assert np.array_equal(_column(add(t, x, q), q, m), (top + full)[:, 0] % q)
 
 
-def test_rank_of_union_row_mismatch():
-    with pytest.raises(ValueError):
-        rank_of_union(FieldMatrix.from_dense(2, [[1]]),
-                      FieldMatrix.from_dense(2, [[1], [0]]))
+def test_column_arithmetic_matches_dense():
+    rng = np.random.default_rng(5)
+    for q in PRIMES:
+        for _ in range(50):
+            m = int(rng.integers(1, 70))
+            a, b = rng.integers(0, q, size=(2, m))
+            x, y = pack([list(enumerate(a.tolist())), list(enumerate(b.tolist()))], q)
+            assert np.array_equal(_column(x, q, m), a)
+            assert np.array_equal(_column(add(x, y, q), q, m), (a + b) % q)
+            assert np.array_equal(_column(neg(x, q), q, m), -a % q)
 
 
 def test_kernel_basis_annihilates():
     rng = np.random.default_rng(3)
-    for q in (2, 3):
+    for q in PRIMES:
         for _ in range(25):
             m, n = rng.integers(1, 8, size=2)
             M, dense = _random_matrix(rng, q, m, n)
@@ -93,7 +156,7 @@ def test_kernel_basis_annihilates():
             assert K.ncols == n - rank(M)
             for j in range(K.ncols):
                 vec = np.zeros(n, dtype=int)
-                for r, c in K.entries(j):
+                for r, c in entries(K.columns[j], q):
                     vec[r] = c
                 assert not np.any((dense @ vec) % q)
 
@@ -116,6 +179,21 @@ def test_persistent_reduce_two_level_edge():
 def test_persistent_reduce_level_order_enforced():
     with pytest.raises(ValueError):
         persistent_reduce([0, 0], 2, [2, 1], [0, 0])
+
+
+def test_reduce_columns_tracks_combinations_mod_q():
+    # each reduced column equals the tracked combination of the inputs
+    rng = np.random.default_rng(4)
+    for q in PRIMES:
+        for _ in range(20):
+            m, n = rng.integers(1, 9, size=2)
+            M, dense = _random_matrix(rng, q, m, n)
+            cols = M.copy_columns()
+            lows, combos = reduce_columns(cols, q, track=True)
+            for j in range(n):
+                coef = _column(combos[j], q, n)
+                assert coef[j] == 1 and not coef[j + 1:].any()
+                assert np.array_equal(dense @ coef % q, _column(cols[j], q, m))
 
 
 def test_reduce_columns_tracks_combinations():

@@ -159,6 +159,18 @@ def test_nesting_violation_rejected():
         QuerySpec(0, (0.4, 0.4), (0.5, 0.5))
 
 
+@pytest.mark.parametrize("q", [0, 1, 4, 9])
+def test_nonprime_field_rejected(q):
+    # GF(q) is a field only for prime q; q = 1 once answered over the zero ring
+    pts = np.random.default_rng(3).uniform(-1, 1, (30, 2))
+    with pytest.raises(ValueError, match="not prime"):
+        ImageRankEngine(pts, (0.2, 0.8), (0.3, 0.4), q=q)
+    with pytest.raises(ValueError, match="not prime"):
+        QuerySpec(0, (0.2, 0.8), (0.3, 0.4), q=q)
+    with pytest.raises(ValueError, match="not prime"):
+        image_rank_oracle(QuerySpec(0, (0.2, 0.8), (0.3, 0.4), q=q), pts)
+
+
 def test_oracle_absolute_homology_two_edges_to_path():
     # A empty at both levels (huge deleted ball removes nothing... b=0 keeps
     # everything, so delete_ball removes nothing): two edges merge into a path
