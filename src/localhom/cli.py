@@ -252,12 +252,14 @@ def cmd_scan(args) -> int:
 
 
 def _random_instance(rng):
+    # points on a 1/16 grid, scales and radii in multiples of 1/32: collinear
+    # and right triangles and distances equal to 2a or to b come up
     n = int(rng.integers(4, 11))
-    pts = rng.uniform(-1.0, 1.0, size=(n, 2))
-    a1 = float(rng.uniform(0.1, 0.5))
-    a2 = a1 + float(rng.uniform(0.0, 0.4))
-    b1 = float(rng.uniform(0.1, 1.5))
-    b2 = float(rng.uniform(0.0, b1))
+    pts = np.round(rng.uniform(-1.0, 1.0, size=(n, 2)) * 16) / 16
+    a1 = round(float(rng.uniform(0.1, 0.5)) * 32) / 32
+    a2 = a1 + round(float(rng.uniform(0.0, 0.4)) * 32) / 32
+    b1 = round(float(rng.uniform(0.1, 1.5)) * 32) / 32
+    b2 = round(float(rng.uniform(0.0, b1)) * 32) / 32
     q = int(rng.choice([2, 3, 5]))
     flavor = str(rng.choice(["rips", "cech"]))
     p = int(rng.integers(0, n))

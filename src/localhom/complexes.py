@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import combinations, permutations
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -173,59 +173,52 @@ def _normalize_subset(points, vertex_subset) -> np.ndarray:
     return out
 
 
-# --- smallest enclosing ball (move-to-front, deterministic input order) ----
+# --- smallest enclosing balls ------------------------------------------------
 
-def _circumball(S):
-    """Smallest ball with all points of S on its boundary (|S| <= dim+1).
+def _det(M: np.ndarray) -> np.ndarray:
+    """Determinants of an (m, n, n) stack by the Leibniz formula: n! products
+    and no division, so exact where the products are, as on grid points."""
+    n = M.shape[-1]
+    perms = list(permutations(range(n)))
+    sign = [(-1) ** sum(a > b for a, b in combinations(p, 2)) for p in perms]
+    return M[:, np.arange(n), perms].prod(axis=2) @ np.array(sign, dtype=float)
 
-    Solves the perpendicular-bisector system by least squares; returns
-    (center, squared radius), or (None, -1) for empty S.
+
+def _support_sets(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Squared circumradius of each vertex set of an (m, k, D) stack, k >= 2,
+    and whether the set is a support set: affinely independent, with its
+    circumcentre strictly inside its hull.  With G the Gram matrix of the
+    edge vectors e_j from vertex 0 and h = diag(G)/2, the circumcentre is
+    vertex 0 + sum_j w_j e_j where G w = h, and r^2 = w.h.  A support set has
+    det G > 1e-12 * prod(diag G), every w > 0 and sum(w) < 1; r^2 means
+    nothing for other sets.  Cramer's rule solves G w = h exactly on grid
+    right triangles, where an LU solve can put the centre strictly inside.
     """
-    S = [np.asarray(p, float) for p in S]
-    if not S:
-        return None, -1.0
-    base = S[0]
-    if len(S) == 1:
-        return base, 0.0
-    if len(S) == 2:
-        # the midpoint: exact on grid points, where least squares is not
-        return (base + S[1]) / 2, float(((S[1] - base) ** 2).sum()) / 4
-    # center lies in the affine hull of S: c = base + sum w_j (p_j - base),
-    # with 2 G w = (|p_j - base|^2)_j, G the Gram matrix
-    B = np.array([p - base for p in S[1:]])
-    G = B @ B.T
-    h = np.array([float(b @ b) for b in B])
-    w, *_ = np.linalg.lstsq(2.0 * G, h, rcond=None)
-    c = base + B.T @ w
-    r2 = float(((c - base) ** 2).sum())
-    return c, r2
-
-
-def _seb(points) -> Tuple[Optional[np.ndarray], float]:
-    """Smallest enclosing ball (Welzl, deterministic input order).
-
-    Returns (center, squared radius).  Intended for small sets (simplex
-    vertex lists), so plain recursion is fine.
-    """
-    pts = [np.asarray(p, float) for p in points]
-    dim = len(pts[0]) if pts else 0
-
-    def welzl(i, boundary):
-        if i == len(pts) or len(boundary) == dim + 1:
-            return _circumball(boundary)
-        c, r2 = welzl(i + 1, boundary)
-        p = pts[i]
-        if c is not None and float(((p - c) ** 2).sum()) <= r2 * (1 + 1e-12) + 1e-24:
-            return c, r2
-        return welzl(i + 1, boundary + [p])
-
-    return welzl(0, [])
+    E = P[:, 1:] - P[:, :1]
+    G = E @ E.transpose(0, 2, 1)
+    h = np.diagonal(G, axis1=1, axis2=2) / 2
+    n = G.shape[-1]
+    # det G, then det of G with column j replaced by h, for each j
+    swap = np.arange(-1, n)[:, None, None, None] == np.arange(n)
+    dets = _det(np.where(swap, h[:, :, None], G).reshape(-1, n, n)).reshape(n + 1, -1)
+    independent = dets[0] > 1e-12 * np.prod(2 * h, axis=1)
+    w = dets[1:].T / np.where(independent, dets[0], 1.0)[:, None]
+    return (w * h).sum(axis=1), independent & (w > 0).all(axis=1) & (w.sum(axis=1) < 1)
 
 
 def min_enclosing_radius(points_subset) -> float:
-    """Radius of the smallest ball enclosing the given points."""
-    _, r2 = _seb(list(points_subset))
-    return math.sqrt(max(r2, 0.0))
+    """Radius of the smallest ball enclosing the given points: the largest
+    circumradius among their support subsets of at most D + 1 points, one of
+    which spans that ball (Welzl, "Smallest enclosing disks (balls and
+    ellipsoids)", 1991); 0 for an empty set or a single point."""
+    P = np.asarray(points_subset, dtype=float)
+    if len(P) < 2:
+        return 0.0
+    r2 = 0.0
+    for k in range(2, min(len(P), P.shape[1] + 1) + 1):
+        rk, support = _support_sets(P[np.array(list(combinations(range(len(P)), k)))])
+        r2 = max(r2, float(rk[support].max(initial=0.0)))
+    return math.sqrt(r2)
 
 
 def cech(points: np.ndarray, vertex_subset, alpha: float,
@@ -233,7 +226,12 @@ def cech(points: np.ndarray, vertex_subset, alpha: float,
     """Cech complex: simplex present iff its min enclosing ball radius <= alpha.
 
     Candidates are drawn from the Rips complex at the same scale (a set with
-    enclosing radius <= alpha has diameter <= 2*alpha), then filtered exactly.
+    enclosing radius <= alpha has diameter <= 2*alpha).  A candidate whose
+    facets are all present is present unless it is itself a support set with
+    circumradius > alpha: otherwise its smallest enclosing ball is that of
+    one of its facets.  Sets of more than D + 1 points are never support
+    sets, so in the plane only triangles are measured, and only acute ones
+    can fail.
     """
     points = np.asarray(points, dtype=float)
     base = rips(points, vertex_subset, alpha, max_dim)
@@ -245,14 +243,15 @@ def cech(points: np.ndarray, vertex_subset, alpha: float,
             simp[d] = list(base.simplices[d])
             kept_prev = set(simp[d])
             continue
-        kept = []
-        for s in base.simplices[d]:
-            # face closure: all facets must have survived
-            if any(s[:k] + s[k + 1:] not in kept_prev for k in range(d + 1)):
-                continue
-            _, r2 = _seb([points[v] for v in s])
-            if r2 <= thr2:
-                kept.append(s)
+        # face closure: all facets must have survived
+        kept = [s for s in base.simplices[d]
+                if all(s[:k] + s[k + 1:] in kept_prev for k in range(d + 1))]
+        if kept and d <= points.shape[1]:
+            out = []
+            for i in range(0, len(kept), 4096):     # blocks bound the temporaries
+                r2, support = _support_sets(points[np.array(kept[i:i + 4096])])
+                out += (support & (r2 > thr2)).tolist()
+            kept = [s for s, o in zip(kept, out) if not o]
         if kept:
             simp[d] = kept
             kept_prev = set(kept)

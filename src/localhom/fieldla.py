@@ -54,10 +54,10 @@ def _masks(q: int, x: int) -> Tuple[int, int, int, int]:
 
 
 def pack(cols, q: int) -> List[int]:
-    """Columns from lists of (row, coefficient) pairs with distinct rows;
-    coefficients are taken mod q."""
+    """Columns from lists of (row, coefficient) pairs of integers, numpy ones
+    included, with distinct rows; coefficients are taken mod q."""
     k = lane_width(q)
-    return [sum([c % q << r * k for r, c in col]) for col in cols]
+    return [sum([int(c) % q << int(r) * k for r, c in col]) for col in cols]
 
 
 def add(x: int, y: int, q: int) -> int:
@@ -193,8 +193,8 @@ class FieldMatrix:
 
     @classmethod
     def from_dense(cls, q: int, rows: Sequence[Sequence[int]]):
-        """Matrix of a dense row-major table; numpy integers are made ints."""
-        cols = [[(i, int(c)) for i, c in enumerate(col)] for col in zip(*rows)]
+        """Matrix of a dense row-major table."""
+        cols = [list(enumerate(col)) for col in zip(*rows)]
         return cls.from_entries(q, len(rows), cols)
 
     def copy_columns(self) -> list:

@@ -234,25 +234,18 @@ class StratifiedShape:
             if counts[i] < 2:
                 counts[i] = 2
             k += 1
-        chunks = []
-        for comp, m in zip(self.sampling_components, counts):
-            if comp[0] == "circle":
-                _, c, r = comp
-                th = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
-                chunks.append(np.c_[c[0] + r * np.cos(th), c[1] + r * np.sin(th)])
-            else:
-                _, p0, p1 = comp
-                p0 = np.asarray(p0, float)
-                p1 = np.asarray(p1, float)
-                ss = np.linspace(0.0, 1.0, m)[:, None]
-                chunks.append(p0 + ss * (p1 - p0))
-        return np.vstack(chunks)
+        return self._discretize(counts)
 
     def grid_points(self, per_unit: int) -> np.ndarray:
         """Discretization of the shape with step <= 1/per_unit along each component."""
+        return self._discretize([max(2, int(math.ceil(L * per_unit)))
+                                 for L in self.component_lengths()])
+
+    def _discretize(self, counts) -> np.ndarray:
+        """counts[i] points on component i: evenly spaced by angle around a
+        circle (no repeated endpoint), both ends included on a segment."""
         chunks = []
-        for comp, L in zip(self.sampling_components, self.component_lengths()):
-            m = max(2, int(math.ceil(L * per_unit)))
+        for comp, m in zip(self.sampling_components, counts):
             if comp[0] == "circle":
                 _, c, r = comp
                 th = np.linspace(0.0, 2 * math.pi, m, endpoint=False)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -73,6 +74,89 @@ def test_cech_circumradius_threshold():
     assert cech(pts, None, 0.58, 2).count(2) == 1
     cx = cech(pts, None, 0.55, 2)
     assert cx.count(2) == 0 and cx.count(1) == 3
+
+
+def _enclosing_r2_reference(P):
+    """Squared radius of the smallest ball enclosing P, from first
+    principles: the least circumball, over every subset of at most D + 1
+    points, that encloses all of P.  Circumcentres are found by least
+    squares in each subset's affine hull."""
+    best = 0.0 if len(P) < 2 else math.inf
+    for k in range(2, min(len(P), P.shape[1] + 1) + 1):
+        for T in combinations(range(len(P)), k):
+            B = P[list(T[1:])] - P[T[0]]
+            w = np.linalg.lstsq(2 * B @ B.T, (B * B).sum(1), rcond=None)[0]
+            d2 = ((P - P[T[0]] - B.T @ w) ** 2).sum(1)
+            r2 = d2[list(T)].max()
+            if d2.max() <= r2 * (1 + 1e-10):
+                best = min(best, r2)
+    return best
+
+
+def _assert_cech_matches_reference(P, alpha, max_dim):
+    """Assert cech() and min_enclosing_radius against the reference on every
+    Rips candidate; returns the candidates and the Cech simplices."""
+    thr2 = alpha * alpha * (1 + 1e-12) + 1e-24
+    candidates = _simplex_set(rips(P, None, alpha, max_dim))
+    got = _simplex_set(cech(P, None, alpha, max_dim))
+    assert got <= candidates
+    for s in candidates:
+        ref = _enclosing_r2_reference(P[list(s)])
+        assert (s in got) == (ref <= thr2), (s, ref, alpha * alpha)
+        assert math.isclose(min_enclosing_radius(P[list(s)]), math.sqrt(ref),
+                            rel_tol=1e-10, abs_tol=1e-15), s
+    return candidates, got
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_cech_matches_enclosing_ball_reference_on_random_points(D):
+    rng = np.random.default_rng(40 + D)
+    rejected = top = 0
+    for _ in range(3):
+        P = rng.uniform(0, 1, (8, D))
+        for alpha in (0.3, 0.45):
+            candidates, got = _assert_cech_matches_reference(P, alpha * math.sqrt(D / 2), 4)
+            rejected += len(candidates - got)
+            top += sum(len(s) == 5 for s in got)
+    assert rejected and top
+    # a regular D-simplex of edge sqrt(2), at a scale between the
+    # circumradius of its facets and its own: every facet, but not itself
+    V = np.eye(D + 1) - 1 / (D + 1)
+    P = V @ np.linalg.svd(V)[2][:D].T
+    alpha = (math.sqrt((D - 1) / D) + math.sqrt(D / (D + 1))) / 2
+    candidates, got = _assert_cech_matches_reference(P, alpha, D)
+    assert candidates - got == {tuple(range(D + 1))}
+
+
+@pytest.mark.parametrize("D", [2, 3])
+def test_cech_matches_enclosing_ball_reference_on_grid_ties(D):
+    # 1/64-grid points on and at the centre of a circle of radius 5m: a
+    # collinear triple through the centre, right triangles on a diameter,
+    # acute cocircular triangles and duplicates, all of enclosing radius
+    # exactly 5m; alpha is 5m or half an exactly representable pair distance
+    G = 1 / 64
+    rng = np.random.default_rng(50 + D)
+    plane = np.array([(3, 4), (-3, 4), (4, -3), (-5, 0), (5, 0), (0, 0),
+                      (3, 4), (0, 0)])
+    for m in (1, 2):
+        P = np.zeros((len(plane) + D - 1, D))
+        P[:len(plane), :2] = plane * m
+        P[len(plane):] = rng.integers(-4, 5, (D - 1, D)) * m      # off the plane
+        P = P * G + rng.integers(0, 8, D) * G
+        d2 = ((P[:, None] - P[None]) ** 2).sum(-1)
+        ties = sorted(math.sqrt(v) / 2 for v in set(d2[d2 > 0].tolist())
+                      if (math.sqrt(v) / 2) ** 2 * 4 == v)
+        for alpha in ties[:4] + [5 * m * G]:
+            _assert_cech_matches_reference(P, alpha, 4)
+        tie = _simplex_set(cech(P, None, 5 * m * G, 2))
+        assert {(0, 1, 2), (0, 1, 3), (3, 4, 5), (0, 3, 4)} <= tie
+        assert min_enclosing_radius(P[:6]) == 5 * m * G
+
+
+def test_min_enclosing_radius_of_no_point_or_one():
+    assert min_enclosing_radius(np.zeros((0, 2))) == 0.0
+    assert min_enclosing_radius([]) == 0.0
+    assert min_enclosing_radius([(0.25, -1.5)]) == 0.0
 
 
 def test_cech_one_skeleton_equals_rips():

@@ -146,6 +146,25 @@ def test_column_arithmetic_matches_dense():
             assert np.array_equal(_column(neg(x, q), q, m), -a % q)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_from_entries_takes_numpy_integers(q):
+    # numpy rows and coefficients, as index arrays give them, with rows
+    # whose lanes start past bit 63
+    rows, coefs = np.array([3, 70, 90]), np.array([1, q + 1, -1])
+    cols = [[(rows[1], coefs[0])],
+            [(rows[0], coefs[2]), (rows[2], coefs[1])],
+            list(zip(rows, coefs))]
+    M = FieldMatrix.from_entries(q, 100, cols)
+    dense = np.zeros((100, 3), dtype=np.int64)
+    for j, col in enumerate(cols):
+        for r, c in col:
+            dense[r, j] = c % q
+    assert all(type(x) is int for x in M.columns)
+    for j, x in enumerate(M.columns):
+        assert np.array_equal(_column(x, q, 100), dense[:, j])
+    assert rank(M) == _dense_rank(dense, q)
+
+
 def test_kernel_basis_annihilates():
     rng = np.random.default_rng(3)
     for q in PRIMES:
