@@ -130,40 +130,57 @@ def rips(points: np.ndarray, vertex_subset, alpha: float,
     return SimplicialComplex(subset, simp, max_dim, alpha, "rips")
 
 
-def collapse_edges(adj: List[int], inside: int):
-    """Edge collapse of a flag complex relative to the subcomplex off a ball.
+def collapse_vertices(adj: List[int], inside: int):
+    """Vertex collapse of a flag complex X relative to its subcomplex A off
+    a ball.
 
     ``adj`` holds open-neighbourhood bitmasks over local vertex indices (as
     from ``_adjacency_bits``); ``inside`` is the bitmask of the vertices in
-    the deleted ball.  An edge uv meeting the ball is deleted while a vertex
-    w dominates it, N[u] ∩ N[v] ⊆ N[w] with closed neighbourhoods; the flag
-    complex then collapses onto the smaller one (Boissonnat & Pritam, "Edge
-    collapse and persistence of flag complexes", SoCG 2020).  Edges off the
-    ball are kept, so the subcomplex A is untouched and the relative
-    homology H(X, A) is unchanged.
+    the deleted ball.  A live vertex v is dominated by a live neighbour w
+    when N[v] ⊆ N[w], closed neighbourhoods taken over the live vertices
+    (Barmak & Minian, "Strong homotopy types, nerves and collapses", DCG
+    2012).  Vertices are tried from the highest index down, and each one's
+    candidates w from the lowest up, until no live vertex is dominated:
+      * a dominated ball vertex stops being live but keeps its edge to w, a
+        tree edge; this deletes its other live edges, each a valid edge
+        collapse with witness w (Boissonnat & Pritam, "Edge collapse and
+        persistence of flag complexes", SoCG 2020);
+      * a dominated vertex off the ball is deleted outright, only onto a w
+        off the ball and only when no tree edge hangs on it, so that X and A
+        collapse together.
+    No triangle contains a tree edge, and H(X, A) is unchanged.
 
-    Returns the remaining open-neighbourhood bitmasks and the deletions as
-    (u, v, w) with u < v, in order; uw and wv were edges when uv went.
+    Returns the open-neighbourhood bitmasks of the live vertices (0 for the
+    others) and the collapses as (v, w), in order.
     """
     nbr = [a | (1 << i) for i, a in enumerate(adj)]
-    removed = []
-    changed = True
-    while changed:
-        changed = False
-        for u in range(len(nbr)):
-            hi = nbr[u] >> (u + 1) << (u + 1)
-            if not inside >> u & 1:
-                hi &= inside
-            for v in _bits(hi):
-                common = nbr[u] & nbr[v]
-                for w in _bits(common ^ (1 << u) ^ (1 << v)):
-                    if not common & ~nbr[w]:
-                        nbr[u] ^= 1 << v
-                        nbr[v] ^= 1 << u
-                        removed.append((u, v, w))
-                        changed = True
-                        break
-    return [x ^ (1 << i) for i, x in enumerate(nbr)], removed
+    live = todo = (1 << len(nbr)) - 1
+    held = 0                # vertices with a tree edge hanging on them
+    onto = []
+    while todo:
+        again = 0
+        while todo:
+            v = todo.bit_length() - 1
+            todo ^= 1 << v
+            nv = nbr[v] & live
+            cand = nv ^ (1 << v)
+            if not inside >> v & 1:
+                if held >> v & 1:
+                    continue
+                cand &= ~inside
+            for w in _bits(cand):
+                if not nv & ~nbr[w]:
+                    live ^= 1 << v
+                    if inside >> v & 1:
+                        held |= 1 << w
+                    onto.append((v, w))
+                    # only a vertex that lost a neighbour can become dominated;
+                    # those still in ``todo`` are tried later in this pass
+                    again |= (nv ^ (1 << v)) & ~todo
+                    break
+        todo = again
+    return [nbr[i] & live ^ (1 << i) if live >> i & 1 else 0
+            for i in range(len(nbr))], onto
 
 
 def _normalize_subset(points, vertex_subset) -> np.ndarray:
@@ -237,26 +254,22 @@ def cech(points: np.ndarray, vertex_subset, alpha: float,
     base = rips(points, vertex_subset, alpha, max_dim)
     thr2 = alpha * alpha * (1 + 1e-12) + 1e-24
     simp: Dict[int, List[Tuple[int, ...]]] = {}
-    kept_prev = None
     for d in sorted(base.simplices):
-        if d <= 1:
-            simp[d] = list(base.simplices[d])
-            kept_prev = set(simp[d])
-            continue
-        # face closure: all facets must have survived
-        kept = [s for s in base.simplices[d]
-                if all(s[:k] + s[k + 1:] in kept_prev for k in range(d + 1))]
-        if kept and d <= points.shape[1]:
+        kept = list(base.simplices[d])
+        # face closure: all facets must have survived, which can fail only
+        # above a degree that lost simplices; every Rips edge is a Cech edge
+        if d >= 2 and len(simp[d - 1]) < len(base.simplices[d - 1]):
+            prev = set(simp[d - 1])
+            kept = [s for s in kept if all(s[:k] + s[k + 1:] in prev for k in range(d + 1))]
+        if kept and 2 <= d <= points.shape[1]:
             out = []
             for i in range(0, len(kept), 4096):     # blocks bound the temporaries
                 r2, support = _support_sets(points[np.array(kept[i:i + 4096])])
                 out += (support & (r2 > thr2)).tolist()
             kept = [s for s, o in zip(kept, out) if not o]
-        if kept:
-            simp[d] = kept
-            kept_prev = set(kept)
-        else:
+        if not kept and d >= 2:
             break
+        simp[d] = kept
     return SimplicialComplex(base.vertex_ids, simp, max_dim, alpha, "cech")
 
 

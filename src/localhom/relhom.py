@@ -9,8 +9,8 @@ Two independent computations of the same quantity:
     H(X, A) = reduced H(X ∪ ωA).
 The direct method is the production path; the oracle cross-checks it.
 ``ImageRankEngine`` evaluates the direct method for many query points on
-shared global complexes.  Its level-2 pair is edge-collapsed per query for
-Rips up to degree 1, and a view of the global level-2 complex otherwise.
+shared global complexes.  Its level-2 pair is vertex-collapsed per query
+for Rips up to degree 1, and a view of the global level-2 complex otherwise.
 It reduces one stacked matrix per degree instead of a kernel basis
 (Cohen-Steiner, Edelsbrunner, Harer & Morozov, "Persistent homology for
 kernels, images, and cokernels", SODA 2009).
@@ -23,11 +23,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .complexes import (QuotientPairComplex, _adjacency_bits, _bitmasks,
-                        build_complex, collapse_edges, cone_pair, delete_ball,
+from .complexes import (QuotientPairComplex, _adjacency_bits,
+                        build_complex, collapse_vertices, cone_pair, delete_ball,
                         quotient_pair)
 from .fieldla import (FieldMatrix, _bits, _is_prime, add_sub, entries, kernel_basis,
-                      lane_width, pack, persistent_reduce, rank, reduce_columns)
+                      lane_width, neg, pack, persistent_reduce, rank, reduce_columns)
 
 
 @dataclass(frozen=True)
@@ -220,12 +220,12 @@ class ImageRankEngine:
     pair comes from one of two places, chosen by ``flavor`` and ``lmax``:
 
       * Rips with lmax <= 1: a ``_CollapsedRipsPair``, built on the vertices
-        near the smaller ball and shrunk by edge collapse; no global level-2
-        complex is built;
+        near the smaller ball and shrunk by removing dominated vertices; no
+        global level-2 complex is built;
       * Cech, or lmax >= 2: a ``_GlobalPair``, the view of a global level-2
         complex (scale a2, built to lmax + 1) under the query's ball masks.
-        Cech complexes are not flag complexes, and the collapse only pushes
-        1-chains.
+        Cech complexes are not flag complexes, and the collapsed pair only
+        maps 1-chains.
 
     Results are identical to sequential per-point evaluation with
     ``image_rank``.
@@ -264,7 +264,7 @@ class ImageRankEngine:
     @property
     def kernel(self) -> str:
         """The level-2 pair of every query, for reports."""
-        return "local rips edge collapse" if self.collapse else "global level-2 basis"
+        return "local rips vertex collapse" if self.collapse else "global level-2 basis"
 
     def _check_keys(self, cx) -> None:
         """Simplices are keyed as base-(n+1) int64 numbers; the key of the
@@ -464,47 +464,64 @@ class _CollapsedRipsPair(_Level2Pair):
 
     Only the vertices within b + 2a of the centre carry relative chains, so
     the pair is built on them alone (the excision ``quotient_pair`` relies
-    on) and then shrunk by ``collapse_edges``.  Rows of degree 0 are the
-    ball's vertices, rows of degree 1 the remaining edges meeting the ball.
-    A deleted edge [u, v] is homologous in (X, A) to [u, w] + [w, v], its
-    difference being the boundary of the triangle uvw, and both edges
-    outlived it, so images are built in reverse order of deletion.
+    on), numbered by distance to the centre, and then shrunk by
+    ``collapse_vertices``: far vertices are tried first, each onto its
+    nearest dominating neighbour.  Rows of degree 0 are the ball's vertices,
+    all of which stay; rows of degree 1 are the edges of the residual graph
+    (the live core plus the tree edges of collapsed ball vertices) that meet
+    the ball.  With f the composed vertex map onto the core and P(v) the
+    chain of tree edges from v to f(v), 0 off the ball, an edge [u, x] maps
+    to P(u) + [f(u), f(x)] - P(x).  That chain differs from [u, x] by a
+    relative boundary, for every chain and not only for cycles, so images
+    compared across query points in ``group_strata`` mean what they mean in
+    the uncollapsed pair.
     """
 
     def __init__(self, points, sq, a: float, b: float, q: int):
         self.q = q
         local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
+        local = local[np.argsort(sq[local], kind="stable")]
         self.loc = np.full(len(points), -1, dtype=np.int64)
         self.loc[local] = np.arange(len(local))
-        ball = sq[local] < b * b
-        inside = _bitmasks(ball[None])[0]
-        nbr, removed = collapse_edges(_adjacency_bits(points, local, a), inside)
-        self.vrow = {v: r for r, v in enumerate(np.flatnonzero(ball).tolist())}
+        # the ball's vertices are the nearest ones, local 0..nb-1
+        self.nb = nb = int((sq[local] < b * b).sum())
+        inside = (1 << nb) - 1
+        nbr, onto = collapse_vertices(_adjacency_bits(points, local, a), inside)
+        for v, w in onto:
+            if v < nb:
+                nbr[v] |= 1 << w
+                nbr[w] |= 1 << v
         # each simplex meeting the ball, listed from its first ball vertex x
         edges, triangles = [], []
-        for x in self.vrow:
+        for x in range(nb):
             free = nbr[x] & ~(inside & ((2 << x) - 1))
             for y in _bits(free):
                 edges.append((x, y) if x < y else (y, x))
                 for z in _bits(free & nbr[y] >> (y + 1) << (y + 1)):
                     triangles.append(tuple(sorted((x, y, z))))
-        self.erow = {e: r for r, e in enumerate(edges)}
         self.k = k = lane_width(q)
-        self.img = img = {e: 1 << r * k for e, r in self.erow.items()}
-        plus, minus = add_sub(q)
-        for u, v, w in reversed(removed):
-            # [u, v] = [u, w] + [w, v], each edge stored as [low, high]
-            if w < u:
-                img[u, v] = minus(img.get((w, v), 0), img.get((w, u), 0))
-            elif w < v:
-                img[u, v] = plus(img.get((u, w), 0), img.get((w, v), 0))
-            else:
-                img[u, v] = minus(img.get((u, w), 0), img.get((v, w), 0))
+        # each edge as a chain, oriented both ways
+        self.edge = {}
+        for r, (u, v) in enumerate(edges):
+            self.edge[u, v] = 1 << r * k
+            self.edge[v, u] = neg(1 << r * k, q)
+        plus = add_sub(q)[0]
+        # f and the tree paths P and -P, each vertex after the one it hangs on
+        self.f = f = list(range(len(local)))
+        self.path, self.back = path, back = [0] * len(local), [0] * len(local)
+        for v, w in reversed(onto):
+            f[v] = f[w]
+            if v < nb:
+                path[v] = plus(self.edge[v, w], path[w])
+                back[v] = plus(self.edge[w, v], back[w])
         self.bnd = {
-            0: self._chains([[(v, 1), (u, -1)] for u, v in edges], self.vrow),
+            0: self._chains([[(v, 1), (u, -1)] for u, v in edges],
+                            {v: v for v in range(nb)}),
             1: self._chains([[((v, w), 1), ((u, w), -1), ((u, v), 1)]
-                             for u, v, w in triangles], self.erow),
+                             for u, v, w in triangles],
+                            {e: r for r, e in enumerate(edges)}),
         }
+        self.ne = len(edges)
 
     def _chains(self, chains, rows):
         """Columns of chains of signed simplices; simplices without a row drop."""
@@ -512,14 +529,26 @@ class _CollapsedRipsPair(_Level2Pair):
                     self.q)
 
     def nrows(self, ell: int) -> int:
-        return len(self.vrow) if ell == 0 else len(self.erow)
+        return self.nb if ell == 0 else self.ne
 
     def boundary_columns(self, ell: int) -> list:
         return list(self.bnd[ell])
 
     def _images(self, ell: int, simplices: np.ndarray) -> list:
         loc = self.loc[simplices].tolist()
+        nb, k = self.nb, self.k
         if ell == 0:
-            return [1 << self.vrow[v] * self.k if v in self.vrow else 0 for v, in loc]
-        # both ends local keeps u < v; an end off the local set keys nothing
-        return [self.img.get((u, v), 0) for u, v in loc]
+            return [1 << v * k if 0 <= v < nb else 0 for v, in loc]
+        plus = add_sub(self.q)[0]
+        f, path, back, edge = self.f, self.path, self.back, self.edge
+        out = []
+        for u, x in loc:
+            # an edge with no end in the ball lies in A; one with an end in
+            # the ball has the other within b + 2a of the centre, so is local
+            if 0 <= u < nb or 0 <= x < nb:
+                c = plus(path[u], back[x])
+                e = edge.get((f[u], f[x]))
+                out.append(c if e is None else plus(c, e))
+            else:
+                out.append(0)
+        return out

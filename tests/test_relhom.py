@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localhom.complexes import (_adjacency_bits, cech, collapse_edges,
+from localhom.complexes import (_adjacency_bits, cech, collapse_vertices,
                                 min_enclosing_radius, quotient_pair)
-from localhom.geometry import circle_chord, generate_sample
+from localhom.geometry import Sample, circle_chord, generate_sample
+from localhom.pipeline import _pair_decisions
 from localhom.relhom import (HomologySignature, ImageRankEngine, QuerySpec,
                              exactness_check, image_rank, image_rank_oracle,
                              relative_betti)
@@ -86,6 +87,51 @@ def _grid_ties(draw):
     extra = [pts[p] + off * m * GRID, pts[0] + (0.0, 2 * a2),
              pts[draw(st.integers(0, len(pts) - 1))]]
     return np.vstack([pts] + extra), p, (a1, b1), (a2, b2)
+
+
+def _replay_collapse(adj, inside, nbr, onto):
+    """Replays ``collapse_vertices`` step by step: every collapse (v, w) was a
+    domination of live vertices at that moment, an off-ball v went only onto
+    an off-ball w with no tree edge on v, and at the end no live vertex is
+    dominated under these rules and ``nbr`` is the live graph."""
+    m = len(adj)
+    closed = [a | 1 << i for i, a in enumerate(adj)]
+    live, held = (1 << m) - 1, 0
+    for v, w in onto:
+        assert v != w and live >> v & 1 and live >> w & 1 and closed[v] >> w & 1
+        assert not closed[v] & live & ~closed[w]
+        if inside >> v & 1:
+            held |= 1 << w
+        else:
+            assert not inside >> w & 1 and not held >> v & 1
+        live ^= 1 << v
+    for v in range(m):
+        if not live >> v & 1:
+            assert nbr[v] == 0
+            continue
+        assert nbr[v] == closed[v] & live ^ 1 << v
+        if inside >> v & 1 or not held >> v & 1:
+            cand = nbr[v] & (~0 if inside >> v & 1 else ~inside)
+            assert all(closed[v] & live & ~closed[w] for w in range(m) if cand >> w & 1)
+    return bin(live).count("1")
+
+
+def _check_collapse(pts, p, level2):
+    """Replays the collapse of the local level-2 graph of one query under its
+    own ball, an empty ball and a ball holding every local vertex; returns
+    the number of collapses under its own ball."""
+    (a2, b2), c = level2, pts[p]
+    sq = ((pts - c) ** 2).sum(-1)
+    local = np.flatnonzero(sq <= (b2 + 2 * a2) ** 2 * (1 + 1e-12))
+    local = local[np.argsort(sq[local], kind="stable")]
+    adj = _adjacency_bits(pts, local, a2)
+    counts = []
+    for nb in (int((sq[local] < b2 * b2).sum()), 0, len(local)):
+        nbr, onto = collapse_vertices(adj, (1 << nb) - 1)
+        core = _replay_collapse(adj, (1 << nb) - 1, nbr, onto)
+        assert core + len(onto) == len(local)
+        counts.append(len(onto))
+    return counts[0]
 
 
 @pytest.mark.parametrize("flavor,lmax", [("rips", 1), ("rips", 2), ("cech", 1)])
@@ -214,23 +260,21 @@ def test_engine_matches_direct():
 @pytest.mark.parametrize("junction", [False, True])
 def test_engine_collapse_matches_direct_clustered(junction):
     rng = np.random.default_rng(12 + junction)
-    removed = 0
+    collapsed = 0
     for _ in range(12):
         pts, p, level1, level2 = _clustered_instance(rng, junction)
         (a2, b2), c = level2, pts[p]
         sq = ((pts - c) ** 2).sum(-1)
         assert sq[-3] == b2 * b2                          # on the ball's boundary
         assert ((pts[-2] - pts[0]) ** 2).sum() == (2 * a2) ** 2   # an edge, just
-        local = np.flatnonzero(sq <= (b2 + 2 * a2) ** 2 * (1 + 1e-12))
-        inside = sum(1 << i for i, v in enumerate(local) if sq[v] < b2 * b2)
-        removed += len(collapse_edges(_adjacency_bits(pts, local, a2), inside)[1])
+        collapsed += _check_collapse(pts, p, level2)
         for q in (2, 3):
             spec = QuerySpec(p, level1, level2, flavor="rips", q=q, lmax=1)
             eng = ImageRankEngine(pts, level1, level2, flavor="rips", q=q, lmax=1)
             fast = eng.query(c).ranks
             assert fast == image_rank(spec, pts).ranks
             assert fast == image_rank_oracle(spec, pts).ranks
-    assert removed > 0
+    assert collapsed > 0
 
 
 def test_engine_collapse_matches_direct_on_criterion_1_sample():
@@ -238,7 +282,7 @@ def test_engine_collapse_matches_direct_on_criterion_1_sample():
     # reach about 130 vertices
     pts = generate_sample(circle_chord(), 0.018, 1500, noise=0.009, seed=7).points
     eng = ImageRankEngine(pts, (0.018, 0.175), (0.06, 0.116))
-    assert eng.kernel == "local rips edge collapse"
+    assert eng.kernel == "local rips vertex collapse"
     picks = set()
     # the two junctions and an arc; image_rank takes about 0.45 s a junction point
     for x, k in [((-1.0, 0.0), 4), ((1.0, 0.0), 4), ((0.0, 1.0), 6)]:
@@ -432,3 +476,52 @@ def test_collinear_cech_triples_on_grid(q):
             assert image_rank_oracle(spec, pts).ranks == fast
             seen.add(tuple(sorted(fast.items())))
     assert len(seen) > 1
+
+
+def test_collapse_keeps_off_ball_vertex_with_tree_edge():
+    # ball vertices 0 and 1 hang on the off-ball vertex 4; once they have,
+    # 4 is dominated by 3, but deleting it would cut their tree edges off,
+    # so 3 goes onto 4 instead
+    adj = [0] * 5
+    for u, v in [(0, 4), (1, 4), (3, 4), (2, 3)]:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    nbr, onto = collapse_vertices(adj, 0b11)
+    assert onto == [(2, 3), (1, 4), (0, 4), (3, 4)]
+    assert nbr == [0] * 5
+    _replay_collapse(adj, 0b11, nbr, onto)
+
+
+@settings(max_examples=100)
+@given(inst=_grid_ties())
+def test_collapse_replays_as_dominations_on_grid_ties(inst):
+    pts, p, level1, level2 = inst
+    _check_collapse(pts, p, level2)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_engine_collapse_with_every_local_vertex_in_ball(q):
+    # b2 beyond the diameter: A is empty at level 2, every local vertex is a
+    # ball vertex, and the collapsed pair computes absolute homology
+    pts, p, level1, level2 = _clustered_instance(np.random.default_rng(6), True)
+    level1, level2 = (level1[0], 4.0), (level2[0], 4.0)
+    spec = QuerySpec(p, level1, level2, flavor="rips", q=q, lmax=1)
+    fast = ImageRankEngine(pts, level1, level2, q=q).query(pts[p]).ranks
+    assert fast == image_rank(spec, pts).ranks == image_rank_oracle(spec, pts).ranks
+    assert fast[0] == 1
+
+
+@settings(max_examples=60)
+@given(inst=_grid_ties(), q=st.sampled_from([2, 3, 5]),
+       eps=st.integers(4, 12).map(lambda k: k * GRID))
+def test_pair_decisions_collapsed_match_global(inst, q, eps):
+    # group_strata's cross-point decisions in degrees 0 and 1: the collapsed
+    # pair (lmax 1) maps every level-1 chain to itself plus relative
+    # boundaries, so it decides as the global pair (lmax 2) does
+    pts, p, level1, level2 = inst
+    P = Sample(points=pts, epsilon=eps, noisy=False)
+    collapsed = ImageRankEngine(pts, level1, level2, q=q, lmax=1)
+    assert collapsed.kernel == "local rips vertex collapse"
+    glob = ImageRankEngine(pts, level1, level2, q=q, lmax=2)
+    assert glob.kernel == "global level-2 basis"
+    assert _pair_decisions(P, collapsed, q, 1) == _pair_decisions(P, glob, q, 1)
