@@ -88,6 +88,36 @@ def _prime(token: str) -> int:
     return int(token)
 
 
+def _nonnegative(token: str) -> int:
+    """A ``--maxdim`` value: a top degree, an integer >= 0."""
+    if not token.isdigit():
+        raise argparse.ArgumentTypeError(f"{token!r} is not an integer >= 0")
+    return int(token)
+
+
+def _point(token: str) -> list:
+    """A point of the plane, as x,y."""
+    try:
+        x, y = (float(v) for v in token.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{token!r} is not a point x,y") from None
+    return [x, y]
+
+
+def _grid(token: str) -> np.ndarray:
+    """A ``--grid`` value lo:hi:steps: ``steps`` evenly spaced values from lo
+    to hi."""
+    try:
+        lo, hi, steps = token.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
+    except ValueError:
+        steps = 0
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"{token!r} is not lo:hi:steps with "
+                                         "an integer steps >= 1")
+    return np.linspace(lo, hi, steps)
+
+
 def _constants(args, default_t=0) -> ScaleConstants:
     s = math.sqrt(2.0) if args.s == "sqrt2" else 2.0
     t = default_t if args.t is None else args.t
@@ -100,9 +130,9 @@ def _shape_from_args(args):
         kwargs["radius"] = args.radius
     if args.shape == "segment":
         if args.p0:
-            kwargs["p0"] = [float(v) for v in args.p0.split(",")]
+            kwargs["p0"] = args.p0
         if args.p1:
-            kwargs["p1"] = [float(v) for v in args.p1.split(",")]
+            kwargs["p1"] = args.p1
     return make_shape(args.shape, **kwargs)
 
 
@@ -229,11 +259,8 @@ def cmd_group(args) -> int:
 
 def cmd_scan(args) -> int:
     shape = _shape_from_args(args)
-    x = [float(v) for v in args.x.split(",")]
-    lo, hi, steps = (float(p) for p in args.grid.split(":"))
-    values = np.linspace(lo, hi, int(steps))
     try:
-        scan = scan_alpha_section(shape, x, args.alpha, args.eps, values,
+        scan = scan_alpha_section(shape, args.x, args.alpha, args.eps, args.grid,
                                   dense_n=args.dense_n, q=args.field)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -339,8 +366,8 @@ def _add_shape_args(sp, required=False):
     sp.add_argument("--shape", required=required,
                     choices=["circle", "circle-chord", "segment"])
     sp.add_argument("--radius", type=float)
-    sp.add_argument("--p0")
-    sp.add_argument("--p1")
+    sp.add_argument("--p0", type=_point)
+    sp.add_argument("--p1", type=_point)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scale_args(i)
     _add_shape_args(i)
     i.add_argument("--field", type=_prime, default=2)
-    i.add_argument("--maxdim", type=int, default=1)
+    i.add_argument("--maxdim", type=_nonnegative, default=1)
     i.add_argument("-o", "--output")
     i.set_defaults(func=cmd_infer)
 
@@ -378,16 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_constants(gr)
     _add_scale_args(gr)
     gr.add_argument("--field", type=_prime, default=2)
-    gr.add_argument("--maxdim", type=int, default=1)
+    gr.add_argument("--maxdim", type=_nonnegative, default=1)
     gr.add_argument("-o", "--output")
     gr.set_defaults(func=cmd_group)
 
     sc = sub.add_parser("scan", help="empirical (R, r) admissibility scan")
     _add_shape_args(sc, required=True)
-    sc.add_argument("--x", required=True, help="scan center, e.g. 0.0,1.0")
+    sc.add_argument("--x", required=True, type=_point, help="scan center, e.g. 0.0,1.0")
     sc.add_argument("--alpha", type=float, required=True)
     sc.add_argument("--eps", type=float, required=True)
-    sc.add_argument("--grid", required=True, help="lo:hi:steps for R and r")
+    sc.add_argument("--grid", required=True, type=_grid, help="lo:hi:steps for R and r")
     sc.add_argument("--dense-n", dest="dense_n", type=int, default=1000)
     sc.add_argument("--field", type=_prime, default=2)
     sc.add_argument("-o", "--output")

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .fieldla import _bits
+from .fieldla import _bits, lane_width
 
 
 def _adjacency_bits(points: np.ndarray, subset: np.ndarray, alpha: float):
@@ -58,11 +58,6 @@ class SimplicialComplex:
 
     def count(self, dim: int) -> int:
         return len(self.simplices.get(dim, []))
-
-    def all_simplices(self):
-        for d in sorted(self.simplices):
-            for s in self.simplices[d]:
-                yield d, s
 
     def has(self, simplex: Tuple[int, ...]) -> bool:
         d = len(simplex) - 1
@@ -291,14 +286,34 @@ def delete_ball(points: np.ndarray, center, radius: float) -> np.ndarray:
     return np.flatnonzero(sq >= radius * radius)
 
 
+def boundary(simplices, rows: Dict[Tuple[int, ...], int], q: int) -> List[int]:
+    """Boundary columns of ``simplices`` over GF(q), packed as in ``fieldla``.
+
+    Facet k (vertex k removed) has coefficient (-1)^k at its row in
+    ``rows``; a facet without a row is dropped, so a vertex gives the zero
+    column.
+    """
+    k = lane_width(q)
+    sign = (1, q - 1)
+    cols = []
+    for s in simplices:
+        col = 0
+        for i in range(len(s)):
+            r = rows.get(s[:i] + s[i + 1:])
+            if r is not None:
+                col |= sign[i & 1] << r * k
+        cols.append(col)
+    return cols
+
+
 @dataclass
 class QuotientPairComplex:
     """Relative chain complex of (full complex, complex after ball deletion).
 
     ``basis[d]`` lists the d-simplices having >= 1 vertex strictly inside the
-    deleted ball; boundaries drop faces outside the basis.  Built locally:
-    only sample points within ``b + 2a`` of the center participate, which
-    provably yields the same quotient as the full complex.
+    deleted ball; ``boundary_columns`` drops faces outside the basis.  Built
+    locally: only sample points within ``b + 2a`` of the center participate,
+    which provably yields the same quotient as the full complex.
     """
 
     center: np.ndarray
@@ -317,25 +332,11 @@ class QuotientPairComplex:
     def dim_count(self, d: int) -> int:
         return len(self.basis.get(d, []))
 
-    def boundary_columns(self, d: int):
-        """Restricted boundary of the basis d-simplices.
-
-        Returns (nrows, list of columns), each column a list of
-        (row index, sign) with sign in {+1, -1}; faces outside the basis are
-        dropped.  Rows index the (d-1)-basis.
-        """
-        rows = self._index.get(d - 1, {})
-        cols = []
-        for s in self.basis.get(d, []):
-            col = []
-            for k in range(d + 1):
-                face = s[:k] + s[k + 1:]
-                r = rows.get(face)
-                if r is not None:
-                    col.append((r, -1 if k % 2 else 1))
-            col.sort()
-            cols.append(col)
-        return len(rows), cols
+    def boundary_columns(self, d: int, q: int) -> List[int]:
+        """Packed GF(q) boundary columns of the basis d-simplices, one per
+        simplex, over ``dim_count(d - 1)`` rows that index the
+        (d-1)-basis; faces outside the basis are dropped."""
+        return boundary(self.basis.get(d, []), self._index.get(d - 1, {}), q)
 
 
 def quotient_pair(points: np.ndarray, center, a: float, b: float,
@@ -376,24 +377,11 @@ class ConedPair:
     dims: List[int]
     levels: List[int]                  # 1 or 2 per simplex
 
-    def boundary_columns(self):
-        """(columns, dims, levels) for persistence over all simplices.
-
-        Row/column index space is the simplex order; each column lists
-        (row, sign) for the facets of its simplex (vertices get empty
-        columns).
-        """
-        index = {s: i for i, s in enumerate(self.simplices)}
-        cols = []
-        for s in self.simplices:
-            col = []
-            if len(s) > 1:
-                for k in range(len(s)):
-                    face = s[:k] + s[k + 1:]
-                    col.append((index[face], -1 if k % 2 else 1))
-                col.sort()
-            cols.append(col)
-        return cols
+    def boundary_columns(self, q: int) -> List[int]:
+        """Packed GF(q) boundary matrix of the whole filtration, for
+        ``persistent_reduce`` with ``levels`` and ``dims``: rows and columns
+        both follow the simplex order, and vertices get zero columns."""
+        return boundary(self.simplices, {s: i for i, s in enumerate(self.simplices)}, q)
 
 
 def _coned_level(points, center, a, b, flavor, max_dim, omega):

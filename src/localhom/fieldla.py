@@ -8,7 +8,7 @@ bit: columns add with one integer addition, then adding 2^(k-1) - q to every
 lane sets the guard bit of exactly the lanes that reached q, and those have
 q subtracted.  A column's low (last nonzero row) is (bit_length - 1) // k,
 -1 for the zero column.  Only this module knows the layout; others build
-columns with ``pack`` and ``lane_width`` and combine them with ``add_sub``.
+columns with ``pack`` and ``lane_width`` and combine them with ``plus``.
 
 All reductions use the lowest-nonzero-row pivot rule, left to right, with no
 further heuristics, so results are deterministic.
@@ -69,12 +69,10 @@ def add(x: int, y: int, q: int) -> int:
     return s - ((s + over & guard) >> k - 1) * q
 
 
-def add_sub(q: int) -> Tuple[Callable[[int, int], int], Callable[[int, int], int]]:
-    """Sum and difference of two columns as two-argument functions; at q = 2
-    both are XOR, which costs no Python call."""
-    if q == 2:
-        return operator.xor, operator.xor
-    return partial(add, q=q), lambda x, y: add(x, neg(y, q), q)
+def plus(q: int) -> Callable[[int, int], int]:
+    """Sum of two columns as a two-argument function; at q = 2 it is XOR,
+    which costs no Python call."""
+    return operator.xor if q == 2 else partial(add, q=q)
 
 
 def _nonzero(x: int, q: int) -> int:
@@ -169,8 +167,8 @@ def reduce_columns(columns, q: int, track: bool = False):
 class FieldMatrix:
     """Column-major sparse matrix over GF(q).
 
-    ``columns`` holds one int per column (see module docstring).
-    Construct from (row, coefficient) lists via ``from_entries``.
+    ``columns`` holds one int per column (see module docstring), as built
+    by ``pack``.
     """
 
     q: int
@@ -186,16 +184,9 @@ class FieldMatrix:
         return len(self.columns)
 
     @classmethod
-    def from_entries(cls, q: int, nrows: int, cols: Sequence[Sequence[Tuple[int, int]]]):
-        """cols[j] = iterable of (row, coefficient) with distinct rows;
-        coefficients taken mod q."""
-        return cls(q, nrows, pack(cols, q))
-
-    @classmethod
     def from_dense(cls, q: int, rows: Sequence[Sequence[int]]):
         """Matrix of a dense row-major table."""
-        cols = [list(enumerate(col)) for col in zip(*rows)]
-        return cls.from_entries(q, len(rows), cols)
+        return cls(q, len(rows), pack([list(enumerate(col)) for col in zip(*rows)], q))
 
     def copy_columns(self) -> list:
         return list(self.columns)

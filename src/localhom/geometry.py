@@ -220,9 +220,14 @@ class StratifiedShape:
         """n points spread over the components proportionally to length.
 
         Circles use endpoint-free even spacing; segments include both
-        endpoints (midpoint gap = L / (2*(m-1)) then dominates d_H).
+        endpoints (midpoint gap = L / (2*(m-1)) then dominates d_H).  Each
+        component gets at least 2 points, so n below twice the number of
+        components raises ``ValueError``.
         """
         lengths = self.component_lengths()
+        if n < 2 * len(lengths):
+            raise ValueError(f"n must be at least {2 * len(lengths)} for this shape "
+                             "(2 points per sampling component)")
         total = sum(lengths)
         counts = [max(2, int(round(n * L / total))) for L in lengths]
         # adjust to hit n exactly, preferring the longest components
@@ -367,8 +372,6 @@ def generate_sample(shape: StratifiedShape, eps: float, n: int,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if n < 2:
-        raise ValueError("n must be at least 2")
     base = shape.even_points(n)
     if noise > 0:
         rng = np.random.default_rng(seed)

@@ -13,9 +13,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .fieldla import reduce_columns
 from .geometry import Sample, StratifiedShape
-from .relhom import HomologySignature, ImageRankEngine, _count_below
+from .relhom import HomologySignature, ImageRankEngine, _subspaces_equal
 from .scales import ScaleConstants, SelectedScales
 
 DEFAULT_W0_GRID = tuple(round(0.05 * k, 2) for k in range(11))  # 0, 0.05, ..., 0.5
@@ -148,34 +147,6 @@ class _UnionFind:
         ri, rj = self.find(i), self.find(j)
         if ri != rj:
             self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def _subspaces_equal(det_i, det_j, lmax: int, q: int) -> bool:
-    """Images of i's cross map and j's self map agree mod boundaries in j's
-    level-2 homology (per degree).
-
-    j's detail holds a reduced basis of B2 + A, A the image of j's cycles.
-    i's stacked columns are reduced after the basis's B2 part for rank(B2 +
-    B), B the image of i's cycles, and its A part after them for rank(B2 +
-    A + B).
-    """
-    for ell in range(lmax + 1):
-        dj = det_j.get(ell) if det_j else None
-        di = det_i.get(ell) if det_i else None
-        if dj is None:
-            # j's level-1 pair carries no cycles, so both images are zero in
-            # a codomain we did not materialize; nothing to compare
-            continue
-        pair, basis, rb2 = dj["pair"], dj["basis"], dj["b2"]
-        n2 = pair.nrows(ell)
-        cols = basis[:rb2]
-        if di is not None:
-            cols += pair.stacked_columns(ell, di["simplices"], di["boundary"], n2)
-        lows_b, _ = reduce_columns(cols, q)
-        lows_ab, _ = reduce_columns(cols + basis[rb2:], q)
-        if not len(basis) == _count_below(lows_b, n2) == _count_below(lows_ab, n2):
-            return False
-    return True
 
 
 def group_strata(P: Sample, scales: SelectedScales, cc: ScaleConstants,

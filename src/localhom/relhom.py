@@ -23,11 +23,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .complexes import (QuotientPairComplex, _adjacency_bits,
+from .complexes import (QuotientPairComplex, _adjacency_bits, boundary,
                         build_complex, collapse_vertices, cone_pair, delete_ball,
                         quotient_pair)
-from .fieldla import (FieldMatrix, _bits, _is_prime, add_sub, entries, kernel_basis,
-                      lane_width, neg, pack, persistent_reduce, rank, reduce_columns)
+from .fieldla import (FieldMatrix, _bits, _is_prime, entries, kernel_basis,
+                      lane_width, neg, pack, persistent_reduce, plus, rank, reduce_columns)
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,7 @@ class HomologySignature:
 
 
 def _pair_boundary(Q: QuotientPairComplex, d: int, q: int) -> FieldMatrix:
-    nrows, cols = Q.boundary_columns(d)
-    return FieldMatrix.from_entries(q, nrows, cols)
+    return FieldMatrix(q, Q.dim_count(d - 1), Q.boundary_columns(d, q))
 
 
 def relative_betti(Q: QuotientPairComplex, ell: int, q: int = 2) -> int:
@@ -138,8 +137,7 @@ def image_rank_oracle(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
     center = points[spec.p]
     cp = cone_pair(points, center, spec.level1, spec.level2,
                    spec.flavor, spec.lmax + 1)
-    q = spec.q
-    surv = persistent_reduce(pack(cp.boundary_columns(), q), q, cp.levels, cp.dims)
+    surv = persistent_reduce(cp.boundary_columns(spec.q), spec.q, cp.levels, cp.dims)
     ranks = {}
     for ell in range(spec.lmax + 1):
         v = surv.get(ell, 0)
@@ -151,14 +149,11 @@ def image_rank_oracle(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
 
 def _absolute_betti(cx, q: int) -> Dict[int, int]:
     """Betti numbers of a simplicial complex over GF(q), all built degrees."""
-    index = {d: {s: i for i, s in enumerate(ss)} for d, ss in cx.simplices.items()}
     ranks = {}
     top = max(cx.simplices) if cx.simplices else -1
     for d in range(1, top + 1):
-        rows = index.get(d - 1, {})
-        cols = [[(rows[s[:k] + s[k + 1:]], (-1) ** k) for k in range(d + 1)]
-                for s in cx.simplices.get(d, [])]
-        ranks[d] = rank(FieldMatrix.from_entries(q, len(rows), cols))
+        rows = {s: i for i, s in enumerate(cx.simplices.get(d - 1, []))}
+        ranks[d] = rank(FieldMatrix(q, len(rows), boundary(cx.simplices.get(d, []), rows, q)))
     out = {}
     for d in range(0, top + 1):
         out[d] = cx.count(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
@@ -322,8 +317,8 @@ class ImageRankEngine:
         With ``keep_detail`` the result also holds, per degree with relative
         cycles, the level-2 ``pair``, the level-1 basis ``simplices`` and their
         ``boundary`` columns, and a reduced ``basis`` of B2 + i(Z1) whose first
-        ``b2`` columns span B2, so that other points' cycles can be compared
-        in this point's level-2 pair.
+        ``b2`` columns span B2, so that ``_subspaces_equal`` can compare other
+        points' cycles in this point's level-2 pair.
         """
         center = np.asarray(center, dtype=float)
         if b1 is None:
@@ -388,6 +383,36 @@ class ImageRankEngine:
 
     def query_index(self, i: int, keep_detail: bool = False) -> QueryResult:
         return self.query(self.points[i], keep_detail=keep_detail)
+
+
+def _subspaces_equal(det_i, det_j, lmax: int, q: int) -> bool:
+    """Images of i's cross map and j's self map agree mod boundaries in j's
+    level-2 homology (per degree), from the ``detail`` of two queries with
+    ``keep_detail``.
+
+    j's detail holds a reduced basis of B2 + A, A the image of j's cycles,
+    in the stacked layout of ``query``: level-2 rows 0..n2-1, and the first
+    ``b2`` columns span B2.  i's stacked columns in j's pair are reduced
+    after the basis's B2 part for rank(B2 + B), B the image of i's cycles,
+    and its A part after them for rank(B2 + A + B).
+    """
+    for ell in range(lmax + 1):
+        dj = det_j.get(ell) if det_j else None
+        di = det_i.get(ell) if det_i else None
+        if dj is None:
+            # j's level-1 pair carries no cycles, so both images are zero in
+            # a codomain we did not materialize; nothing to compare
+            continue
+        pair, basis, rb2 = dj["pair"], dj["basis"], dj["b2"]
+        n2 = pair.nrows(ell)
+        cols = basis[:rb2]
+        if di is not None:
+            cols += pair.stacked_columns(ell, di["simplices"], di["boundary"], n2)
+        lows_b, _ = reduce_columns(cols, q)
+        lows_ab, _ = reduce_columns(cols + basis[rb2:], q)
+        if not len(basis) == _count_below(lows_b, n2) == _count_below(lows_ab, n2):
+            return False
+    return True
 
 
 def _rows(mask: np.ndarray) -> np.ndarray:
@@ -505,28 +530,18 @@ class _CollapsedRipsPair(_Level2Pair):
         for r, (u, v) in enumerate(edges):
             self.edge[u, v] = 1 << r * k
             self.edge[v, u] = neg(1 << r * k, q)
-        plus = add_sub(q)[0]
+        add = plus(q)
         # f and the tree paths P and -P, each vertex after the one it hangs on
         self.f = f = list(range(len(local)))
         self.path, self.back = path, back = [0] * len(local), [0] * len(local)
         for v, w in reversed(onto):
             f[v] = f[w]
             if v < nb:
-                path[v] = plus(self.edge[v, w], path[w])
-                back[v] = plus(self.edge[w, v], back[w])
-        self.bnd = {
-            0: self._chains([[(v, 1), (u, -1)] for u, v in edges],
-                            {v: v for v in range(nb)}),
-            1: self._chains([[((v, w), 1), ((u, w), -1), ((u, v), 1)]
-                             for u, v, w in triangles],
-                            {e: r for r, e in enumerate(edges)}),
-        }
+                path[v] = add(self.edge[v, w], path[w])
+                back[v] = add(self.edge[w, v], back[w])
+        self.bnd = {0: boundary(edges, {(v,): v for v in range(nb)}, q),
+                    1: boundary(triangles, {e: r for r, e in enumerate(edges)}, q)}
         self.ne = len(edges)
-
-    def _chains(self, chains, rows):
-        """Columns of chains of signed simplices; simplices without a row drop."""
-        return pack([[(rows[s], c) for s, c in terms if s in rows] for terms in chains],
-                    self.q)
 
     def nrows(self, ell: int) -> int:
         return self.nb if ell == 0 else self.ne
@@ -539,16 +554,16 @@ class _CollapsedRipsPair(_Level2Pair):
         nb, k = self.nb, self.k
         if ell == 0:
             return [1 << v * k if 0 <= v < nb else 0 for v, in loc]
-        plus = add_sub(self.q)[0]
+        add = plus(self.q)
         f, path, back, edge = self.f, self.path, self.back, self.edge
         out = []
         for u, x in loc:
             # an edge with no end in the ball lies in A; one with an end in
             # the ball has the other within b + 2a of the centre, so is local
             if 0 <= u < nb or 0 <= x < nb:
-                c = plus(path[u], back[x])
+                c = add(path[u], back[x])
                 e = edge.get((f[u], f[x]))
-                out.append(c if e is None else plus(c, e))
+                out.append(c if e is None else add(c, e))
             else:
                 out.append(0)
         return out

@@ -134,6 +134,44 @@ def test_nonprime_field_is_usage_error(tmp_path, field, capsys):
     assert f"{field!r} is not a prime" in capsys.readouterr().err
 
 
+_SCAN = ["scan", "--shape", "circle", "--alpha", "0.12", "--eps", "0.05"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SCAN + ["--x", "1.0,0.0", "--grid", "0.2:1.6"],
+    _SCAN + ["--x", "1.0,0.0", "--grid", "0.2:1.6:0"],
+    _SCAN + ["--x", "1.0,0.0", "--grid", "0.2:1.6:2.5"],
+    _SCAN + ["--x", "1.0,0.0", "--grid", "a:1.6:8"],
+    _SCAN + ["--x", "a,0", "--grid", "0.2:1.6:8"],
+    _SCAN + ["--x", "1,0,0", "--grid", "0.2:1.6:8"],
+    ["generate", "--shape", "segment", "--p0", "a,b", "--eps", "0.1", "--n", "30",
+     "-o", "x.csv"],
+    ["generate", "--shape", "segment", "--p1", "1", "--eps", "0.1", "--n", "30",
+     "-o", "x.csv"],
+    ["infer", "--sample", "x.csv", "--maxdim", "-1"],
+    ["group", "--sample", "x.csv", "--maxdim", "-1"],
+], ids=["grid-no-steps", "grid-zero-steps", "grid-fractional-steps", "grid-bad-lo",
+        "x-not-numbers", "x-three-coordinates", "p0-not-numbers",
+        "p1-one-coordinate", "infer-negative-maxdim",
+        "group-negative-maxdim"])
+def test_malformed_values_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+
+
+def test_too_few_points_per_component_is_validation_error(tmp_path, capsys):
+    # the circle-with-chord shape needs 2 points on each of its 2 components
+    rc = main(["generate", "--shape", "circle-chord", "--eps", "0.5", "--n", "3",
+               "-o", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "n must be at least 4" in capsys.readouterr().err
+    rc = main(_SCAN + ["--x", "1.0,0.0", "--grid", "0.2:1.6:8", "--dense-n", "1"])
+    assert rc == 2
+    assert "n must be at least 2" in capsys.readouterr().err
+
+
 def test_check_prints_tally(capsys):
     rc = main(["check", "--random", "25", "--seed", "3"])
     assert rc == 0

@@ -4,8 +4,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from localhom.complexes import (_adjacency_bits, cech, cone_pair, delete_ball,
+from localhom.complexes import (_adjacency_bits, boundary, cech, cone_pair, delete_ball,
                                 min_enclosing_radius, quotient_pair, rips)
+from localhom.fieldla import entries
 
 
 def _simplex_set(cx):
@@ -187,8 +188,28 @@ def test_quotient_pair_three_collinear():
     Q = quotient_pair(pts, (0, 0), 0.6, 0.5, "rips", 1)
     assert Q.basis[0] == [(0,)]
     assert Q.basis[1] == [(0, 1)]
-    nrows, cols = Q.boundary_columns(1)
-    assert nrows == 1 and cols == [[(0, -1)]]           # face v1 dropped, v0 kept
+    # face v1 dropped, v0 kept with coefficient -1: 1 in GF(2), 2 in GF(3)
+    assert Q.dim_count(0) == 1
+    assert Q.boundary_columns(1, 2) == [1] and Q.boundary_columns(1, 3) == [2]
+
+
+# the triangle (0, 1, 2) has facets (1, 2), (0, 2), (0, 1) with signs +, -, +;
+# packed columns below are written lane by lane, highest row first, with
+# lanes of 1, 3 and 4 bits at q = 2, 3 and 5
+@pytest.mark.parametrize("q,all_edges,two_edges,unordered,edge", [
+    (2, 0b1_1_1, 0b1_1, 0b1_1_1, 0b1_1),
+    (3, 0b001_010_001, 0b001_010, 0b010_001_001, 0b010_001),
+    (5, 0b0001_0100_0001, 0b0001_0100, 0b0100_0001_0001, 0b0100_0001),
+], ids=["2", "3", "5"])
+def test_boundary_by_hand(q, all_edges, two_edges, unordered, edge):
+    tri = [(0, 1, 2)]
+    assert boundary(tri, {(0, 1): 0, (0, 2): 1, (1, 2): 2}, q) == [all_edges]
+    # (0, 1) has no row, so it is dropped
+    assert boundary(tri, {(0, 2): 0, (1, 2): 1}, q) == [two_edges]
+    assert boundary([(0,), (3,)], {(0,): 0, (3,): 1}, q) == [0, 0]
+    # rows follow the dict, not the lexicographic order of the faces
+    assert boundary(tri, {(1, 2): 0, (0, 1): 1, (0, 2): 2}, q) == [unordered]
+    assert boundary([(0, 1)], {(1,): 0, (0,): 1}, q) == [edge]
 
 
 def test_quotient_pair_triangle_boundary():
@@ -215,19 +236,32 @@ def test_quotient_localization_soundness():
             assert Q.basis.get(d, []) == ref
 
 
+def _composed(cols, cols_lower, q):
+    """Nonzero coefficients of each column of cols_lower times cols."""
+    out = []
+    for col in cols:
+        acc = {}
+        for r, c in entries(col, q):
+            for r2, c2 in entries(cols_lower[r], q):
+                acc[r2] = (acc.get(r2, 0) + c * c2) % q
+        out.append({r: c for r, c in acc.items() if c})
+    return out
+
+
 def test_boundary_squares_to_zero():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1, 1, size=(10, 2))
-    Q = quotient_pair(pts, pts[0], 0.45, 0.6, "rips", 3)
-    for d in range(2, 4):
-        n1, cols = Q.boundary_columns(d)
-        n0, cols_lower = Q.boundary_columns(d - 1)
-        for col in cols:
-            acc = {}
-            for r, sgn in col:
-                for r2, sgn2 in cols_lower[r]:
-                    acc[r2] = acc.get(r2, 0) + sgn * sgn2
-            assert all(v == 0 for v in acc.values())
+    Q = quotient_pair(pts, pts[0], 0.7, 0.6, "rips", 3)
+    cp = cone_pair(pts, pts[0], (0.6, 0.7), (0.7, 0.6), "rips", 3)
+    for q in (2, 3):
+        for d in range(2, 4):
+            cols = Q.boundary_columns(d, q)
+            assert any(cols)
+            assert not any(_composed(cols, Q.boundary_columns(d - 1, q), q))
+        # the coned pair's rows and columns are both its simplices
+        cols = cp.boundary_columns(q)
+        assert any(cols)
+        assert not any(_composed(cols, cols, q))
 
 
 def test_sandwich_interleaving():

@@ -147,14 +147,14 @@ def test_column_arithmetic_matches_dense():
 
 
 @pytest.mark.parametrize("q", [2, 3])
-def test_from_entries_takes_numpy_integers(q):
+def test_pack_takes_numpy_integers(q):
     # numpy rows and coefficients, as index arrays give them, with rows
     # whose lanes start past bit 63
     rows, coefs = np.array([3, 70, 90]), np.array([1, q + 1, -1])
     cols = [[(rows[1], coefs[0])],
             [(rows[0], coefs[2]), (rows[2], coefs[1])],
             list(zip(rows, coefs))]
-    M = FieldMatrix.from_entries(q, 100, cols)
+    M = FieldMatrix(q, 100, pack(cols, q))
     dense = np.zeros((100, 3), dtype=np.int64)
     for j, col in enumerate(cols):
         for r, c in col:

@@ -64,6 +64,18 @@ def test_hausdorff_dense_even_points():
     assert hd.value == pytest.approx(math.sin(math.pi / 360), abs=2 * hd.error_bound)
 
 
+def test_even_points_needs_two_points_per_component():
+    K = circle_chord()
+    assert len(K.even_points(4)) == 4
+    for n in (-1, 0, 1, 3):
+        with pytest.raises(ValueError, match="at least 4"):
+            K.even_points(n)
+    with pytest.raises(ValueError, match="at least 4"):
+        generate_sample(K, 0.5, 3)
+    with pytest.raises(ValueError, match="at least 2"):
+        generate_sample(circle(), 0.5, 1)
+
+
 def test_generate_sample_circle_150():
     K = circle()
     P = generate_sample(K, 0.05, 150)

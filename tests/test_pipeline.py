@@ -5,10 +5,9 @@ import pytest
 
 from localhom.geometry import (Sample, circle, circle_chord, generate_sample,
                                segment)
-from localhom.pipeline import (DEFAULT_W0_GRID, _pair_decisions, _subspaces_equal,
-                               classify, group_strata, infer_all, label_of,
-                               make_engine)
-from localhom.relhom import HomologySignature, ImageRankEngine
+from localhom.pipeline import (DEFAULT_W0_GRID, _pair_decisions, classify,
+                               group_strata, infer_all, label_of, make_engine)
+from localhom.relhom import HomologySignature, ImageRankEngine, _subspaces_equal
 from localhom.scales import (ReachBound, ScaleConstants, SelectedScales,
                              manual_scales, select_manifold)
 
