@@ -89,9 +89,17 @@ def _prime(token: str) -> int:
 
 
 def _nonnegative(token: str) -> int:
-    """A ``--maxdim`` value: a top degree, an integer >= 0."""
+    """A ``--maxdim`` or ``--random`` value: an integer >= 0."""
     if not token.isdigit():
         raise argparse.ArgumentTypeError(f"{token!r} is not an integer >= 0")
+    return int(token)
+
+
+def _max_pts(token: str) -> int:
+    """A ``check --max-pts`` value: random instances have 4 to 10 points, so
+    a cap below 4 would reject every one of them."""
+    if not token.isdigit() or int(token) < 4:
+        raise argparse.ArgumentTypeError(f"{token!r} is not an integer >= 4")
     return int(token)
 
 
@@ -140,8 +148,8 @@ def _shape_from_args(args):
 
 
 def cmd_generate(args) -> int:
-    shape = _shape_from_args(args)
     try:
+        shape = _shape_from_args(args)
         sample = generate_sample(shape, args.eps, args.n,
                                  noise=args.noise, seed=args.seed)
     except ValueError as exc:
@@ -149,7 +157,7 @@ def cmd_generate(args) -> int:
         return EXIT_VALIDATION
     save_sample_csv(sample, args.output)
     hd = geometry.hausdorff(sample.points, shape,
-                            grid=max(64, int(math.ceil(8.0 / args.eps))))
+                            grid=geometry.hausdorff_grid(args.eps))
     print(emit_json({"written": str(args.output), "n": len(sample),
                      "epsilon": sample.epsilon, "noisy": sample.noisy,
                      "hausdorff": hd.value,
@@ -215,6 +223,7 @@ def _load_sample(args) -> Sample:
 def cmd_infer(args) -> int:
     try:
         P = _load_sample(args)
+        shape = _shape_from_args(args) if args.shape else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -225,10 +234,7 @@ def cmd_infer(args) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     results = pipeline.infer_all(P, sel, cc, q=args.field, lmax=args.maxdim)
-    shape = None
-    if args.shape:
-        shape = _shape_from_args(args)
-    elif P.shape_meta and "kind" in P.shape_meta:
+    if shape is None and P.shape_meta and "kind" in P.shape_meta:
         shape = shape_from_meta(P.shape_meta)
     if shape is not None:
         report = pipeline.classify(P, results, shape, sel)
@@ -258,8 +264,8 @@ def cmd_group(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    shape = _shape_from_args(args)
     try:
+        shape = _shape_from_args(args)
         scan = scan_alpha_section(shape, args.x, args.alpha, args.eps, args.grid,
                                   dense_n=args.dense_n, q=args.field)
     except ValueError as exc:
@@ -421,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.set_defaults(func=cmd_scan)
 
     ck = sub.add_parser("check", help="direct-vs-oracle-vs-engine cross validation")
-    ck.add_argument("--random", type=int, default=200)
-    ck.add_argument("--max-pts", dest="max_pts", type=int, default=10)
+    ck.add_argument("--random", type=_nonnegative, default=200)
+    ck.add_argument("--max-pts", dest="max_pts", type=_max_pts, default=10)
     ck.add_argument("--seed", type=int, default=1)
     ck.set_defaults(func=cmd_check)
 

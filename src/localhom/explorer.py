@@ -11,13 +11,12 @@ admissible region.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import StratifiedShape, hausdorff
+from .geometry import StratifiedShape, hausdorff, hausdorff_grid
 from .relhom import ImageRankEngine
 
 
@@ -92,7 +91,7 @@ def scan_alpha_section(K: StratifiedShape, x, alpha: float, eps: float,
     gt = K.ground_truth(x).local_ranks
     if dense_points is None:
         dense_points = K.even_points(dense_n)
-    hd = hausdorff(dense_points, K, grid=max(64, int(math.ceil(8.0 / eps))))
+    hd = hausdorff(dense_points, K, grid=hausdorff_grid(eps))
     if engine is None:
         bmax = float(values[-1])
         engine = ImageRankEngine(dense_points, (eps, bmax), (alpha, 0.0),

@@ -9,15 +9,17 @@ lane sets the guard bit of exactly the lanes that reached q, and those have
 q subtracted.  A column's low (last nonzero row) is (bit_length - 1) // k,
 -1 for the zero column.  Only this module knows the layout; others build
 columns with ``pack`` and ``lane_width`` and combine them with ``plus``.
+A matrix is a list of such columns; its field is passed as ``q`` alongside.
 
-All reductions use the lowest-nonzero-row pivot rule, left to right, with no
-further heuristics, so results are deterministic.
+``reduce_columns`` is the one reduction: lowest-nonzero-row pivots, left to
+right, with no further heuristics, so results are deterministic.  Ranks,
+kernel bases (by stacking unit columns under the matrix) and two-level
+persistence all read its lows.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -103,93 +105,53 @@ def _multiples(x: int, q: int) -> List[int]:
     return out
 
 
-def reduce_columns(columns, q: int, track: bool = False):
+def reduce_columns(columns, q: int):
     """Left-to-right lowest-one column reduction in place.
 
     Each column is eliminated against earlier columns with the same low until
-    its low is unclaimed or it vanishes.  Returns (lows, combos) where
-    lows[j] is the pivot row of reduced column j (-1 if zero) and combos[j]
-    (when ``track``) expresses reduced column j as a combination of the input
-    columns, as a column over the column index space.
+    its low is unclaimed or it vanishes.  Returns (lows, pivot): lows[j] is
+    the low of reduced column j (-1 if zero), and pivot maps each claimed
+    row to the column that claims it.
     """
     pivot: Dict[int, int] = {}
     lows: List[int] = []
-    combos: List = [] if track else None
     if q == 2:
         for j, col in enumerate(columns):
-            combo = 1 << j if track else 0
             low = col.bit_length() - 1
             while low >= 0 and low in pivot:
                 i = pivot[low]
                 col ^= columns[i]
-                if track:
-                    combo ^= combos[i]
                 low = col.bit_length() - 1
             columns[j] = col
             if low >= 0:
                 pivot[low] = j
             lows.append(low)
-            if track:
-                combos.append(combo)
-        return lows, combos
-    # a combo has one lane per column
-    span = 1 << len(columns) * lane_width(q) if track else 0
-    k, _, over, guard = _masks(q, max(max(columns, default=0), span))
-    # per pivot column i: -1 / its low coefficient, its multiples and those of
-    # its combo; adding multiple f = -c / (low coefficient) cancels a low c
+        return lows, pivot
+    k, _, over, guard = _masks(q, max(columns, default=0))
+    # per pivot column i: -1 / its low coefficient and its multiples; adding
+    # multiple f = -c / (low coefficient) cancels a low c
     cancel: Dict[int, tuple] = {}
     for j, col in enumerate(columns):
-        combo = 1 << j * k if track else 0
         low = (col.bit_length() - 1) // k
         while low >= 0 and low in pivot:
             i = pivot[low]
             if i not in cancel:
-                cancel[i] = (-pow(columns[i] >> low * k, -1, q), _multiples(columns[i], q),
-                             _multiples(combos[i], q) if track else None)
-            u, mult, mult_combo = cancel[i]
+                cancel[i] = (-pow(columns[i] >> low * k, -1, q), _multiples(columns[i], q))
+            u, mult = cancel[i]
             f = (col >> low * k) * u % q
             s = col + mult[f]
             col = s - ((s + over & guard) >> k - 1) * q
-            if track:
-                s = combo + mult_combo[f]
-                combo = s - ((s + over & guard) >> k - 1) * q
             low = (col.bit_length() - 1) // k
         columns[j] = col
         if low >= 0:
             pivot[low] = j
         lows.append(low)
-        if track:
-            combos.append(combo)
-    return lows, combos
+    return lows, pivot
 
 
-@dataclass
-class FieldMatrix:
-    """Column-major sparse matrix over GF(q).
-
-    ``columns`` holds one int per column (see module docstring), as built
-    by ``pack``.
-    """
-
-    q: int
-    nrows: int
-    columns: list
-
-    def __post_init__(self):
-        if not _is_prime(self.q):
-            raise ValueError(f"modulus {self.q} is not prime")
-
-    @property
-    def ncols(self) -> int:
-        return len(self.columns)
-
-    @classmethod
-    def from_dense(cls, q: int, rows: Sequence[Sequence[int]]):
-        """Matrix of a dense row-major table."""
-        return cls(q, len(rows), pack([list(enumerate(col)) for col in zip(*rows)], q))
-
-    def copy_columns(self) -> list:
-        return list(self.columns)
+def _require_prime(q: int) -> None:
+    if not _is_prime(q):
+        raise ValueError(f"modulus {q} is not prime")
 
 
 def _bits(x: int):
@@ -200,18 +162,28 @@ def _bits(x: int):
         x ^= low
 
 
-def rank(M: FieldMatrix) -> int:
+def rank(columns, q: int) -> int:
     """Rank over GF(q); the input is not mutated."""
-    lows, _ = reduce_columns(M.copy_columns(), M.q)
-    return sum(1 for low in lows if low >= 0)
+    _require_prime(q)
+    return len(reduce_columns(list(columns), q)[1])
 
 
-def kernel_basis(M: FieldMatrix) -> FieldMatrix:
-    """Basis of the (right) kernel, as columns over the column-index space."""
-    cols = M.copy_columns()
-    lows, combos = reduce_columns(cols, M.q, track=True)
-    ker = [combos[j] for j in range(len(cols)) if lows[j] < 0]
-    return FieldMatrix(M.q, M.ncols, ker)
+def kernel_basis(columns, q: int) -> List[int]:
+    """Basis of the (right) kernel, as columns over the column-index space.
+
+    Under each of the n columns j sits the unit column e_j in rows 0..n-1,
+    with the matrix rows moved up to n and beyond, and one reduction does
+    the rest.  While a column's matrix part is nonzero its low stays there;
+    once that part vanishes its low is j, which no other column can claim.
+    So the columns with lows below n are kernel vectors, each a combination
+    of its own column and earlier ones, and their stacked parts are a basis.
+    """
+    _require_prime(q)
+    n, k = len(columns), lane_width(q)
+    stacked = [x << n * k | 1 << j * k for j, x in enumerate(columns)]
+    lows, _ = reduce_columns(stacked, q)
+    unit = (1 << n * k) - 1
+    return [x & unit for x, low in zip(stacked, lows) if low < n]
 
 
 def persistent_reduce(columns, q: int, levels: Sequence[int],
@@ -234,10 +206,9 @@ def persistent_reduce(columns, q: int, levels: Sequence[int],
             if j != last1 + 1:
                 raise ValueError("level-1 columns must form a leading block")
             last1 = j
-    lows, _ = reduce_columns(columns, q)
-    killed = {low for low in lows if low >= 0}
+    lows, pivot = reduce_columns(columns, q)
     out: Dict[int, int] = {}
     for j in range(last1 + 1):
-        if lows[j] < 0 and j not in killed:
+        if lows[j] < 0 and j not in pivot:
             out[degrees[j]] = out.get(degrees[j], 0) + 1
     return out

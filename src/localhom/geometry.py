@@ -278,6 +278,8 @@ def circle(radius: float = 1.0) -> StratifiedShape:
 def segment(p0=(0.0, 0.0), p1=(1.0, 0.0)) -> StratifiedShape:
     p0 = tuple(float(v) for v in p0)
     p1 = tuple(float(v) for v in p1)
+    if p0 == p1:
+        raise ValueError(f"segment endpoints coincide at {list(p0)}")
     L = math.hypot(p1[0] - p0[0], p1[1] - p0[1])
     strata = [
         Stratum(0, 0, "point", p0, valence=1),
@@ -338,6 +340,12 @@ def dist_to_shape(x, shape: StratifiedShape):
     return shape.dist(x)
 
 
+def hausdorff_grid(eps: float) -> int:
+    """Grid points per unit length with which to verify an eps-sample: the
+    discretization bound 1/(2 grid) stays at or below eps/16."""
+    return max(64, int(math.ceil(8.0 / eps)))
+
+
 def hausdorff(points: np.ndarray, shape: StratifiedShape, grid: int = 512) -> HausdorffResult:
     """Hausdorff distance between a point set and a shape.
 
@@ -362,8 +370,7 @@ def hausdorff(points: np.ndarray, shape: StratifiedShape, grid: int = 512) -> Ha
 
 
 def generate_sample(shape: StratifiedShape, eps: float, n: int,
-                    noise: float = 0.0, seed: int = 0,
-                    grid: Optional[int] = None) -> Sample:
+                    noise: float = 0.0, seed: int = 0) -> Sample:
     """Deterministic epsilon-sample of a shape, verified after generation.
 
     ``noise`` is the radius of the uniform closed disc added to each point
@@ -380,9 +387,7 @@ def generate_sample(shape: StratifiedShape, eps: float, n: int,
         pts = base + np.c_[rad * np.cos(ang), rad * np.sin(ang)]
     else:
         pts = base.copy()
-    if grid is None:
-        grid = max(64, int(math.ceil(8.0 / eps)))
-    hd = hausdorff(pts, shape, grid=grid)
+    hd = hausdorff(pts, shape, grid=hausdorff_grid(eps))
     if hd.value + hd.error_bound >= eps:
         raise ValueError(
             f"generated sample fails the epsilon bound: d_H = {hd.value:.6g} "
@@ -426,8 +431,7 @@ def save_sample_csv(sample: Sample, path) -> None:
         fh.write("\n")
 
 
-def load_sample_csv(path, epsilon: Optional[float] = None,
-                    noisy: Optional[bool] = None) -> Sample:
+def load_sample_csv(path, epsilon: Optional[float] = None) -> Sample:
     path = Path(path)
     with path.open() as fh:
         rows = list(csv.reader(fh))
@@ -440,9 +444,8 @@ def load_sample_csv(path, epsilon: Optional[float] = None,
     eps = epsilon if epsilon is not None else meta.get("epsilon")
     if eps is None:
         raise ValueError("epsilon not given and no sidecar metadata found")
-    noz = noisy if noisy is not None else bool(meta.get("noisy", False))
     tp = meta.get("true_points")
-    return Sample(points=pts, epsilon=float(eps), noisy=noz,
+    return Sample(points=pts, epsilon=float(eps), noisy=bool(meta.get("noisy", False)),
                   seed=meta.get("seed"),
                   true_points=np.asarray(tp, float) if tp else None,
                   shape_meta=meta.get("shape"))

@@ -8,6 +8,9 @@ Two independent computations of the same quantity:
   * the coned oracle — two-level persistence on the cone model
     H(X, A) = reduced H(X ∪ ωA).
 The direct method is the production path; the oracle cross-checks it.
+Every rank comes from the one column reduction of packed int columns,
+``fieldla.reduce_columns``; Z1 is read off the same reduction with unit
+columns stacked under the level-1 boundary (``fieldla.kernel_basis``).
 ``ImageRankEngine`` evaluates the direct method for many query points on
 shared global complexes.  Its level-2 pair is vertex-collapsed per query
 for Rips up to degree 1, and a view of the global level-2 complex otherwise.
@@ -26,8 +29,8 @@ import numpy as np
 from .complexes import (QuotientPairComplex, _adjacency_bits, boundary,
                         build_complex, collapse_vertices, cone_pair, delete_ball,
                         quotient_pair)
-from .fieldla import (FieldMatrix, _bits, _is_prime, entries, kernel_basis,
-                      lane_width, neg, pack, persistent_reduce, plus, rank, reduce_columns)
+from .fieldla import (_bits, _require_prime, entries, kernel_basis, lane_width, neg,
+                      pack, persistent_reduce, plus, rank, reduce_columns)
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,7 @@ class QuerySpec:
     """One image-rank query: nested (scale, deleted-ball radius) levels.
 
     Level 1 must include into level 2: a1 <= a2 (complexes grow) and
-    b2 <= b1 (deleted-ball subcomplexes grow).
+    b2 <= b1 (deleted-ball subcomplexes grow); a1 > 0 and b2 >= 0.
     """
 
     p: int                      # sample point index (ball center)
@@ -46,16 +49,25 @@ class QuerySpec:
     lmax: int = 1
 
     def __post_init__(self):
-        a1, b1 = self.level1
-        a2, b2 = self.level2
-        if a1 > a2 or b2 > b1:
-            raise ValueError("nesting violated: need a1 <= a2 and b2 <= b1")
-        if self.lmax < 0:
-            raise ValueError("lmax must be >= 0")
-        if self.flavor not in ("rips", "cech"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if not _is_prime(self.q):
-            raise ValueError(f"modulus {self.q} is not prime")
+        _check_levels(self.level1, self.level2, self.flavor, self.q, self.lmax)
+
+
+def _check_levels(level1, level2, flavor: str, q: int, lmax: int) -> None:
+    """Raises ``ValueError`` unless the levels nest with a1 > 0 and b2 >= 0,
+    ``flavor`` is known, q is prime and lmax >= 0."""
+    a1, b1 = level1
+    a2, b2 = level2
+    if a1 > a2 or b2 > b1:
+        raise ValueError("nesting violated: need a1 <= a2 and b2 <= b1")
+    if a1 <= 0:
+        raise ValueError("scale a must be positive")
+    if b2 < 0:
+        raise ValueError("ball radius b must be >= 0")
+    if lmax < 0:
+        raise ValueError("lmax must be >= 0")
+    if flavor not in ("rips", "cech"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    _require_prime(q)
 
 
 @dataclass
@@ -73,10 +85,6 @@ class HomologySignature:
         return {k: v for k, v in self.ranks.items() if v}
 
 
-def _pair_boundary(Q: QuotientPairComplex, d: int, q: int) -> FieldMatrix:
-    return FieldMatrix(q, Q.dim_count(d - 1), Q.boundary_columns(d, q))
-
-
 def relative_betti(Q: QuotientPairComplex, ell: int, q: int = 2) -> int:
     """dim ker of the degree-ell restricted boundary minus rank of the
     degree-(ell+1) one, over GF(q)."""
@@ -85,8 +93,8 @@ def relative_betti(Q: QuotientPairComplex, ell: int, q: int = 2) -> int:
     n_ell = Q.dim_count(ell)
     if n_ell == 0:
         return 0
-    r_d = rank(_pair_boundary(Q, ell, q))
-    r_up = rank(_pair_boundary(Q, ell + 1, q))
+    r_d = rank(Q.boundary_columns(ell, q), q)
+    r_up = rank(Q.boundary_columns(ell + 1, q), q)
     return n_ell - r_d - r_up
 
 
@@ -95,40 +103,33 @@ def _count_below(lows, n2: int) -> int:
     return sum(1 for low in lows if 0 <= low < n2)
 
 
-def _image_rank_from_pairs(Q1: QuotientPairComplex, Q2: QuotientPairComplex,
-                           q: int, lmax: int) -> Dict[int, int]:
-    """Direct image ranks from two already-built quotient pairs."""
-    out = {}
-    for ell in range(lmax + 1):
-        out[ell] = 0
-        if Q1.dim_count(ell) == 0 or Q2.dim_count(ell) == 0:
-            continue
-        Z1 = kernel_basis(_pair_boundary(Q1, ell, q))
-        if Z1.ncols == 0:
-            continue
-        # basis-diagonal chain map into level 2: a level-1 basis simplex maps
-        # to itself when it still meets the smaller ball, else to 0
-        row2 = Q2._index[ell]
-        mapped = [row2.get(s, -1) for s in Q1.basis[ell]]
-        iZ1 = pack([[(mapped[r], c) for r, c in entries(z, q) if mapped[r] >= 0]
-                    for z in Z1.columns], q)
-        B2 = _pair_boundary(Q2, ell + 1, q)
-        cols = B2.copy_columns() + iZ1
-        lows, _ = reduce_columns(cols, q)
-        out[ell] = sum(1 for low in lows[B2.ncols:] if low >= 0)
-    return out
-
-
 def image_rank(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
     """Rank of H(level-1 pair) -> H(level-2 pair) per degree (direct method)."""
     points = np.asarray(points, dtype=float)
     center = points[spec.p]
     a1, b1 = spec.level1
     a2, b2 = spec.level2
+    q = spec.q
     Q1 = quotient_pair(points, center, a1, b1, spec.flavor, spec.lmax)
     Q2 = quotient_pair(points, center, a2, b2, spec.flavor, spec.lmax + 1)
-    return HomologySignature(_image_rank_from_pairs(Q1, Q2, spec.q, spec.lmax),
-                             method="direct")
+    ranks = {}
+    for ell in range(spec.lmax + 1):
+        ranks[ell] = 0
+        if Q1.dim_count(ell) == 0 or Q2.dim_count(ell) == 0:
+            continue
+        Z1 = kernel_basis(Q1.boundary_columns(ell, q), q)
+        if not Z1:
+            continue
+        # basis-diagonal chain map into level 2: a level-1 basis simplex maps
+        # to itself when it still meets the smaller ball, else to 0
+        row2 = Q2._index[ell]
+        mapped = [row2.get(s, -1) for s in Q1.basis[ell]]
+        iZ1 = pack([[(mapped[r], c) for r, c in entries(z, q) if mapped[r] >= 0]
+                    for z in Z1], q)
+        B2 = Q2.boundary_columns(ell + 1, q)
+        lows, _ = reduce_columns(B2 + iZ1, q)
+        ranks[ell] = sum(1 for low in lows[len(B2):] if low >= 0)
+    return HomologySignature(ranks, method="direct")
 
 
 def image_rank_oracle(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
@@ -153,7 +154,7 @@ def _absolute_betti(cx, q: int) -> Dict[int, int]:
     top = max(cx.simplices) if cx.simplices else -1
     for d in range(1, top + 1):
         rows = {s: i for i, s in enumerate(cx.simplices.get(d - 1, []))}
-        ranks[d] = rank(FieldMatrix(q, len(rows), boundary(cx.simplices.get(d, []), rows, q)))
+        ranks[d] = rank(boundary(cx.simplices.get(d, []), rows, q), q)
     out = {}
     for d in range(0, top + 1):
         out[d] = cx.count(d) - ranks.get(d, 0) - ranks.get(d + 1, 0)
@@ -207,9 +208,9 @@ class ImageRankEngine:
 
     The global level-1 complex (scale a1, built to lmax) is built once; each
     query selects its level-1 basis S by ball-membership masks, and one
-    untracked reduction of [B2 | S] per degree answers it.  The column of s
-    in S holds its level-2 image i(s) in rows 0..n2-1 and its restricted
-    level-1 boundary in rows n2 and up.  Pivots are lowest nonzero rows, so
+    reduction of [B2 | S] per degree answers it.  The column of s in S holds
+    its level-2 image i(s) in rows 0..n2-1 and its restricted level-1
+    boundary in rows n2 and up.  Pivots are lowest nonzero rows, so
     the S columns' lows below n2 count the image rank, rank(B2 + i(Z1)) -
     rank(B2), and all lows at n2 and up count |S| - dim Z1.  The level-2
     pair comes from one of two places, chosen by ``flavor`` and ``lmax``:
@@ -228,17 +229,10 @@ class ImageRankEngine:
 
     def __init__(self, points: np.ndarray, level1, level2,
                  flavor: str = "rips", q: int = 2, lmax: int = 1):
+        _check_levels(level1, level2, flavor, q, lmax)
         self.points = np.asarray(points, dtype=float)
         self.a1, self.b1 = level1
         self.a2, self.b2 = level2
-        if self.a1 > self.a2 or self.b2 > self.b1:
-            raise ValueError("nesting violated: need a1 <= a2 and b2 <= b1")
-        if self.a1 <= 0:
-            raise ValueError("scale a must be positive")
-        if self.b2 < 0:
-            raise ValueError("ball radius b must be >= 0")
-        if not _is_prime(q):
-            raise ValueError(f"modulus {q} is not prime")
         self.flavor = flavor
         self.q = q
         self.lmax = lmax

@@ -150,10 +150,12 @@ _SCAN = ["scan", "--shape", "circle", "--alpha", "0.12", "--eps", "0.05"]
      "-o", "x.csv"],
     ["infer", "--sample", "x.csv", "--maxdim", "-1"],
     ["group", "--sample", "x.csv", "--maxdim", "-1"],
+    ["check", "--max-pts", "3"],
+    ["check", "--random", "-3"],
 ], ids=["grid-no-steps", "grid-zero-steps", "grid-fractional-steps", "grid-bad-lo",
         "x-not-numbers", "x-three-coordinates", "p0-not-numbers",
         "p1-one-coordinate", "infer-negative-maxdim",
-        "group-negative-maxdim"])
+        "group-negative-maxdim", "check-max-pts-below-4", "check-negative-random"])
 def test_malformed_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -170,6 +172,25 @@ def test_too_few_points_per_component_is_validation_error(tmp_path, capsys):
     rc = main(_SCAN + ["--x", "1.0,0.0", "--grid", "0.2:1.6:8", "--dense-n", "1"])
     assert rc == 2
     assert "n must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["generate", "scan", "infer"])
+def test_zero_length_segment_is_validation_error(tmp_path, command, capsys):
+    shape = ["--shape", "segment", "--p0", "0,0", "--p1", "0,0"]
+    if command == "generate":
+        argv = ["generate", *shape, "--eps", "0.1", "--n", "20",
+                "-o", str(tmp_path / "x.csv")]
+    elif command == "scan":
+        argv = ["scan", *shape, "--x", "0,0", "--alpha", "0.12", "--eps", "0.05",
+                "--grid", "0.2:1.6:8"]
+    else:
+        sample = _generate_circle(tmp_path)
+        capsys.readouterr()
+        argv = ["infer", "--sample", str(sample), *shape, "--scale1", "0.05",
+                "--scale2", "0.2", "--ball-R", "0.5", "--ball-r", "0.3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "segment endpoints coincide" in captured.err and captured.out == ""
 
 
 def test_check_prints_tally(capsys):

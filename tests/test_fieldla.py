@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
-from localhom.fieldla import (FieldMatrix, add, entries, kernel_basis, neg, pack,
-                              persistent_reduce, rank, reduce_columns)
+from localhom.fieldla import (add, entries, kernel_basis, neg, pack, persistent_reduce,
+                              rank, reduce_columns)
 
 PRIMES = (2, 3, 5, 7)
 
 
+def _columns(dense, q):
+    # packed columns of a dense (rows, columns) table
+    return pack([list(enumerate(col)) for col in np.asarray(dense).T.tolist()], q)
+
+
 def _random_matrix(rng, q, m, n):
     dense = rng.integers(0, q, size=(m, n))
-    return FieldMatrix.from_dense(q, dense.tolist()), dense
+    return _columns(dense, q), dense
 
 
 def _dense_rank(A, q):
@@ -55,31 +60,35 @@ def _column(x, q, m):
 
 
 def _assert_reduces_like_dense(dense, q):
-    M = FieldMatrix.from_dense(q, dense)
-    cols = M.copy_columns()
-    lows, _ = reduce_columns(cols, q)
+    cols = _columns(dense, q)
+    lows, pivot = reduce_columns(cols, q)
     want, want_lows = _dense_reduce(dense, q)
     assert lows == want_lows
+    assert pivot == {low: j for j, low in enumerate(lows) if low >= 0}
     for j, x in enumerate(cols):
         assert np.array_equal(_column(x, q, dense.shape[0]), want[:, j])
 
 
 def test_rank_trivial():
-    assert rank(FieldMatrix.from_dense(2, [[0, 0], [0, 0]])) == 0
-    assert rank(FieldMatrix.from_dense(2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-    assert rank(FieldMatrix.from_dense(2, [[1, 1], [1, 1]])) == 1
+    assert rank(_columns([[0, 0], [0, 0]], 2), 2) == 0
+    assert rank(_columns([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2), 2) == 3
+    assert rank(_columns([[1, 1], [1, 1]], 2), 2) == 1
+    assert rank([], 2) == 0 and kernel_basis([], 2) == []
 
 
 def test_rank_nonprime_modulus():
-    with pytest.raises(ValueError):
-        FieldMatrix.from_dense(4, [[1]])
+    with pytest.raises(ValueError, match="modulus 4 is not prime"):
+        rank([1], 4)
+    with pytest.raises(ValueError, match="modulus 1 is not prime"):
+        kernel_basis([1], 1)
 
 
 def test_rank_does_not_mutate():
-    M = FieldMatrix.from_dense(2, [[1, 1], [1, 0]])
-    before = M.copy_columns()
-    rank(M)
-    assert M.columns == before
+    cols = _columns([[1, 1], [1, 0]], 2)
+    before = list(cols)
+    rank(cols, 2)
+    kernel_basis(cols, 2)
+    assert cols == before
 
 
 def test_rank_matches_transpose():
@@ -87,18 +96,16 @@ def test_rank_matches_transpose():
     for q in (2, 3, 5):
         for _ in range(20):
             m, n = rng.integers(1, 9, size=2)
-            M, dense = _random_matrix(rng, q, m, n)
-            Mt = FieldMatrix.from_dense(q, dense.T.tolist())
-            assert rank(M) == rank(Mt)
+            cols, dense = _random_matrix(rng, q, m, n)
+            assert rank(cols, q) == rank(_columns(dense.T, q), q)
 
 
 def test_rank_column_permutation_invariant():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        M, dense = _random_matrix(rng, 3, 6, 6)
+        cols, dense = _random_matrix(rng, 3, 6, 6)
         perm = rng.permutation(6)
-        Mp = FieldMatrix.from_dense(3, dense[:, perm].tolist())
-        assert rank(M) == rank(Mp)
+        assert rank(cols, 3) == rank(_columns(dense[:, perm], 3), 3)
 
 
 def test_rank_matches_numpy_gf2():
@@ -107,8 +114,8 @@ def test_rank_matches_numpy_gf2():
     for q in PRIMES:
         for _ in range(30):
             m, n = rng.integers(1, 10, size=2)
-            M, dense = _random_matrix(rng, q, m, n)
-            assert rank(M) == _dense_rank(dense, q)
+            cols, dense = _random_matrix(rng, q, m, n)
+            assert rank(cols, q) == _dense_rank(dense, q)
             _assert_reduces_like_dense(dense, q)
 
 
@@ -154,30 +161,32 @@ def test_pack_takes_numpy_integers(q):
     cols = [[(rows[1], coefs[0])],
             [(rows[0], coefs[2]), (rows[2], coefs[1])],
             list(zip(rows, coefs))]
-    M = FieldMatrix(q, 100, pack(cols, q))
+    packed = pack(cols, q)
     dense = np.zeros((100, 3), dtype=np.int64)
     for j, col in enumerate(cols):
         for r, c in col:
             dense[r, j] = c % q
-    assert all(type(x) is int for x in M.columns)
-    for j, x in enumerate(M.columns):
+    assert all(type(x) is int for x in packed)
+    for j, x in enumerate(packed):
         assert np.array_equal(_column(x, q, 100), dense[:, j])
-    assert rank(M) == _dense_rank(dense, q)
+    assert rank(packed, q) == _dense_rank(dense, q)
 
 
 def test_kernel_basis_annihilates():
+    # a basis: n - rank independent vectors, each mapped to zero
     rng = np.random.default_rng(3)
     for q in PRIMES:
         for _ in range(25):
             m, n = rng.integers(1, 8, size=2)
-            M, dense = _random_matrix(rng, q, m, n)
-            K = kernel_basis(M)
-            assert K.ncols == n - rank(M)
-            for j in range(K.ncols):
-                vec = np.zeros(n, dtype=int)
-                for r, c in entries(K.columns[j], q):
-                    vec[r] = c
-                assert not np.any((dense @ vec) % q)
+            cols, dense = _random_matrix(rng, q, m, n)
+            if rng.integers(0, 2):
+                dense[:, rng.integers(0, n)] = 0
+                cols = _columns(dense, q)
+            K = kernel_basis(cols, q)
+            assert len(K) == n - rank(cols, q)
+            assert rank(K, q) == len(K)
+            for z in K:
+                assert not np.any((dense @ _column(z, q, n)) % q)
 
 
 def test_persistent_reduce_single_level_betti():
@@ -198,32 +207,3 @@ def test_persistent_reduce_two_level_edge():
 def test_persistent_reduce_level_order_enforced():
     with pytest.raises(ValueError):
         persistent_reduce([0, 0], 2, [2, 1], [0, 0])
-
-
-def test_reduce_columns_tracks_combinations_mod_q():
-    # each reduced column equals the tracked combination of the inputs
-    rng = np.random.default_rng(4)
-    for q in PRIMES:
-        for _ in range(20):
-            m, n = rng.integers(1, 9, size=2)
-            M, dense = _random_matrix(rng, q, m, n)
-            cols = M.copy_columns()
-            lows, combos = reduce_columns(cols, q, track=True)
-            for j in range(n):
-                coef = _column(combos[j], q, n)
-                assert coef[j] == 1 and not coef[j + 1:].any()
-                assert np.array_equal(dense @ coef % q, _column(cols[j], q, m))
-
-
-def test_reduce_columns_tracks_combinations():
-    cols = [0b01, 0b01, 0b10]
-    lows, combos = reduce_columns(list(cols), 2, track=True)
-    assert lows == [0, -1, 1]
-    # combo of the zeroed column reproduces zero from the inputs
-    z = 0
-    c = combos[1]
-    while c:
-        b = c & -c
-        z ^= cols[b.bit_length() - 1]
-        c ^= b
-    assert z == 0

@@ -76,6 +76,14 @@ def test_even_points_needs_two_points_per_component():
         generate_sample(circle(), 0.5, 1)
 
 
+def test_segment_needs_distinct_endpoints():
+    with pytest.raises(ValueError, match="endpoints coincide"):
+        segment((0.5, 0.0), (0.5, 0.0))
+    with pytest.raises(ValueError, match="endpoints coincide"):
+        geometry.make_shape("segment", p0=[0, 0], p1=[0.0, 0.0])
+    assert segment((0, 0), (0, 1e-9)).component_lengths() == [1e-9]
+
+
 def test_generate_sample_circle_150():
     K = circle()
     P = generate_sample(K, 0.05, 150)

@@ -1,8 +1,12 @@
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import localhom
+from localhom.fieldla import rank, reduce_columns
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -13,3 +17,24 @@ def test_pyproject_matches_package():
     assert project["name"] == "localhom"
     assert project["version"] == localhom.__version__
     assert not any("numba" in dep for dep in project["dependencies"])
+
+
+def test_perfbench_tracer_targets_resolve(monkeypatch):
+    # the benchmark's tracer rebinds these names; a rename in the library
+    # would otherwise only show in the benchmark's own smoke test
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    for name, modname, attr, method, probe in tracer.TARGETS:
+        owner = getattr(importlib.import_module(modname), attr)
+        assert callable(owner if method is None else owner.__dict__[method]), name
+    assert tracer._columns_and_pivots((), {}, reduce_columns([1, 1, 2], 2)) == (3, 2)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert rank([1, 1, 2], 2) == 2
+    finally:
+        t.uninstall()
+    assert [(s.name, s.data) for s in t.spans] == [("fieldla.reduce_columns", (3, 2))]

@@ -205,6 +205,21 @@ def test_nesting_violation_rejected():
         QuerySpec(0, (0.4, 0.4), (0.5, 0.5))
 
 
+def test_query_levels_checked_alike():
+    # QuerySpec and the engine share one check, with the same messages
+    pts = np.random.default_rng(3).uniform(-1, 1, (30, 2))
+    for level1, level2, kw, msg in [
+            ((0.0, 0.8), (0.3, 0.4), {}, "scale a must be positive"),
+            ((-0.1, 0.8), (0.3, 0.4), {}, "scale a must be positive"),
+            ((0.2, 0.8), (0.3, -0.4), {}, "ball radius b must be >= 0"),
+            ((0.2, 0.8), (0.3, 0.4), {"flavor": "alpha"}, "unknown flavor 'alpha'"),
+            ((0.2, 0.8), (0.3, 0.4), {"lmax": -1}, "lmax must be >= 0")]:
+        with pytest.raises(ValueError, match=msg):
+            QuerySpec(0, level1, level2, **kw)
+        with pytest.raises(ValueError, match=msg):
+            ImageRankEngine(pts, level1, level2, **kw)
+
+
 @pytest.mark.parametrize("q", [0, 1, 4, 9])
 def test_nonprime_field_rejected(q):
     # GF(q) is a field only for prime q; q = 1 once answered over the zero ring
