@@ -224,6 +224,10 @@ def cmd_infer(args) -> int:
     try:
         P = _load_sample(args)
         shape = _shape_from_args(args) if args.shape else None
+        if shape is None and P.shape_meta and "kind" in P.shape_meta:
+            shape = shape_from_meta(P.shape_meta)
+        if shape is not None:
+            pipeline.check_on_shape(P, shape)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -234,8 +238,6 @@ def cmd_infer(args) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     results = pipeline.infer_all(P, sel, cc, q=args.field, lmax=args.maxdim)
-    if shape is None and P.shape_meta and "kind" in P.shape_meta:
-        shape = shape_from_meta(P.shape_meta)
     if shape is not None:
         report = pipeline.classify(P, results, shape, sel)
     else:

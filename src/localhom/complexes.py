@@ -18,6 +18,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .fieldla import _bits, lane_width
+from .geometry import sq_dists
 
 
 def _adjacency_bits(points: np.ndarray, subset: np.ndarray, alpha: float):
@@ -27,8 +28,7 @@ def _adjacency_bits(points: np.ndarray, subset: np.ndarray, alpha: float):
     distance <= (2*alpha)^2.
     """
     pts = points[subset]
-    sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-    close = sq <= (2.0 * alpha) ** 2
+    close = sq_dists(pts, pts) <= (2.0 * alpha) ** 2
     np.fill_diagonal(close, False)
     return _bitmasks(close)
 
@@ -163,7 +163,11 @@ def collapse_vertices(adj: List[int], inside: int):
                 if held >> v & 1:
                     continue
                 cand &= ~inside
-            for w in _bits(cand):
+            # candidates from the lowest up, one bit at a time (inline, as
+            # this loop dominates the collapse)
+            while cand:
+                low = cand & -cand
+                w = low.bit_length() - 1
                 if not nv & ~nbr[w]:
                     live ^= 1 << v
                     if inside >> v & 1:
@@ -173,6 +177,7 @@ def collapse_vertices(adj: List[int], inside: int):
                     # those still in ``todo`` are tried later in this pass
                     again |= (nv ^ (1 << v)) & ~todo
                     break
+                cand ^= low
         todo = again
     return [nbr[i] & live ^ (1 << i) if live >> i & 1 else 0
             for i in range(len(nbr))], onto
@@ -280,10 +285,7 @@ def delete_ball(points: np.ndarray, center, radius: float) -> np.ndarray:
     """Indices of points at distance >= radius from center (open ball removed)."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    points = np.asarray(points, dtype=float)
-    c = np.asarray(center, dtype=float)
-    sq = ((points - c) ** 2).sum(-1)
-    return np.flatnonzero(sq >= radius * radius)
+    return np.flatnonzero(sq_dists(points, center) >= radius * radius)
 
 
 def boundary(simplices, rows: Dict[Tuple[int, ...], int], q: int) -> List[int]:
@@ -352,7 +354,7 @@ def quotient_pair(points: np.ndarray, center, a: float, b: float,
     c = np.asarray(center, dtype=float)
     basis: Dict[int, List[Tuple[int, ...]]] = {}
     if b > 0:
-        sq = ((points - c) ** 2).sum(-1)
+        sq = sq_dists(points, c)
         local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
         cx = build_complex(points, local, a, max_dim, flavor)
         near = sq < b * b

@@ -29,6 +29,27 @@ def distance(a, b) -> float:
     return float(np.sqrt(((a - b) ** 2).sum()))
 
 
+def sq_dists(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Squared distances from the rows of P, (n, D), to the rows of Q,
+    (m, D), as an (n, m) array; to the single point Q, (D,), as (n,).
+
+    The coordinate terms are summed one coordinate at a time, in order,
+    which is the order numpy's ``((P[:, None] - Q) ** 2).sum(-1)`` adds
+    them in below 8 terms (its pairwise sum unrolls by 8), so both give the
+    same bits; at D = 0 or D >= 8 that formula itself is used.
+    """
+    P = np.asarray(P, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    if not 0 < P.shape[1] < 8:
+        return ((P[:, None] - Q) ** 2).sum(-1) if Q.ndim == 2 else ((P - Q) ** 2).sum(-1)
+    out = np.subtract.outer(P[:, 0], Q[..., 0]) ** 2
+    for k in range(1, P.shape[1]):
+        d = np.subtract.outer(P[:, k], Q[..., k])
+        d *= d
+        out += d
+    return out
+
+
 @dataclass(frozen=True)
 class Sample:
     """A finite point sample with its nominal density bound.
@@ -359,11 +380,11 @@ def hausdorff(points: np.ndarray, shape: StratifiedShape, grid: int = 512) -> Ha
     pts = np.asarray(points, dtype=float)
     d_ps = max(shape.dist(p)[0] for p in pts)
     g = shape.grid_points(grid)
-    # chunked min-distance from grid points to the sample
+    # min-distance from grid points to the sample, in blocks small enough
+    # that the temporaries stay a few MB
     d_sp = 0.0
-    for lo in range(0, len(g), 2048):
-        block = g[lo:lo + 2048]
-        d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    for lo in range(0, len(g), 256):
+        d2 = sq_dists(g[lo:lo + 256], pts)
         d_sp = max(d_sp, float(np.sqrt(d2.min(axis=1).max())))
     step = 1.0 / grid
     return HausdorffResult(max(d_ps, d_sp), step / 2.0)

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Sample, StratifiedShape
+from .geometry import Sample, StratifiedShape, sq_dists
 from .relhom import HomologySignature, ImageRankEngine, _subspaces_equal
 from .scales import ScaleConstants, SelectedScales
 
@@ -92,6 +92,18 @@ def infer_all(P: Sample, scales: SelectedScales, cc: ScaleConstants,
         sig = HomologySignature(res.ranks, method="direct")
         out.append(PointResult(i, sig, label_of(sig)))
     return out
+
+
+def check_on_shape(P: Sample, K: StratifiedShape) -> None:
+    """Raises ``ValueError`` unless K gives a ground truth at every recorded
+    generating point of P, as ``classify`` needs; a sample generated on
+    another shape fails."""
+    for i, x in enumerate(P.true_points if P.true_points is not None else ()):
+        try:
+            K.ground_truth(x)
+        except ValueError as exc:
+            raise ValueError(f"sample point {i}: {exc}; the sample was generated "
+                             f"on another shape than {K.kind}") from None
 
 
 def classify(P: Sample, results: Sequence[PointResult], K: StratifiedShape,
@@ -177,7 +189,7 @@ def _pair_decisions(P: Sample, eng: ImageRankEngine, q: int, lmax: int):
     pts = P.points
     out = []
     for i in range(len(P)):
-        d2 = ((pts - pts[i]) ** 2).sum(-1)
+        d2 = sq_dists(pts, pts[i])
         for j in np.flatnonzero(d2 < thr2):
             j = int(j)
             if j > i:

@@ -12,17 +12,18 @@ Every rank comes from the one column reduction of packed int columns,
 ``fieldla.reduce_columns``; Z1 is read off the same reduction with unit
 columns stacked under the level-1 boundary (``fieldla.kernel_basis``).
 ``ImageRankEngine`` evaluates the direct method for many query points on
-shared global complexes.  Its level-2 pair is vertex-collapsed per query
-for Rips up to degree 1, and a view of the global level-2 complex otherwise.
-It reduces one stacked matrix per degree instead of a kernel basis
-(Cohen-Steiner, Edelsbrunner, Harer & Morozov, "Persistent homology for
-kernels, images, and cokernels", SODA 2009).
+shared global complexes.  For Rips up to degree 1 a rank query builds both
+levels locally instead, and vertex-collapses them; otherwise its level-2
+pair is a view of the global level-2 complex.  It reduces one stacked
+matrix per degree instead of a kernel basis (Cohen-Steiner, Edelsbrunner,
+Harer & Morozov, "Persistent homology for kernels, images, and cokernels",
+SODA 2009).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .complexes import (QuotientPairComplex, _adjacency_bits, boundary,
                         quotient_pair)
 from .fieldla import (_bits, _require_prime, entries, kernel_basis, lane_width, neg,
                       pack, persistent_reduce, plus, rank, reduce_columns)
+from .geometry import sq_dists
 
 
 @dataclass(frozen=True)
@@ -206,18 +208,20 @@ class QueryResult:
 class ImageRankEngine:
     """Evaluates many image-rank queries sharing one scale configuration.
 
-    The global level-1 complex (scale a1, built to lmax) is built once; each
-    query selects its level-1 basis S by ball-membership masks, and one
-    reduction of [B2 | S] per degree answers it.  The column of s in S holds
-    its level-2 image i(s) in rows 0..n2-1 and its restricted level-1
-    boundary in rows n2 and up.  Pivots are lowest nonzero rows, so
-    the S columns' lows below n2 count the image rank, rank(B2 + i(Z1)) -
-    rank(B2), and all lows at n2 and up count |S| - dim Z1.  The level-2
-    pair comes from one of two places, chosen by ``flavor`` and ``lmax``:
+    The global level-1 complex (scale a1, built to lmax) is built once.
+    Each query has a level-1 basis S (``_level1``), and one reduction of
+    [B2 | S] per degree answers it.  The column of s in S holds its level-2
+    image i(s) in rows 0..n2-1 and its restricted level-1 boundary in rows
+    n2 and up.  Pivots are lowest nonzero rows, so the S columns' lows below
+    n2 count the image rank, rank(B2 + i(Z1)) - rank(B2), and all lows at n2
+    and up count |S| - dim Z1.  The level-2 pair comes from one of two
+    places, chosen by ``flavor`` and ``lmax``:
 
       * Rips with lmax <= 1: a ``_CollapsedRipsPair``, built on the vertices
         near the smaller ball and shrunk by removing dominated vertices; no
-        global level-2 complex is built;
+        global level-2 complex is built.  A rank query shrinks its level-1
+        basis by the same collapse, on the vertices near the larger ball,
+        and reads nothing of the global level-1 complex;
       * Cech, or lmax >= 2: a ``_GlobalPair``, the view of a global level-2
         complex (scale a2, built to lmax + 1) under the query's ball masks.
         Cech complexes are not flag complexes, and the collapsed pair only
@@ -308,11 +312,12 @@ class ImageRankEngine:
         same centre and ``b2`` reuses it; so a run of queries that varies only
         ``b1``, such as one column of an explorer scan, builds one pair.
 
-        With ``keep_detail`` the result also holds, per degree with relative
-        cycles, the level-2 ``pair``, the level-1 basis ``simplices`` and their
-        ``boundary`` columns, and a reduced ``basis`` of B2 + i(Z1) whose first
-        ``b2`` columns span B2, so that ``_subspaces_equal`` can compare other
-        points' cycles in this point's level-2 pair.
+        With ``keep_detail`` the level-1 basis is the global complex's, not
+        collapsed, and the result also holds, per degree with relative
+        cycles, the level-2 ``pair``, the level-1 basis ``simplices`` and
+        their ``boundary`` columns, and a reduced ``basis`` of B2 + i(Z1)
+        whose first ``b2`` columns span B2, so that ``_subspaces_equal`` can
+        compare other points' cycles in this point's level-2 pair.
         """
         center = np.asarray(center, dtype=float)
         if b1 is None:
@@ -323,20 +328,17 @@ class ImageRankEngine:
             raise ValueError("nesting violated: need b2 <= b1")
         if b2 < 0:
             raise ValueError("ball radius b must be >= 0")
-        sq = ((self.points - center) ** 2).sum(-1)
-        near1 = sq < b1 * b1
+        sq = sq_dists(self.points, center)
         near2 = sq < b2 * b2
-        m1 = {d: near1[a].any(axis=1) for d, a in self.arr1.items()}
-        ranks: Dict[int, int] = {}
-        detail = {} if keep_detail else None
+        ranks = dict.fromkeys(range(self.lmax + 1), 0)
+        detail = dict.fromkeys(ranks) if keep_detail else None
+        # an empty smaller ball leaves the level-2 basis empty in every degree
+        if not near2.any():
+            return QueryResult(ranks, detail)
+        level1 = self._level1(sq, b1, keep_detail)
         pair = None
-        for ell in range(self.lmax + 1):
-            ranks[ell] = 0
-            if keep_detail:
-                detail[ell] = None
-            mask1 = m1.get(ell)
-            # an empty smaller ball leaves the level-2 basis empty in every degree
-            if mask1 is None or not mask1.any() or not near2.any():
+        for ell in ranks:
+            if ell not in level1:
                 continue
             if pair is None:
                 pair = self._pair(center, sq, near2, b2)
@@ -345,13 +347,7 @@ class ImageRankEngine:
             n2 = pair.nrows(ell)
             if not n2:
                 continue
-            b1idx = np.flatnonzero(mask1)
-            if ell == 0:
-                bnd1 = [0] * len(b1idx)
-            else:
-                rmask = m1[ell - 1]
-                bnd1 = _assemble(b1idx, self.face1[ell], rmask, _rows(rmask), self.q)
-            simplices = self.arr1[ell][b1idx]
+            simplices, bnd1 = level1[ell]
             cols = pair.boundary_columns(ell)
             nb2 = len(cols)
             cols += pair.stacked_columns(ell, simplices, bnd1, n2)
@@ -363,6 +359,50 @@ class ImageRankEngine:
                 detail[ell] = {"pair": pair, "simplices": simplices, "boundary": bnd1,
                                "basis": basis, "b2": _count_below(lows[:nb2], n2)}
         return QueryResult(ranks, detail)
+
+    def _level1(self, sq, b1: float, keep_detail: bool) -> dict:
+        """The level-1 basis of a query, per degree ell <= lmax with a basis
+        simplex: the simplices as rows of global vertex ids, and their
+        boundary columns over the degree-(ell - 1) basis.
+
+        It is the global level-1 complex's simplices that meet the b1-ball,
+        found by a mask scan.  A rank query of a Rips engine with lmax <= 1
+        reads it off ``_local_graph`` at (a1, b1) instead, shrunk by
+        ``collapse_vertices`` as the level-2 pair is: the ball vertices of
+        the core, and the residual edges that meet the ball, each oriented
+        from its nearer end.  The collapsed ball vertices hang off the core
+        by trees of edges, each of which retracts onto its root in the core,
+        so the core pair includes into the level-1 pair as a relative
+        homotopy equivalence and the image rank is the same.  Its cycles are
+        other chains, which is why ``keep_detail`` queries do not collapse.
+        """
+        if self.collapse and not keep_detail:
+            local, nb, nbr = _local_graph(self.points, sq, self.a1, b1)
+            nbr, onto = collapse_vertices(nbr, (1 << nb) - 1)
+            gone = {v for v, _ in onto}
+            live = [v for v in range(nb) if v not in gone]
+            if not live:
+                return {}
+            out = {0: (local[live][:, None], [0] * len(live))}
+            edges = _ball_simplices(nbr, nb)[0] if self.lmax >= 1 else ()
+            if edges:
+                out[1] = (local[np.array(edges)],
+                          boundary(edges, {(v,): r for r, v in enumerate(live)}, self.q))
+            return out
+        near1 = sq < b1 * b1
+        m1 = {d: near1[a].any(axis=1) for d, a in self.arr1.items()}
+        out = {}
+        for ell, mask1 in m1.items():
+            b1idx = np.flatnonzero(mask1)
+            if not len(b1idx):
+                continue
+            if ell == 0:
+                bnd1 = [0] * len(b1idx)
+            else:
+                rmask = m1[ell - 1]
+                bnd1 = _assemble(b1idx, self.face1[ell], rmask, _rows(rmask), self.q)
+            out[ell] = (self.arr1[ell][b1idx], bnd1)
+        return out
 
     def _pair(self, center: np.ndarray, sq, near2, b2: float) -> "_Level2Pair":
         """The level-2 pair at ``center`` with smaller ball radius ``b2``.  It
@@ -478,12 +518,42 @@ class _GlobalPair(_Level2Pair):
         return [1 << r * k if r >= 0 else 0 for r in rows]
 
 
+def _local_graph(points, sq, a: float, b: float):
+    """The Rips graph at scale a on the vertices within b + 2a of a query's
+    centre, ``sq`` holding every point's squared distance to it.
+
+    Only these vertices carry chains of the pair with the open b-ball
+    deleted (the excision ``quotient_pair`` relies on).  They are numbered
+    by distance to the centre, so the ball's are 0..nb-1.  Returns the
+    global id of each local vertex, nb and the neighbourhood bitmasks.
+    """
+    local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
+    local = local[np.argsort(sq[local], kind="stable")]
+    nb = int((sq[local] < b * b).sum())
+    return local, nb, _adjacency_bits(points, local, a)
+
+
+def _ball_simplices(nbr, nb: int, triangles: bool = False):
+    """The edges and, with ``triangles``, the triangles of the flag complex
+    of the graph ``nbr`` that meet the ball's vertices 0..nb-1, as sorted
+    local tuples, each listed once from its first ball vertex."""
+    inside = (1 << nb) - 1
+    edges, tris = [], []
+    for x in range(nb):
+        # neighbours past x: x is the first ball vertex of what it spans
+        free = nbr[x] & ~(inside & ((2 << x) - 1))
+        for y in _bits(free):
+            edges.append((x, y))
+            if triangles:
+                for z in _bits(free & nbr[y] >> (y + 1) << (y + 1)):
+                    tris.append((x, y, z))
+    return edges, tris
+
+
 class _CollapsedRipsPair(_Level2Pair):
     """The level-2 Rips pair (X, A) of one query, for degrees 0 and 1.
 
-    Only the vertices within b + 2a of the centre carry relative chains, so
-    the pair is built on them alone (the excision ``quotient_pair`` relies
-    on), numbered by distance to the centre, and then shrunk by
+    The pair is built on ``_local_graph`` and shrunk by
     ``collapse_vertices``: far vertices are tried first, each onto its
     nearest dominating neighbour.  Rows of degree 0 are the ball's vertices,
     all of which stay; rows of degree 1 are the edges of the residual graph
@@ -498,26 +568,17 @@ class _CollapsedRipsPair(_Level2Pair):
 
     def __init__(self, points, sq, a: float, b: float, q: int):
         self.q = q
-        local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
-        local = local[np.argsort(sq[local], kind="stable")]
-        self.loc = np.full(len(points), -1, dtype=np.int64)
-        self.loc[local] = np.arange(len(local))
-        # the ball's vertices are the nearest ones, local 0..nb-1
-        self.nb = nb = int((sq[local] < b * b).sum())
-        inside = (1 << nb) - 1
-        nbr, onto = collapse_vertices(_adjacency_bits(points, local, a), inside)
+        local, nb, adj = _local_graph(points, sq, a, b)
+        self.nb = nb
+        nbr, onto = collapse_vertices(adj, (1 << nb) - 1)
+        # a collapsed ball vertex keeps its edge to its dominator, a tree edge
         for v, w in onto:
             if v < nb:
                 nbr[v] |= 1 << w
                 nbr[w] |= 1 << v
-        # each simplex meeting the ball, listed from its first ball vertex x
-        edges, triangles = [], []
-        for x in range(nb):
-            free = nbr[x] & ~(inside & ((2 << x) - 1))
-            for y in _bits(free):
-                edges.append((x, y) if x < y else (y, x))
-                for z in _bits(free & nbr[y] >> (y + 1) << (y + 1)):
-                    triangles.append(tuple(sorted((x, y, z))))
+        self.loc = np.full(len(points), -1, dtype=np.int64)
+        self.loc[local] = np.arange(len(local))
+        edges, triangles = _ball_simplices(nbr, nb, triangles=True)
         self.k = k = lane_width(q)
         # each edge as a chain, oriented both ways
         self.edge = {}

@@ -193,6 +193,25 @@ def test_zero_length_segment_is_validation_error(tmp_path, command, capsys):
     assert "segment endpoints coincide" in captured.err and captured.out == ""
 
 
+def test_infer_mismatched_shape_is_validation_error(tmp_path, monkeypatch, capsys):
+    # a noisy sample records its generating points, which lie on the
+    # circle-with-chord and not on the segment it is scored against
+    sample = tmp_path / "chord.csv"
+    assert main(["generate", "--shape", "circle-chord", "--eps", "0.1",
+                 "--n", "200", "--noise", "0.01", "-o", str(sample)]) == 0
+    capsys.readouterr()
+    scales = ["--scale1", "0.1", "--scale2", "0.25", "--ball-R", "0.6", "--ball-r", "0.4"]
+    queried = []
+    monkeypatch.setattr(cli.pipeline, "infer_all",
+                        lambda *a, **kw: queried.append(1) or [])
+    rc = main(["infer", "--sample", str(sample), "--shape", "segment", *scales])
+    assert rc == 2 and not queried
+    captured = capsys.readouterr()
+    assert "generated on another shape" in captured.err and captured.out == ""
+    rc = main(["infer", "--sample", str(sample), "--shape", "circle-chord", *scales])
+    assert rc == 0 and queried
+
+
 def test_check_prints_tally(capsys):
     rc = main(["check", "--random", "25", "--seed", "3"])
     assert rc == 0

@@ -6,7 +6,7 @@ import pytest
 from localhom import geometry
 from localhom.geometry import (circle, circle_chord, distance, generate_sample,
                                ground_truth, hausdorff, load_sample_csv,
-                               save_sample_csv, segment)
+                               save_sample_csv, segment, sq_dists)
 
 
 def test_distance_basics():
@@ -25,6 +25,34 @@ def test_distance_triangle_inequality():
     for _ in range(200):
         a, b, c = rng.uniform(-5, 5, size=(3, 3))
         assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-12
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("D", range(1, 11))
+def test_sq_dists_match_numpy_formula_bit_for_bit(D):
+    # load_sample_csv reads points with any number of coordinates; numpy's
+    # sum over them is a plain loop below 8 terms and an unrolled pairwise
+    # sum from 8 on
+    rng = np.random.default_rng(D)
+    alpha = 5 / 128
+    grid = rng.integers(-64, 65, size=(40, D)) / 64
+    # a step of exactly 2 * alpha = 5/64: along the axis, or 3-4-5 in a plane
+    step = np.zeros(D)
+    if D == 1:
+        step[0] = 5 / 64
+    else:
+        step[:2] = (3 / 64, 4 / 64)
+    rand = rng.uniform(-1, 1, size=(50, D))
+    for P, Q in [(grid, np.vstack([grid + step, rand])), (grid, grid),
+                 (rand, rand), (rand, grid)]:
+        assert _same_bits(sq_dists(P, Q), ((P[:, None] - Q[None]) ** 2).sum(-1))
+        for x in Q[:5]:
+            assert _same_bits(sq_dists(P, x), ((P - x) ** 2).sum(-1))
+    d = sq_dists(grid, grid + step)
+    assert (np.diagonal(d) == (2 * alpha) ** 2).all()
 
 
 def test_dist_to_shape_circle():

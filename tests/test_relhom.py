@@ -116,17 +116,18 @@ def _replay_collapse(adj, inside, nbr, onto):
     return bin(live).count("1")
 
 
-def _check_collapse(pts, p, level2):
-    """Replays the collapse of the local level-2 graph of one query under its
-    own ball, an empty ball and a ball holding every local vertex; returns
-    the number of collapses under its own ball."""
-    (a2, b2), c = level2, pts[p]
+def _check_collapse(pts, p, level):
+    """Replays the collapse of the local graph of one query at one level,
+    (scale, ball radius), under its own ball, an empty ball and a ball
+    holding every local vertex; returns the number of collapses under its
+    own ball."""
+    (a, b), c = level, pts[p]
     sq = ((pts - c) ** 2).sum(-1)
-    local = np.flatnonzero(sq <= (b2 + 2 * a2) ** 2 * (1 + 1e-12))
+    local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
     local = local[np.argsort(sq[local], kind="stable")]
-    adj = _adjacency_bits(pts, local, a2)
+    adj = _adjacency_bits(pts, local, a)
     counts = []
-    for nb in (int((sq[local] < b2 * b2).sum()), 0, len(local)):
+    for nb in (int((sq[local] < b * b).sum()), 0, len(local)):
         nbr, onto = collapse_vertices(adj, (1 << nb) - 1)
         core = _replay_collapse(adj, (1 << nb) - 1, nbr, onto)
         assert core + len(onto) == len(local)
@@ -511,7 +512,23 @@ def test_collapse_keeps_off_ball_vertex_with_tree_edge():
 @given(inst=_grid_ties())
 def test_collapse_replays_as_dominations_on_grid_ties(inst):
     pts, p, level1, level2 = inst
+    _check_collapse(pts, p, level1)
     _check_collapse(pts, p, level2)
+
+
+@pytest.mark.parametrize("lmax", [0, 1])
+def test_rips_rank_query_reads_no_global_complex(lmax):
+    # Rips up to degree 1: a rank query builds both of its levels from the
+    # local graph; only detail queries read the global level-1 complex
+    pts, p, level1, level2 = _clustered_instance(np.random.default_rng(5), True)
+    spec = QuerySpec(p, level1, level2, flavor="rips", q=3, lmax=lmax)
+    want = image_rank(spec, pts).ranks
+    eng = ImageRankEngine(pts, level1, level2, flavor="rips", q=3, lmax=lmax)
+    assert eng.query(pts[p], keep_detail=True).ranks == want
+    del eng.arr1, eng.face1
+    assert eng.query(pts[p]).ranks == want
+    with pytest.raises(AttributeError):
+        eng.query(pts[p], keep_detail=True)
 
 
 @pytest.mark.parametrize("q", [2, 3])
