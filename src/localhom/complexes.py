@@ -25,12 +25,18 @@ def _adjacency_bits(points: np.ndarray, subset: np.ndarray, alpha: float):
     """Per-vertex int bitmasks of the Rips/Cech edge graph at scale alpha.
 
     Bit positions are LOCAL indices into ``subset``.  Edge rule: squared
-    distance <= (2*alpha)^2.
+    distance <= (2*alpha)^2.  Rows are computed in blocks of 256, so the
+    temporaries stay a few MB on large subsets.
     """
     pts = points[subset]
-    close = sq_dists(pts, pts) <= (2.0 * alpha) ** 2
-    np.fill_diagonal(close, False)
-    return _bitmasks(close)
+    thr = (2.0 * alpha) ** 2
+    adj: List[int] = []
+    for lo in range(0, len(pts), 256):
+        close = sq_dists(pts[lo:lo + 256], pts) <= thr
+        rows = np.arange(len(close))
+        close[rows, rows + lo] = False
+        adj += _bitmasks(close)
+    return adj
 
 
 def _bitmasks(mask: np.ndarray) -> List[int]:
@@ -72,37 +78,76 @@ class SimplicialComplex:
         return "\n".join(lines)
 
 
-def _clique_expand(subset: np.ndarray, adj: List[int], max_dim: int):
-    """Clique complex of the edge graph given by ``adj`` (local bitmasks).
+def _clique_expand(subset: np.ndarray, adj: List[int], max_dim: int,
+                   inside: int = -1, spanning: bool = False):
+    """Clique complex of the edge graph given by ``adj`` (local bitmasks),
+    restricted to the simplices that meet ``inside``, a bitmask of local
+    vertices (default: every vertex).
 
-    Returns dict dim -> sorted list of global-index tuples.
+    Returns dict dim -> list of global-index tuples, each list in the
+    lexicographic order of local indices (that of global ids when
+    ``subset`` is sorted): the filtered lists of the full complex.  Degrees
+    0 and 1 are present when max_dim >= 1 and ``subset`` is not empty;
+    above them the dict stops before the first degree with no simplex.
+
+    The expansion goes degree by degree.  A partial simplex carries its
+    least and top local vertex, the mask of its common neighbours and its
+    global tuple, and grows by each common neighbour above its top vertex.
+    One that misses ``inside`` grows only while a vertex of ``inside`` is
+    still among them.
+
+    With ``spanning``, degree max_dim >= 1 keeps only the simplices with no
+    common neighbour below their least vertex.  Their boundaries span those
+    of all the max_dim-simplices that meet ``inside``, modulo chains that
+    miss it.  If s has such a neighbour v, then v ∪ s is a simplex of the
+    flag complex, and ∂∂(v ∪ s) = 0 writes ∂s as ±Σ_i ±∂(v ∪ (s − s_i)).
+    The terms that miss ``inside`` vanish in the quotient, and the others
+    have least vertex v, below that of s, so induction on the least vertex
+    ends at the kept simplices.  The argument needs v ∪ s to be a simplex,
+    so it holds for Rips complexes and not for Cech complexes.
     """
     m = len(subset)
-    out: Dict[int, List[Tuple[int, ...]]] = {0: [(int(v),) for v in subset]}
+    ids = [int(v) for v in subset]
+    out: Dict[int, List[Tuple[int, ...]]] = {0: [(ids[i],) for i in range(m)
+                                                 if inside >> i & 1]}
     if max_dim < 1 or m == 0:
         return out
-    # local simplices per dim, each stored with the bitmask of common
-    # neighbors strictly above its largest vertex
-    edges = []
-    for i in range(m):
-        hi = adj[i] >> (i + 1) << (i + 1)
-        for j in _bits(hi):
-            edges.append((i, j))
-    out[1] = [(int(subset[i]), int(subset[j])) for i, j in edges]
-    prev = edges
-    for d in range(2, max_dim + 1):
-        cur = []
-        for s in prev:
-            common = adj[s[0]]
-            for v in s[1:]:
-                common &= adj[v]
-            last = s[-1]
-            common = common >> (last + 1) << (last + 1)
-            for k in _bits(common):
-                cur.append(s + (k,))
-        if not cur:
+    # partial simplices (least, top, common neighbours, global tuple, meets
+    # inside), each with a common neighbour above top by which it can grow
+    # into a simplex that meets inside
+    prev = [(i, i, adj[i], (ids[i],), inside >> i & 1) for i in range(m)
+            if (adj[i] & (-1 if inside >> i & 1 else inside)) >> (i + 1)]
+    for d in range(1, max_dim + 1):
+        if d < max_dim:
+            cur, kept = [], []
+            for lo, top, common, g, met in prev:
+                for k in _bits(common >> (top + 1) << (top + 1)):
+                    ck = common & adj[k]
+                    if met or inside >> k & 1:
+                        gk = g + (ids[k],)
+                        kept.append(gk)
+                        if ck >> (k + 1):
+                            cur.append((lo, k, ck, gk, 1))
+                    elif (ck & inside) >> (k + 1):
+                        cur.append((lo, k, ck, g + (ids[k],), 0))
+        else:
+            kept = []
+            for lo, top, common, g, met in prev:
+                ext = common >> (top + 1) << (top + 1)
+                if not met:
+                    ext &= inside
+                # with spanning, drop the neighbours of every common
+                # neighbour below lo
+                low = common & ((1 << lo) - 1) if spanning else 0
+                while low and ext:
+                    v = low & -low
+                    ext &= ~adj[v.bit_length() - 1]
+                    low ^= v
+                kept += [g + (ids[k],) for k in _bits(ext)]
+        if kept or d == 1:
+            out[d] = kept
+        if not kept or d == max_dim:
             break
-        out[d] = [tuple(int(subset[v]) for v in s) for s in cur]
         prev = cur
     return out
 
@@ -345,24 +390,50 @@ def quotient_pair(points: np.ndarray, center, a: float, b: float,
                   flavor: str = "rips", max_dim: int = 2) -> QuotientPairComplex:
     """Quotient chain complex computing the relative homology of the pair
     (complex at scale a, same complex after deleting the open b-ball at center).
+
+    A Rips basis comes from ``_clique_expand`` restricted to the ball, so
+    no simplex off it is built.  A Cech complex is built whole on the local
+    vertices and filtered, since its face-closure test reads the facets
+    that lie off the ball.  The basis is complete in every degree.  Only
+    ``image_rank`` builds the top degree of a Rips level-2 pair as the
+    spanning set of ``_clique_expand``: the simplices with no common
+    neighbour below their least vertex, whose boundaries span all the
+    relative boundaries by ∂∂ = 0 on their cofaces.  That lemma needs a
+    flag complex, so it is for Rips only.
     """
     if a <= 0:
         raise ValueError("scale a must be positive")
     if b < 0:
         raise ValueError("ball radius b must be >= 0")
+    if max_dim < 0:
+        raise ValueError("max_dim must be >= 0")
     points = np.asarray(points, dtype=float)
     c = np.asarray(center, dtype=float)
-    basis: Dict[int, List[Tuple[int, ...]]] = {}
-    if b > 0:
-        sq = sq_dists(points, c)
-        local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
-        cx = build_complex(points, local, a, max_dim, flavor)
-        near = sq < b * b
-        for d, ss in cx.simplices.items():
-            kept = [s for s in ss if any(near[v] for v in s)]
-            if kept:
-                basis[d] = kept
-    return QuotientPairComplex(c, a, b, flavor, max_dim, basis)
+    return QuotientPairComplex(c, a, b, flavor, max_dim,
+                               _pair_basis(points, c, a, b, flavor, max_dim))
+
+
+def _pair_basis(points, center, a: float, b: float, flavor: str, max_dim: int,
+                spanning: bool = False) -> Dict[int, List[Tuple[int, ...]]]:
+    """The basis of ``quotient_pair`` per degree, degrees without a simplex
+    left out.  With ``spanning``, degree max_dim of a Rips pair holds the
+    spanning set of ``_clique_expand`` instead, whose boundaries span the
+    relative boundaries of degree max_dim - 1; a Cech pair keeps every
+    simplex, as its complex is not a flag complex.
+    """
+    if b <= 0:
+        return {}
+    sq = sq_dists(points, center)
+    local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
+    near = sq[local] < b * b
+    if flavor == "rips":
+        simp = _clique_expand(local, _adjacency_bits(points, local, a), max_dim,
+                              _bitmasks(near[None])[0], spanning)
+    else:
+        ball = set(local[near].tolist())
+        simp = {d: [s for s in ss if not ball.isdisjoint(s)] for d, ss in
+                build_complex(points, local, a, max_dim, flavor).simplices.items()}
+    return {d: ss for d, ss in simp.items() if ss}
 
 
 @dataclass
@@ -386,24 +457,38 @@ class ConedPair:
         return boundary(self.simplices, {s: i for i, s in enumerate(self.simplices)}, q)
 
 
+def _induced(cx: SimplicialComplex, vertices) -> SimplicialComplex:
+    """The subcomplex of ``cx`` induced on ``vertices``.  For Rips and Cech
+    complexes alike it is the complex built on that vertex subset, since
+    whether a simplex is in depends only on its own points."""
+    keep = {int(v) for v in vertices}
+    simp: Dict[int, List[Tuple[int, ...]]] = {}
+    if keep:
+        for d in sorted(cx.simplices):
+            kept = [s for s in cx.simplices[d] if keep.issuperset(s)]
+            if not kept and d >= 2:
+                break
+            simp[d] = kept
+    return SimplicialComplex(np.array(sorted(keep), dtype=int), simp, cx.max_dim,
+                             cx.scale, cx.flavor)
+
+
 def _coned_level(points, center, a, b, flavor, max_dim, omega):
-    """Simplices of X ∪ ωA at one (scale, ball) level, as sorted tuples.
+    """Simplices of X ∪ ωA at one (scale, ball) level, as sorted tuples, A
+    the subcomplex of X induced on the vertices outside the open ball.
 
     ω is always included as an isolated vertex, so the construction also
     covers A = ∅.
     """
     X = build_complex(points, None, a, max_dim, flavor)
-    keepers = delete_ball(points, center, b)
-    A = build_complex(points, keepers, a, max_dim, flavor)
+    A = _induced(X, delete_ball(points, center, b))
     out = set()
     for d, ss in X.simplices.items():
         out.update(ss)
     out.add((omega,))
     for d, ss in A.simplices.items():
-        if d + 1 > max_dim:
-            continue
-        for s in ss:
-            out.add(s + (omega,))
+        if d + 1 <= max_dim:
+            out.update(s + (omega,) for s in ss)
     return out
 
 

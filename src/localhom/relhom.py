@@ -4,7 +4,10 @@ Two independent computations of the same quantity:
   * the direct method — quotient chain complexes plus the formula
     rank(im) = rank([i(Z1) | B2]) - rank(B2), where Z1 is a basis of relative
     cycles at level 1, i is the basis-diagonal chain map into level 2, and
-    B2 spans the relative boundaries at level 2;
+    B2 spans the relative boundaries at level 2.  For Rips, B2 in the top
+    degree is the boundaries of the simplices with no common neighbour
+    below their least vertex, which span the rest by ∂∂ = 0 on their
+    cofaces (``complexes._clique_expand``); Cech keeps every simplex;
   * the coned oracle — two-level persistence on the cone model
     H(X, A) = reduced H(X ∪ ωA).
 The direct method is the production path; the oracle cross-checks it.
@@ -27,9 +30,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .complexes import (QuotientPairComplex, _adjacency_bits, boundary,
-                        build_complex, collapse_vertices, cone_pair, delete_ball,
-                        quotient_pair)
+from .complexes import (QuotientPairComplex, _adjacency_bits, _induced, _pair_basis,
+                        boundary, build_complex, collapse_vertices, cone_pair,
+                        delete_ball, quotient_pair)
 from .fieldla import (_bits, _require_prime, entries, kernel_basis, lane_width, neg,
                       pack, persistent_reduce, plus, rank, reduce_columns)
 from .geometry import sq_dists
@@ -106,16 +109,27 @@ def _count_below(lows, n2: int) -> int:
 
 
 def image_rank(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
-    """Rank of H(level-1 pair) -> H(level-2 pair) per degree (direct method)."""
+    """Rank of H(level-1 pair) -> H(level-2 pair) per degree (direct method).
+
+    The level-1 pair is ``quotient_pair``'s, and so is the level-2 pair in
+    degrees up to lmax, where its simplices index rows.  Its degree-(lmax+1)
+    simplices are only ever columns of B2, and the rank reads only their
+    span; for Rips they are the spanning set of ``_clique_expand``, the
+    simplices with no common neighbour below their least vertex, whose
+    boundaries span the relative boundaries by ∂∂ = 0 on the cofaces of a
+    flag complex.  A Cech complex is not a flag complex and keeps them all.
+    """
     points = np.asarray(points, dtype=float)
     center = points[spec.p]
     a1, b1 = spec.level1
     a2, b2 = spec.level2
-    q = spec.q
-    Q1 = quotient_pair(points, center, a1, b1, spec.flavor, spec.lmax)
-    Q2 = quotient_pair(points, center, a2, b2, spec.flavor, spec.lmax + 1)
+    q, lmax = spec.q, spec.lmax
+    Q1 = quotient_pair(points, center, a1, b1, spec.flavor, lmax)
+    basis2 = _pair_basis(points, center, a2, b2, spec.flavor, lmax + 1, spanning=True)
+    top = basis2.pop(lmax + 1, [])
+    Q2 = QuotientPairComplex(center, a2, b2, spec.flavor, lmax, basis2)
     ranks = {}
-    for ell in range(spec.lmax + 1):
+    for ell in range(lmax + 1):
         ranks[ell] = 0
         if Q1.dim_count(ell) == 0 or Q2.dim_count(ell) == 0:
             continue
@@ -128,7 +142,7 @@ def image_rank(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
         mapped = [row2.get(s, -1) for s in Q1.basis[ell]]
         iZ1 = pack([[(mapped[r], c) for r, c in entries(z, q) if mapped[r] >= 0]
                     for z in Z1], q)
-        B2 = Q2.boundary_columns(ell + 1, q)
+        B2 = Q2.boundary_columns(ell + 1, q) if ell < lmax else boundary(top, row2, q)
         lows, _ = reduce_columns(B2 + iZ1, q)
         ranks[ell] = sum(1 for low in lows[len(B2):] if low >= 0)
     return HomologySignature(ranks, method="direct")
@@ -167,14 +181,15 @@ def exactness_check(points: np.ndarray, center, a: float, b: float,
                     flavor: str = "rips", q: int = 2) -> bool:
     """Long-exact-sequence and Euler-count sanity for one deleted-ball pair.
 
-    Builds (X, A) to full dimension; checks that the alternating sums of
+    Builds X to full dimension, A as its subcomplex induced on the vertices
+    outside the open ball; checks that the alternating sums of
     dim H(A), dim H(X), dim H(X, A) cancel, and that the relative Euler
     characteristic equals the simplex-count difference.
     """
     points = np.asarray(points, dtype=float)
     full = len(points) - 1
     X = build_complex(points, None, a, full, flavor)
-    A = build_complex(points, delete_ball(points, center, b), a, full, flavor)
+    A = _induced(X, delete_ball(points, center, b))
     Q = quotient_pair(points, center, a, b, flavor, full + 1)
     bX = _absolute_betti(X, q)
     bA = _absolute_betti(A, q)

@@ -4,9 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from localhom.complexes import (_adjacency_bits, boundary, cech, cone_pair, delete_ball,
+from localhom.complexes import (_adjacency_bits, _clique_expand, _induced, _pair_basis,
+                                boundary, cech, cone_pair, delete_ball,
                                 min_enclosing_radius, quotient_pair, rips)
-from localhom.fieldla import entries
+from localhom.fieldla import entries, rank
 
 
 def _simplex_set(cx):
@@ -234,6 +235,76 @@ def test_quotient_localization_soundness():
         for d in range(3):
             ref = [s for s in full.simplices.get(d, []) if any(near[v] for v in s)]
             assert Q.basis.get(d, []) == ref
+
+
+def _tied_points(rng, n):
+    """n points on a 1/8 grid, so that many distances tie with 2*alpha, and
+    a duplicate."""
+    pts = rng.integers(0, 6, size=(n, 2)) / 8
+    pts[-1] = pts[int(rng.integers(0, n - 1))]
+    return pts
+
+
+@pytest.mark.parametrize("max_dim", [0, 1, 2, 3, 4])
+def test_clique_expand_restricted_to_mask(max_dim):
+    # list for list, the full complex filtered by the mask: no mask, mask 0,
+    # every vertex and random masks, over an unsorted local numbering
+    rng = np.random.default_rng(max_dim)
+    for t in range(40):
+        n = int(rng.integers(1, 14))
+        pts = _tied_points(rng, n) if n > 1 else np.zeros((1, 2))
+        subset = rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        adj = _adjacency_bits(pts, subset, float(rng.choice([1, 1.5, 2])) / 16)
+        full = _clique_expand(subset, adj, max_dim)
+        assert full == _clique_expand(subset, adj, max_dim, -1)
+        m = len(subset)
+        for mask in (0, (1 << m) - 1, int(rng.integers(0, 1 << m)), int(rng.integers(0, 1 << m))):
+            near = {int(subset[i]) for i in range(m) if mask >> i & 1}
+            want = {d: [s for s in ss if near.intersection(s)] for d, ss in full.items()}
+            got = _clique_expand(subset, adj, max_dim, mask)
+            assert {d: ss for d, ss in got.items() if ss} == \
+                {d: ss for d, ss in want.items() if ss}
+            assert set(got) <= set(full)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_spanning_top_degree_boundaries(q):
+    # the spanning set of the top degree is a sublist of the full one whose
+    # boundaries have the same rank; the lower degrees are untouched
+    rng = np.random.default_rng(30 + q)
+    pruned = 0
+    for t in range(60):
+        pts = _tied_points(rng, int(rng.integers(5, 16)))
+        c = pts[int(rng.integers(0, len(pts)))]
+        a = float(rng.choice([1, 1.5, 2, 3])) / 16
+        b = float(rng.choice([1, 2, 3, 4, 6])) / 16
+        top = int(rng.integers(1, 4))
+        full = quotient_pair(pts, c, a, b, "rips", top)
+        span = _pair_basis(pts, c, a, b, "rips", top, spanning=True)
+        assert {d: ss for d, ss in span.items() if d < top} == \
+            {d: ss for d, ss in full.basis.items() if d < top}
+        got, want = span.get(top, []), full.basis.get(top, [])
+        assert set(got) <= set(want) and got == sorted(got)
+        rows = full._index.get(top - 1, {})
+        assert rank(boundary(got, rows, q), q) == rank(boundary(want, rows, q), q)
+        pruned += len(want) - len(got)
+        # a Cech pair is no flag complex, so spanning leaves it whole
+        assert _pair_basis(pts, c, a, b, "cech", top, spanning=True) == \
+            quotient_pair(pts, c, a, b, "cech", top).basis
+    assert pruned > 0
+
+
+def test_induced_subcomplex_equals_subset_build():
+    rng = np.random.default_rng(9)
+    for t in range(30):
+        pts = _tied_points(rng, int(rng.integers(3, 14)))
+        keep = delete_ball(pts, pts[0], float(rng.choice([0, 1, 2, 3, 9])) / 16)
+        for build in (rips, cech):
+            cx = build(pts, None, float(rng.choice([1, 1.5, 2, 3])) / 16, 3)
+            sub = _induced(cx, keep)
+            ref = build(pts, keep, cx.scale, 3)
+            assert sub.simplices == ref.simplices
+            assert sub.vertex_ids.tolist() == ref.vertex_ids.tolist()
 
 
 def _composed(cols, cols_lower, q):

@@ -89,6 +89,29 @@ def _grid_ties(draw):
     return np.vstack([pts] + extra), p, (a1, b1), (a2, b2)
 
 
+@st.composite
+def _filled_patch(draw):
+    """A filled grid patch of 6-7 by 6-7 points, 1/8 apart and each moved
+    by at most 1/64 per coordinate, centred half the time at its middle point,
+    with scales at which the level-1 complex fills the patch, so that
+    degree 2 can be nonzero; plus the three adversarial points of
+    ``_grid_ties``."""
+    w, h = draw(st.integers(6, 7)), draw(st.integers(6, 7))
+    xy = 8 * np.array([(x, y) for y in range(h) for x in range(w)])
+    jitter = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+    pts = (xy + np.array(draw(st.lists(jitter, min_size=w * h, max_size=w * h)))) * GRID
+    p = draw(st.sampled_from([h // 2 * w + w // 2, draw(st.integers(0, w * h - 1))]))
+    a1 = GRID * draw(st.integers(6, 7))
+    a2 = a1 + GRID * draw(st.integers(1, 3))
+    m = draw(st.sampled_from([2, 3]))
+    b2 = GRID * 5 * m
+    b1 = b2 + GRID * draw(st.integers(0, 8))
+    off = np.array(draw(st.sampled_from([(3, 4), (-4, 3), (-3, -4), (4, -3)])))
+    extra = [pts[p] + off * m * GRID, pts[0] + (0.0, 2 * a2),
+             pts[draw(st.integers(0, len(pts) - 1))]]
+    return np.vstack([pts] + extra), p, (a1, b1), (a2, b2)
+
+
 def _replay_collapse(adj, inside, nbr, onto):
     """Replays ``collapse_vertices`` step by step: every collapse (v, w) was a
     domination of live vertices at that moment, an off-ball v went only onto
@@ -135,14 +158,17 @@ def _check_collapse(pts, p, level):
     return counts[0]
 
 
-@pytest.mark.parametrize("flavor,lmax", [("rips", 1), ("rips", 2), ("cech", 1)])
+@pytest.mark.parametrize("flavor,lmax", [("rips", 1), ("rips", 2), ("rips", 3),
+                                         ("cech", 1)])
 @settings(max_examples=150)
-@given(inst=_grid_ties(), q=st.sampled_from([2, 3, 5]))
-def test_engine_paths_agree_on_grid_ties(flavor, lmax, inst, q):
-    # collapsed pair (Rips, lmax 1) and global pair (Rips lmax 2, Cech): the
-    # stacked reduction, with and without detail, against the kernel-basis
-    # formula and the coned oracle
-    pts, p, level1, level2 = inst
+@given(data=st.data(), q=st.sampled_from([2, 3, 5]))
+def test_engine_paths_agree_on_grid_ties(flavor, lmax, data, q):
+    # collapsed pair (Rips, lmax 1) and global pair (Rips lmax 2 and 3, Cech):
+    # the stacked reduction, with and without detail, against the
+    # kernel-basis formula and the coned oracle; from lmax 2 on, filled
+    # patches too, where degree 2 is not always zero
+    pts, p, level1, level2 = data.draw(_grid_ties() if lmax < 2
+                                       else _grid_ties() | _filled_patch())
     (a2, b2), c = level2, pts[p]
     assert ((pts[-3] - c) ** 2).sum() == b2 * b2
     assert ((pts[-2] - pts[0]) ** 2).sum() == (2 * a2) ** 2
@@ -300,8 +326,8 @@ def test_engine_collapse_matches_direct_on_criterion_1_sample():
     eng = ImageRankEngine(pts, (0.018, 0.175), (0.06, 0.116))
     assert eng.kernel == "local rips vertex collapse"
     picks = set()
-    # the two junctions and an arc; image_rank takes about 0.45 s a junction point
-    for x, k in [((-1.0, 0.0), 4), ((1.0, 0.0), 4), ((0.0, 1.0), 6)]:
+    # the two junctions and an arc
+    for x, k in [((-1.0, 0.0), 20), ((1.0, 0.0), 20), ((0.0, 1.0), 6)]:
         picks.update(np.argsort(((pts - x) ** 2).sum(-1))[:k].tolist())
     ranks = {}
     for i in sorted(picks):
@@ -309,6 +335,24 @@ def test_engine_collapse_matches_direct_on_criterion_1_sample():
         spec = QuerySpec(i, (0.018, 0.175), (0.06, 0.116))
         assert ranks[i] == image_rank(spec, pts).ranks
     assert {r[1] for r in ranks.values()} >= {1, 2}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("lmax", [2, 3])
+def test_filled_square_degree_2(lmax, q):
+    # a 17 x 17 grid, h = 1/16: at its centre the level-1 pair holds a
+    # relative 2-cycle that survives into level 2; an edge midpoint, a
+    # corner and a point two rows in have none
+    h = 1 / 16
+    pts = h * np.array([(x, y) for y in range(17) for x in range(17)], float)
+    level1, level2 = (0.75 * h, 4 * h), (h, 3 * h)
+    eng = ImageRankEngine(pts, level1, level2, q=q, lmax=lmax)
+    zero = dict.fromkeys(range(lmax + 1), 0)
+    for i, want in [(8 * 17 + 8, {**zero, 2: 1}), (8, zero), (0, zero), (2 * 17 + 8, zero)]:
+        spec = QuerySpec(i, level1, level2, q=q, lmax=lmax)
+        assert eng.query_index(i).ranks == want
+        assert image_rank(spec, pts).ranks == want
+        assert image_rank_oracle(spec, pts).ranks == want
 
 
 def _line_with_clusters(far_cluster):
