@@ -298,7 +298,8 @@ def _random_instance(rng):
     q = int(rng.choice([2, 3, 5]))
     flavor = str(rng.choice(["rips", "cech"]))
     p = int(rng.integers(0, n))
-    return pts, QuerySpec(p, (a1, b1), (a2, b2), flavor=flavor, q=q, lmax=1)
+    lmax = int(rng.integers(0, 3))
+    return pts, QuerySpec(p, (a1, b1), (a2, b2), flavor=flavor, q=q, lmax=lmax)
 
 
 def cmd_check(args) -> int:

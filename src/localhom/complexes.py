@@ -171,7 +171,7 @@ def rips(points: np.ndarray, vertex_subset, alpha: float,
 
 
 def collapse_vertices(adj: List[int], inside: int):
-    """Vertex collapse of a flag complex X relative to its subcomplex A off
+    """Strong collapse of a flag complex X relative to its subcomplex A off
     a ball.
 
     ``adj`` holds open-neighbourhood bitmasks over local vertex indices (as
@@ -180,22 +180,19 @@ def collapse_vertices(adj: List[int], inside: int):
     when N[v] ⊆ N[w], closed neighbourhoods taken over the live vertices
     (Barmak & Minian, "Strong homotopy types, nerves and collapses", DCG
     2012).  Vertices are tried from the highest index down, and each one's
-    candidates w from the lowest up, until no live vertex is dominated:
-      * a dominated ball vertex stops being live but keeps its edge to w, a
-        tree edge; this deletes its other live edges, each a valid edge
-        collapse with witness w (Boissonnat & Pritam, "Edge collapse and
-        persistence of flag complexes", SoCG 2020);
-      * a dominated vertex off the ball is deleted outright, only onto a w
-        off the ball and only when no tree edge hangs on it, so that X and A
-        collapse together.
-    No triangle contains a tree edge, and H(X, A) is unchanged.
+    candidates w from the lowest up, until no live vertex is dominated.  A
+    dominated ball vertex goes onto any such w, one off the ball only onto a
+    w off the ball.  Each step v -> w is then a simplicial retraction of X
+    onto X - v that maps A into A, a strong deformation retraction of the
+    pair, so H(X, A) is unchanged; and the composed vertex map onto the
+    live core is a simplicial map of pairs, homotopy inverse to the
+    inclusion of the core.
 
     Returns the open-neighbourhood bitmasks of the live vertices (0 for the
     others) and the collapses as (v, w), in order.
     """
     nbr = [a | (1 << i) for i, a in enumerate(adj)]
     live = todo = (1 << len(nbr)) - 1
-    held = 0                # vertices with a tree edge hanging on them
     onto = []
     while todo:
         again = 0
@@ -205,8 +202,6 @@ def collapse_vertices(adj: List[int], inside: int):
             nv = nbr[v] & live
             cand = nv ^ (1 << v)
             if not inside >> v & 1:
-                if held >> v & 1:
-                    continue
                 cand &= ~inside
             # candidates from the lowest up, one bit at a time (inline, as
             # this loop dominates the collapse)
@@ -215,8 +210,6 @@ def collapse_vertices(adj: List[int], inside: int):
                 w = low.bit_length() - 1
                 if not nv & ~nbr[w]:
                     live ^= 1 << v
-                    if inside >> v & 1:
-                        held |= 1 << w
                     onto.append((v, w))
                     # only a vertex that lost a neighbour can become dominated;
                     # those still in ``todo`` are tried later in this pass
@@ -394,12 +387,12 @@ def quotient_pair(points: np.ndarray, center, a: float, b: float,
     A Rips basis comes from ``_clique_expand`` restricted to the ball, so
     no simplex off it is built.  A Cech complex is built whole on the local
     vertices and filtered, since its face-closure test reads the facets
-    that lie off the ball.  The basis is complete in every degree.  Only
-    ``image_rank`` builds the top degree of a Rips level-2 pair as the
-    spanning set of ``_clique_expand``: the simplices with no common
-    neighbour below their least vertex, whose boundaries span all the
-    relative boundaries by ∂∂ = 0 on their cofaces.  That lemma needs a
-    flag complex, so it is for Rips only.
+    that lie off the ball.  The basis is complete in every degree.
+    ``image_rank`` and the engine build the top degree of a Rips level-2
+    pair as the spanning set of ``_clique_expand`` instead: the simplices
+    with no common neighbour below their least vertex, whose boundaries
+    span all the relative boundaries by ∂∂ = 0 on their cofaces.  That
+    lemma needs a flag complex, so it is for Rips only.
     """
     if a <= 0:
         raise ValueError("scale a must be positive")

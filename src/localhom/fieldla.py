@@ -8,7 +8,7 @@ bit: columns add with one integer addition, then adding 2^(k-1) - q to every
 lane sets the guard bit of exactly the lanes that reached q, and those have
 q subtracted.  A column's low (last nonzero row) is (bit_length - 1) // k,
 -1 for the zero column.  Only this module knows the layout; others build
-columns with ``pack`` and ``lane_width`` and combine them with ``plus``.
+columns with ``pack`` and ``lane_width`` and combine them with ``add``.
 A matrix is a list of such columns; its field is passed as ``q`` alongside.
 
 ``reduce_columns`` is the one reduction: lowest-nonzero-row pivots, left to
@@ -19,9 +19,8 @@ persistence all read its lows.
 
 from __future__ import annotations
 
-import operator
-from functools import lru_cache, partial
-from typing import Callable, Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Sequence, Tuple
 
 
 def _is_prime(q: int) -> bool:
@@ -69,12 +68,6 @@ def add(x: int, y: int, q: int) -> int:
     k, _, over, guard = _masks(q, max(x, y))
     s = x + y
     return s - ((s + over & guard) >> k - 1) * q
-
-
-def plus(q: int) -> Callable[[int, int], int]:
-    """Sum of two columns as a two-argument function; at q = 2 it is XOR,
-    which costs no Python call."""
-    return operator.xor if q == 2 else partial(add, q=q)
 
 
 def _nonzero(x: int, q: int) -> int:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .geometry import Sample, StratifiedShape, sq_dists
-from .relhom import HomologySignature, ImageRankEngine, _subspaces_equal
+from .relhom import HomologySignature, ImageRankEngine
 from .scales import ScaleConstants, SelectedScales
 
 DEFAULT_W0_GRID = tuple(round(0.05 * k, 2) for k in range(11))  # 0, 0.05, ..., 0.5
@@ -163,35 +163,28 @@ class _UnionFind:
 
 def group_strata(P: Sample, scales: SelectedScales, cc: ScaleConstants,
                  q: int = 2, lmax: int = 1) -> List[List[int]]:
-    """Heuristic strata grouping: transitively merge sample points closer
-    than 2*eps whose local homology images coincide.
+    """Strata grouping: the image-rank signature of every point
+    (``infer_all``), then transitively merge sample points closer than
+    2*eps whose signatures are equal.
 
-    For each close pair (i, j) the cycles of i's level-1 pair are pushed into
-    j's level-2 pair; i and j merge when that image equals the image of j's
-    own map as subspaces of j's level-2 homology.  Heuristic — the chain-level
-    cross map is only inclusion-induced when the deleted balls nest.
+    Points of one stratum, away from the others, share the local homology
+    of that stratum, so a chain of close points with equal signatures stays
+    on it (compare Bendich, Wang & Mukherjee, "Local homology transfer and
+    stratification learning", SODA 2012).  Where the signature changes, as
+    near a junction, the points around it form groups of their own.  The
+    groups are an empirical reading, not a certified stratification.
     """
+    results = infer_all(P, scales, cc, q, lmax)
     n = len(P)
     uf = _UnionFind(n)
-    for i, j, equal in _pair_decisions(P, make_engine(P, scales, cc, q, lmax), q, lmax):
-        if equal:
-            uf.union(i, j)
+    thr2 = (2 * P.epsilon) ** 2
+    pts = P.points
+    for i in range(n):
+        for j in np.flatnonzero(sq_dists(pts[i + 1:], pts[i]) < thr2).tolist():
+            j += i + 1
+            if results[j].signature.ranks == results[i].signature.ranks:
+                uf.union(i, j)
     groups: Dict[int, List[int]] = {}
     for i in range(n):
         groups.setdefault(uf.find(i), []).append(i)
     return [sorted(v) for _, v in sorted(groups.items())]
-
-
-def _pair_decisions(P: Sample, eng: ImageRankEngine, q: int, lmax: int):
-    """(i, j, images equal) for each pair i < j closer than 2*eps."""
-    details = [eng.query_index(i, keep_detail=True).detail for i in range(len(P))]
-    thr2 = (2 * P.epsilon) ** 2
-    pts = P.points
-    out = []
-    for i in range(len(P)):
-        d2 = sq_dists(pts, pts[i])
-        for j in np.flatnonzero(d2 < thr2):
-            j = int(j)
-            if j > i:
-                out.append((i, j, _subspaces_equal(details[i], details[j], lmax, q)))
-    return out

@@ -14,13 +14,13 @@ The direct method is the production path; the oracle cross-checks it.
 Every rank comes from the one column reduction of packed int columns,
 ``fieldla.reduce_columns``; Z1 is read off the same reduction with unit
 columns stacked under the level-1 boundary (``fieldla.kernel_basis``).
-``ImageRankEngine`` evaluates the direct method for many query points on
-shared global complexes.  For Rips up to degree 1 a rank query builds both
-levels locally instead, and vertex-collapses them; otherwise its level-2
-pair is a view of the global level-2 complex.  It reduces one stacked
-matrix per degree instead of a kernel basis (Cohen-Steiner, Edelsbrunner,
-Harer & Morozov, "Persistent homology for kernels, images, and cokernels",
-SODA 2009).
+``ImageRankEngine`` evaluates the direct method for many query points.  A
+Rips query builds both levels locally and strong-collapses each one, at
+every lmax; a level-1 simplex maps by the level-2 collapse's vertex map.  A
+Cech query's pairs are views of shared global complexes.  Either reduces
+one stacked matrix per degree instead of a kernel basis (Cohen-Steiner,
+Edelsbrunner, Harer & Morozov, "Persistent homology for kernels, images,
+and cokernels", SODA 2009).
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .complexes import (QuotientPairComplex, _adjacency_bits, _induced, _pair_basis,
-                        boundary, build_complex, collapse_vertices, cone_pair,
-                        delete_ball, quotient_pair)
-from .fieldla import (_bits, _require_prime, entries, kernel_basis, lane_width, neg,
-                      pack, persistent_reduce, plus, rank, reduce_columns)
+from .complexes import (QuotientPairComplex, _adjacency_bits, _clique_expand, _induced,
+                        _pair_basis, boundary, build_complex, collapse_vertices,
+                        cone_pair, delete_ball, quotient_pair)
+from .fieldla import (_require_prime, entries, kernel_basis, lane_width, pack,
+                      persistent_reduce, rank, reduce_columns)
 from .geometry import sq_dists
 
 
@@ -213,36 +213,36 @@ def exactness_check(points: np.ndarray, center, a: float, b: float,
 
 @dataclass
 class QueryResult:
-    """One engine query: ranks plus (optionally) the data needed to compare
-    image subspaces across nearby query points."""
+    """One engine query: the image rank per degree."""
 
     ranks: Dict[int, int]
-    detail: Optional[dict] = None
 
 
 class ImageRankEngine:
     """Evaluates many image-rank queries sharing one scale configuration.
 
-    The global level-1 complex (scale a1, built to lmax) is built once.
     Each query has a level-1 basis S (``_level1``), and one reduction of
     [B2 | S] per degree answers it.  The column of s in S holds its level-2
     image i(s) in rows 0..n2-1 and its restricted level-1 boundary in rows
     n2 and up.  Pivots are lowest nonzero rows, so the S columns' lows below
     n2 count the image rank, rank(B2 + i(Z1)) - rank(B2), and all lows at n2
-    and up count |S| - dim Z1.  The level-2 pair comes from one of two
-    places, chosen by ``flavor`` and ``lmax``:
+    and up count |S| - dim Z1.  Both levels come from one of two places,
+    chosen by ``flavor``:
 
-      * Rips with lmax <= 1: a ``_CollapsedRipsPair``, built on the vertices
-        near the smaller ball and shrunk by removing dominated vertices; no
-        global level-2 complex is built.  A rank query shrinks its level-1
-        basis by the same collapse, on the vertices near the larger ball,
-        and reads nothing of the global level-1 complex;
-      * Cech, or lmax >= 2: a ``_GlobalPair``, the view of a global level-2
-        complex (scale a2, built to lmax + 1) under the query's ball masks.
-        Cech complexes are not flag complexes, and the collapsed pair only
-        maps 1-chains.
+      * Rips: one ``_CollapsedRipsPair`` per level, at every lmax, built on
+        the vertices near the level's ball and strong-collapsed.  S is the
+        level-1 core's simplices that meet the larger ball, up to degree
+        lmax, and a level-1 simplex maps by the vertex map of the level-2
+        collapse.  No global complex is read;
+      * Cech: S is the global level-1 complex's simplices that meet the
+        larger ball, found by a mask scan, and the level-2 pair is a
+        ``_GlobalPair``, the view of a global level-2 complex (scale a2,
+        built to lmax + 1) under the query's ball masks.  Cech complexes
+        are not flag complexes, so the vertex collapse does not apply.
 
-    Results are identical to sequential per-point evaluation with
+    Set-up builds the global level-1 complex (scale a1, to lmax) for both
+    flavors and checks that its simplices key as int64; only Cech queries
+    read it.  Results are identical to sequential per-point evaluation with
     ``image_rank``.
     """
 
@@ -255,16 +255,13 @@ class ImageRankEngine:
         self.flavor = flavor
         self.q = q
         self.lmax = lmax
-        self.collapse = flavor == "rips" and lmax <= 1
         self.base = len(self.points) + 1
         c1 = build_complex(self.points, None, self.a1, lmax, flavor)
-        c2 = None if self.collapse else build_complex(self.points, None, self.a2,
-                                                      lmax + 1, flavor)
-        for cx in (c1, c2):
-            if cx is not None:
-                self._check_keys(cx)
+        self._check_keys(c1)
         self.arr1, _, self.face1 = self._index(c1)
-        if c2 is not None:
+        if flavor == "cech":
+            c2 = build_complex(self.points, None, self.a2, lmax + 1, flavor)
+            self._check_keys(c2)
             self.arr2, self.keys2, self.face2 = self._index(c2)
         # (key, pair): the level-2 pair of the latest query that built one
         self._memo = (None, None)
@@ -272,7 +269,9 @@ class ImageRankEngine:
     @property
     def kernel(self) -> str:
         """The level-2 pair of every query, for reports."""
-        return "local rips vertex collapse" if self.collapse else "global level-2 basis"
+        if self.flavor == "rips":
+            return "local rips vertex collapse"
+        return "global level-2 basis"
 
     def _check_keys(self, cx) -> None:
         """Simplices are keyed as base-(n+1) int64 numbers; the key of the
@@ -327,13 +326,11 @@ class ImageRankEngine:
         same centre and ``b2`` reuses it; so a run of queries that varies only
         ``b1``, such as one column of an explorer scan, builds one pair.
 
-        With ``keep_detail`` the level-1 basis is the global complex's, not
-        collapsed, and the result also holds, per degree with relative
-        cycles, the level-2 ``pair``, the level-1 basis ``simplices`` and
-        their ``boundary`` columns, and a reduced ``basis`` of B2 + i(Z1)
-        whose first ``b2`` columns span B2, so that ``_subspaces_equal`` can
-        compare other points' cycles in this point's level-2 pair.
+        A query returns ranks only.  ``keep_detail`` stays as a keyword, as
+        the benchmark's engine wrapper passes it by name, and must be False.
         """
+        if keep_detail:
+            raise ValueError("queries keep no detail: keep_detail must be False")
         center = np.asarray(center, dtype=float)
         if b1 is None:
             b1 = self.b1
@@ -346,19 +343,16 @@ class ImageRankEngine:
         sq = sq_dists(self.points, center)
         near2 = sq < b2 * b2
         ranks = dict.fromkeys(range(self.lmax + 1), 0)
-        detail = dict.fromkeys(ranks) if keep_detail else None
         # an empty smaller ball leaves the level-2 basis empty in every degree
         if not near2.any():
-            return QueryResult(ranks, detail)
-        level1 = self._level1(sq, b1, keep_detail)
+            return QueryResult(ranks)
+        level1 = self._level1(sq, b1)
         pair = None
         for ell in ranks:
             if ell not in level1:
                 continue
             if pair is None:
                 pair = self._pair(center, sq, near2, b2)
-            # no level-2 basis: the image is 0, and the detail stays None so
-            # that group_strata leaves these cycles out of its comparisons
             n2 = pair.nrows(ell)
             if not n2:
                 continue
@@ -368,41 +362,27 @@ class ImageRankEngine:
             cols += pair.stacked_columns(ell, simplices, bnd1, n2)
             lows, _ = reduce_columns(cols, self.q)
             ranks[ell] = _count_below(lows[nb2:], n2)
-            # lows at n2 and up: the level-1 boundary has rank |S| - dim Z1
-            if keep_detail and sum(1 for low in lows if low >= n2) < len(bnd1):
-                basis = [c for c, low in zip(cols, lows) if 0 <= low < n2]
-                detail[ell] = {"pair": pair, "simplices": simplices, "boundary": bnd1,
-                               "basis": basis, "b2": _count_below(lows[:nb2], n2)}
-        return QueryResult(ranks, detail)
+        return QueryResult(ranks)
 
-    def _level1(self, sq, b1: float, keep_detail: bool) -> dict:
+    def _level1(self, sq, b1: float) -> dict:
         """The level-1 basis of a query, per degree ell <= lmax with a basis
         simplex: the simplices as rows of global vertex ids, and their
         boundary columns over the degree-(ell - 1) basis.
 
-        It is the global level-1 complex's simplices that meet the b1-ball,
-        found by a mask scan.  A rank query of a Rips engine with lmax <= 1
-        reads it off ``_local_graph`` at (a1, b1) instead, shrunk by
-        ``collapse_vertices`` as the level-2 pair is: the ball vertices of
-        the core, and the residual edges that meet the ball, each oriented
-        from its nearer end.  The collapsed ball vertices hang off the core
-        by trees of edges, each of which retracts onto its root in the core,
-        so the core pair includes into the level-1 pair as a relative
-        homotopy equivalence and the image rank is the same.  Its cycles are
-        other chains, which is why ``keep_detail`` queries do not collapse.
+        For Rips it is the basis of the collapsed level-1 pair at (a1, b1).
+        Its core pair includes into the level-1 pair as a homotopy
+        equivalence of pairs, so the image rank is the same.  For Cech it is
+        the global level-1 complex's simplices that meet the b1-ball, found
+        by a mask scan.
         """
-        if self.collapse and not keep_detail:
-            local, nb, nbr = _local_graph(self.points, sq, self.a1, b1)
-            nbr, onto = collapse_vertices(nbr, (1 << nb) - 1)
-            gone = {v for v, _ in onto}
-            live = [v for v in range(nb) if v not in gone]
-            if not live:
-                return {}
-            out = {0: (local[live][:, None], [0] * len(live))}
-            edges = _ball_simplices(nbr, nb)[0] if self.lmax >= 1 else ()
-            if edges:
-                out[1] = (local[np.array(edges)],
-                          boundary(edges, {(v,): r for r, v in enumerate(live)}, self.q))
+        if self.flavor == "rips":
+            pair = _CollapsedRipsPair(self.points, sq, self.a1, b1, self.lmax, self.q)
+            out = {}
+            for ell, ss in pair.simplices.items():
+                if ss:
+                    arr = np.array(ss, dtype=np.int64).reshape(len(ss), ell + 1)
+                    out[ell] = (pair.local[arr],
+                                pair.boundary_columns(ell - 1) if ell else [0] * len(ss))
             return out
         near1 = sq < b1 * b1
         m1 = {d: near1[a].any(axis=1) for d, a in self.arr1.items()}
@@ -425,43 +405,14 @@ class ImageRankEngine:
         with the same key as the latest one reuses its pair."""
         key = (center.tobytes(), float(b2))
         if self._memo[0] != key:
-            pair = (_CollapsedRipsPair(self.points, sq, self.a2, b2, self.q)
-                    if self.collapse else _GlobalPair(self, near2))
+            pair = (_CollapsedRipsPair(self.points, sq, self.a2, b2, self.lmax + 1,
+                                       self.q, spanning=True)
+                    if self.flavor == "rips" else _GlobalPair(self, near2))
             self._memo = (key, pair)
         return self._memo[1]
 
     def query_index(self, i: int, keep_detail: bool = False) -> QueryResult:
         return self.query(self.points[i], keep_detail=keep_detail)
-
-
-def _subspaces_equal(det_i, det_j, lmax: int, q: int) -> bool:
-    """Images of i's cross map and j's self map agree mod boundaries in j's
-    level-2 homology (per degree), from the ``detail`` of two queries with
-    ``keep_detail``.
-
-    j's detail holds a reduced basis of B2 + A, A the image of j's cycles,
-    in the stacked layout of ``query``: level-2 rows 0..n2-1, and the first
-    ``b2`` columns span B2.  i's stacked columns in j's pair are reduced
-    after the basis's B2 part for rank(B2 + B), B the image of i's cycles,
-    and its A part after them for rank(B2 + A + B).
-    """
-    for ell in range(lmax + 1):
-        dj = det_j.get(ell) if det_j else None
-        di = det_i.get(ell) if det_i else None
-        if dj is None:
-            # j's level-1 pair carries no cycles, so both images are zero in
-            # a codomain we did not materialize; nothing to compare
-            continue
-        pair, basis, rb2 = dj["pair"], dj["basis"], dj["b2"]
-        n2 = pair.nrows(ell)
-        cols = basis[:rb2]
-        if di is not None:
-            cols += pair.stacked_columns(ell, di["simplices"], di["boundary"], n2)
-        lows_b, _ = reduce_columns(cols, q)
-        lows_ab, _ = reduce_columns(cols + basis[rb2:], q)
-        if not len(basis) == _count_below(lows_b, n2) == _count_below(lows_ab, n2):
-            return False
-    return True
 
 
 def _rows(mask: np.ndarray) -> np.ndarray:
@@ -548,92 +499,67 @@ def _local_graph(points, sq, a: float, b: float):
     return local, nb, _adjacency_bits(points, local, a)
 
 
-def _ball_simplices(nbr, nb: int, triangles: bool = False):
-    """The edges and, with ``triangles``, the triangles of the flag complex
-    of the graph ``nbr`` that meet the ball's vertices 0..nb-1, as sorted
-    local tuples, each listed once from its first ball vertex."""
-    inside = (1 << nb) - 1
-    edges, tris = [], []
-    for x in range(nb):
-        # neighbours past x: x is the first ball vertex of what it spans
-        free = nbr[x] & ~(inside & ((2 << x) - 1))
-        for y in _bits(free):
-            edges.append((x, y))
-            if triangles:
-                for z in _bits(free & nbr[y] >> (y + 1) << (y + 1)):
-                    tris.append((x, y, z))
-    return edges, tris
-
-
 class _CollapsedRipsPair(_Level2Pair):
-    """The level-2 Rips pair (X, A) of one query, for degrees 0 and 1.
+    """The Rips pair (X, A) at scale a with the open b-ball deleted, for
+    either level of a query and every lmax.
 
     The pair is built on ``_local_graph`` and shrunk by
     ``collapse_vertices``: far vertices are tried first, each onto its
-    nearest dominating neighbour.  Rows of degree 0 are the ball's vertices,
-    all of which stay; rows of degree 1 are the edges of the residual graph
-    (the live core plus the tree edges of collapsed ball vertices) that meet
-    the ball.  With f the composed vertex map onto the core and P(v) the
-    chain of tree edges from v to f(v), 0 off the ball, an edge [u, x] maps
-    to P(u) + [f(u), f(x)] - P(x).  That chain differs from [u, x] by a
-    relative boundary, for every chain and not only for cycles, so images
-    compared across query points in ``group_strata`` mean what they mean in
-    the uncollapsed pair.
+    nearest dominating neighbour.  Its basis in degree d <= ``top`` is the
+    d-simplices of the live core that meet the ball, as tuples of local
+    vertices; with ``spanning``, degree ``top`` holds the spanning set of
+    ``_clique_expand`` instead, whose boundaries span the relative
+    boundaries of degree top - 1.  Rows index the degrees below ``top``.
+
+    As a level-2 pair it maps a level-1 simplex by f, the composed vertex
+    map of the collapse: to the sorted f-image of its vertices, with the
+    sign of the sorting permutation.  The image is 0 when the simplex is
+    degenerate under f, has a vertex outside the local set, or its image
+    has no row.  f is a simplicial map of pairs, homotopy inverse to the
+    inclusion of the core, so the image rank is that of the uncollapsed
+    pair.
     """
 
-    def __init__(self, points, sq, a: float, b: float, q: int):
+    def __init__(self, points, sq, a: float, b: float, top: int, q: int,
+                 spanning: bool = False):
         self.q = q
-        local, nb, adj = _local_graph(points, sq, a, b)
-        self.nb = nb
+        self.local, nb, adj = _local_graph(points, sq, a, b)
         nbr, onto = collapse_vertices(adj, (1 << nb) - 1)
-        # a collapsed ball vertex keeps its edge to its dominator, a tree edge
-        for v, w in onto:
-            if v < nb:
-                nbr[v] |= 1 << w
-                nbr[w] |= 1 << v
-        self.loc = np.full(len(points), -1, dtype=np.int64)
-        self.loc[local] = np.arange(len(local))
-        edges, triangles = _ball_simplices(nbr, nb, triangles=True)
-        self.k = k = lane_width(q)
-        # each edge as a chain, oriented both ways
-        self.edge = {}
-        for r, (u, v) in enumerate(edges):
-            self.edge[u, v] = 1 << r * k
-            self.edge[v, u] = neg(1 << r * k, q)
-        add = plus(q)
-        # f and the tree paths P and -P, each vertex after the one it hangs on
-        self.f = f = list(range(len(local)))
-        self.path, self.back = path, back = [0] * len(local), [0] * len(local)
+        f = list(range(len(self.local)))
+        inside = (1 << nb) - 1
+        # each vertex after the one it went onto
         for v, w in reversed(onto):
             f[v] = f[w]
-            if v < nb:
-                path[v] = add(self.edge[v, w], path[w])
-                back[v] = add(self.edge[w, v], back[w])
-        self.bnd = {0: boundary(edges, {(v,): v for v in range(nb)}, q),
-                    1: boundary(triangles, {e: r for r, e in enumerate(edges)}, q)}
-        self.ne = len(edges)
+            inside &= ~(1 << v)
+        # f on global ids, -1 off the local set
+        self.f = np.full(len(sq), -1, dtype=np.int64)
+        self.f[self.local] = f
+        self.simplices = _clique_expand(range(len(self.local)), nbr, top, inside,
+                                        spanning)
+        self.rows = {d: {s: r for r, s in enumerate(ss)}
+                     for d, ss in self.simplices.items() if d < top}
+        self._bnd = {}
 
     def nrows(self, ell: int) -> int:
-        return self.nb if ell == 0 else self.ne
+        return len(self.rows.get(ell, ()))
 
     def boundary_columns(self, ell: int) -> list:
-        return list(self.bnd[ell])
+        if ell not in self._bnd:
+            self._bnd[ell] = boundary(self.simplices.get(ell + 1, []),
+                                      self.rows.get(ell, {}), self.q)
+        return list(self._bnd[ell])
 
     def _images(self, ell: int, simplices: np.ndarray) -> list:
-        loc = self.loc[simplices].tolist()
-        nb, k = self.nb, self.k
-        if ell == 0:
-            return [1 << v * k if 0 <= v < nb else 0 for v, in loc]
-        add = plus(self.q)
-        f, path, back, edge = self.f, self.path, self.back, self.edge
+        rows, q, k = self.rows.get(ell, {}), self.q, lane_width(self.q)
         out = []
-        for u, x in loc:
-            # an edge with no end in the ball lies in A; one with an end in
-            # the ball has the other within b + 2a of the centre, so is local
-            if 0 <= u < nb or 0 <= x < nb:
-                c = add(path[u], back[x])
-                e = edge.get((f[u], f[x]))
-                out.append(c if e is None else add(c, e))
-            else:
+        for s in self.f[simplices].tolist():
+            r = rows.get(tuple(sorted(s)))
+            if r is None:
                 out.append(0)
+                continue
+            # the sign of the permutation that sorts s, by its inversion
+            # parity; a sign is 1 at q = 2 and for a vertex
+            odd = q > 2 and ell and sum(x > y for i, x in enumerate(s)
+                                        for y in s[i + 1:]) & 1
+            out.append((q - 1 if odd else 1) << r * k)
         return out

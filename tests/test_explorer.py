@@ -124,13 +124,15 @@ def test_scan_deterministic():
 
 def test_chord_scan_builds_one_pair_per_r(monkeypatch):
     # cells run column by column, so the engine reuses its level-2 pair
-    # while only R changes: one collapsed pair per r > alpha
+    # while only R changes: one collapsed level-2 pair per r > alpha (the
+    # level-1 pairs, built per query, are not spanning)
     built = []
 
     class Counted(relhom._CollapsedRipsPair):
-        def __init__(self, *args):
-            built.append(args[3])
-            super().__init__(*args)
+        def __init__(self, *args, spanning=False):
+            if spanning:
+                built.append(args[3])
+            super().__init__(*args, spanning=spanning)
 
     monkeypatch.setattr(relhom, "_CollapsedRipsPair", Counted)
     K, x, alpha, eps = circle_chord(), (-1.0, 0.0), 0.12, 0.05

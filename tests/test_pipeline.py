@@ -5,9 +5,9 @@ import pytest
 
 from localhom.geometry import (Sample, circle, circle_chord, generate_sample,
                                segment)
-from localhom.pipeline import (DEFAULT_W0_GRID, _pair_decisions, classify,
-                               group_strata, infer_all, label_of, make_engine)
-from localhom.relhom import HomologySignature, ImageRankEngine, _subspaces_equal
+from localhom.pipeline import (DEFAULT_W0_GRID, classify, group_strata, infer_all,
+                               label_of, make_engine)
+from localhom.relhom import HomologySignature
 from localhom.scales import (ReachBound, ScaleConstants, SelectedScales,
                              manual_scales, select_manifold)
 
@@ -115,42 +115,25 @@ def test_group_strata_all_singletons_when_eps_tiny():
     assert groups == [[i] for i in range(len(P))]
 
 
-# Close pairs of the widened circle-with-chord sample below whose images
-# differ; on the chord, points three apart see different junction sides.
-CHORD_REJECTED = [
-    (0, 116), (1, 116), (38, 41), (44, 94), (45, 94), (46, 94), (47, 94),
-    (90, 116), (91, 94)] + [(i, i + 3) for i in range(92, 113)]
-
-
 @pytest.mark.parametrize("q", [2, 3])
-def test_group_strata_pair_decisions_pinned(q):
+def test_group_strata_chord_groups_by_stratum(q):
     # 120 points 0.05-dense on the circle with a chord, tagged eps = 0.12 so
-    # that pairs across a junction are compared; decisions recorded with the
-    # global level-2 basis, which the collapsed pair must reproduce
-    P0 = generate_sample(circle_chord(), 0.05, 120, seed=3)
+    # that close pairs reach across a junction: the two arcs and the chord
+    # form one group each, pure by stratum id away from the junctions, and
+    # the points around each junction form a group of their own
+    K = circle_chord()
+    P0 = generate_sample(K, 0.05, 120, seed=3)
     P = Sample(points=P0.points, epsilon=0.12, noisy=False, seed=None,
                shape_meta=P0.shape_meta)
     cc = ScaleConstants(t=1, c=S2)
     scales = manual_scales(cc, 0.05, 0.05, 0.165, 0.485, 0.32)
-    decisions = _pair_decisions(P, make_engine(P, scales, cc, q), q, 1)
-    assert len(decisions) == 400
-    assert [(i, j) for i, j, equal in decisions if not equal] == CHORD_REJECTED
-
-
-@pytest.mark.parametrize("q,lmax", [(2, 1), (3, 1), (2, 2), (3, 2)])
-def test_subspaces_equal_without_cycles(q, lmax):
-    # a segment whose level-1 edges join neighbours only: the endpoint's
-    # level-1 pair has no relative 1-cycle, an interior point's has one,
-    # which survives into its level-2 pair; with lmax 2 the level-2 pair has
-    # tetrahedra, so its triangle boundaries are dependent
-    pts = np.c_[np.arange(33) / 32, np.zeros(33)]
-    eng = ImageRankEngine(pts, (1 / 64, 0.1), (3 / 64, 0.1), q=q, lmax=lmax)
-    end = eng.query_index(0, keep_detail=True)
-    mid = eng.query_index(16, keep_detail=True)
-    assert end.ranks[1] == 0 and mid.ranks[1] == 1
-    assert end.detail[1] is None and mid.detail[1] is not None
-    # no cycles pushed into the middle's pair: the zero subspace, not its image
-    assert not _subspaces_equal(end.detail, mid.detail, 1, q)
-    # the endpoint's pair holds no cycles of its own: nothing to compare
-    assert _subspaces_equal(mid.detail, end.detail, 1, q)
-    assert _subspaces_equal(mid.detail, mid.detail, 1, q)
+    groups = group_strata(P, scales, cc, q)
+    assert [len(g) for g in groups] == [10, 41, 9, 41, 19]
+    # stratum ids of the points farther than 0.3 from a junction, per group:
+    # one id each for three groups, none for the two junction groups
+    away = []
+    for g in groups:
+        far = {K.dist(p)[1] for p in P.points[g] if K.dist_to_zero_strata(p) > 0.3}
+        assert len(far) <= 1
+        away += sorted(far)
+    assert sorted(away) == [2, 3, 4]

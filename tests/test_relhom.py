@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from localhom.complexes import (_adjacency_bits, cech, collapse_vertices,
                                 min_enclosing_radius, quotient_pair)
-from localhom.geometry import Sample, circle_chord, generate_sample
-from localhom.pipeline import _pair_decisions
+from localhom.geometry import circle_chord, generate_sample
 from localhom.relhom import (HomologySignature, ImageRankEngine, QuerySpec,
                              exactness_check, image_rank, image_rank_oracle,
                              relative_betti)
@@ -115,27 +114,23 @@ def _filled_patch(draw):
 def _replay_collapse(adj, inside, nbr, onto):
     """Replays ``collapse_vertices`` step by step: every collapse (v, w) was a
     domination of live vertices at that moment, an off-ball v went only onto
-    an off-ball w with no tree edge on v, and at the end no live vertex is
-    dominated under these rules and ``nbr`` is the live graph."""
+    an off-ball w, and at the end no live vertex is dominated under these
+    rules and ``nbr`` is the live graph."""
     m = len(adj)
     closed = [a | 1 << i for i, a in enumerate(adj)]
-    live, held = (1 << m) - 1, 0
+    live = (1 << m) - 1
     for v, w in onto:
         assert v != w and live >> v & 1 and live >> w & 1 and closed[v] >> w & 1
         assert not closed[v] & live & ~closed[w]
-        if inside >> v & 1:
-            held |= 1 << w
-        else:
-            assert not inside >> w & 1 and not held >> v & 1
+        assert inside >> v & 1 or not inside >> w & 1
         live ^= 1 << v
     for v in range(m):
         if not live >> v & 1:
             assert nbr[v] == 0
             continue
         assert nbr[v] == closed[v] & live ^ 1 << v
-        if inside >> v & 1 or not held >> v & 1:
-            cand = nbr[v] & (~0 if inside >> v & 1 else ~inside)
-            assert all(closed[v] & live & ~closed[w] for w in range(m) if cand >> w & 1)
+        cand = nbr[v] & (~0 if inside >> v & 1 else ~inside)
+        assert all(closed[v] & live & ~closed[w] for w in range(m) if cand >> w & 1)
     return bin(live).count("1")
 
 
@@ -163,10 +158,9 @@ def _check_collapse(pts, p, level):
 @settings(max_examples=150)
 @given(data=st.data(), q=st.sampled_from([2, 3, 5]))
 def test_engine_paths_agree_on_grid_ties(flavor, lmax, data, q):
-    # collapsed pair (Rips, lmax 1) and global pair (Rips lmax 2 and 3, Cech):
-    # the stacked reduction, with and without detail, against the
-    # kernel-basis formula and the coned oracle; from lmax 2 on, filled
-    # patches too, where degree 2 is not always zero
+    # collapsed pairs (Rips, every lmax) and global pair (Cech): the stacked
+    # reduction against the kernel-basis formula and the coned oracle; from
+    # lmax 2 on, filled patches too, where degree 2 is not always zero
     pts, p, level1, level2 = data.draw(_grid_ties() if lmax < 2
                                        else _grid_ties() | _filled_patch())
     (a2, b2), c = level2, pts[p]
@@ -175,7 +169,6 @@ def test_engine_paths_agree_on_grid_ties(flavor, lmax, data, q):
     spec = QuerySpec(p, level1, level2, flavor=flavor, q=q, lmax=lmax)
     eng = ImageRankEngine(pts, level1, level2, flavor=flavor, q=q, lmax=lmax)
     fast = eng.query(c).ranks
-    assert eng.query(c, keep_detail=True).ranks == fast
     assert image_rank(spec, pts).ranks == fast
     assert image_rank_oracle(spec, pts).ranks == fast
 
@@ -283,17 +276,16 @@ def test_engine_matches_direct():
         pts, spec = _random_instance(rng)
         eng = ImageRankEngine(pts, spec.level1, spec.level2,
                               flavor=spec.flavor, q=spec.q, lmax=spec.lmax)
-        fast = eng.query(pts[spec.p]).ranks
-        slow = eng.query(pts[spec.p], keep_detail=True).ranks
-        direct = image_rank(spec, pts).ranks
-        assert fast == slow == direct
-    # lmax = 2 reads the global level-2 complex for Rips as well as Cech
+        assert eng.query(pts[spec.p]).ranks == image_rank(spec, pts).ranks
+    # lmax = 2: Rips collapses both levels as at lmax 1, Cech reads the
+    # global level-2 complex
     rng = np.random.default_rng(18)
     for _ in range(20):
         pts, spec = _random_instance(rng, lmax=2)
         eng = ImageRankEngine(pts, spec.level1, spec.level2,
                               flavor=spec.flavor, q=spec.q, lmax=spec.lmax)
-        assert eng.kernel == "global level-2 basis"
+        assert eng.kernel == {"rips": "local rips vertex collapse",
+                              "cech": "global level-2 basis"}[spec.flavor]
         fast = eng.query(pts[spec.p]).ranks
         assert fast == image_rank(spec, pts).ranks
         assert fast == image_rank_oracle(spec, pts).ranks
@@ -443,20 +435,9 @@ def test_engine_rejects_invalid_input():
     assert eng.query(pts[0]).ranks == {0: 0, 1: 0}
 
 
-def _same_result(got, want):
-    assert got.ranks == want.ranks
-    assert (got.detail is None) == (want.detail is None)
-    for ell, d in (want.detail or {}).items():
-        g = got.detail[ell]
-        assert (g is None) == (d is None)
-        if d is not None:
-            assert np.array_equal(g["simplices"], d["simplices"])
-            assert (g["boundary"], g["basis"], g["b2"]) == \
-                (d["boundary"], d["basis"], d["b2"])
-
-
 @pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("flavor,lmax", [("rips", 1), ("rips", 2), ("cech", 1)])
+@pytest.mark.parametrize("flavor,lmax", [("rips", 1), ("rips", 2), ("rips", 3),
+                                         ("cech", 1)])
 def test_engine_pair_memo_matches_fresh_engines(flavor, lmax, q):
     # one engine keeps the level-2 pair of its latest query; every answer of
     # an interleaved sequence equals that of a fresh engine
@@ -466,28 +447,28 @@ def test_engine_pair_memo_matches_fresh_engines(flavor, lmax, q):
     pts = np.vstack([pts, pts[p2]])
     dup = len(pts) - 1
     b1, b2 = level1[1], level2[1]
-    seq = [(p, False, None, None),
-           (p, True, b1 + 4 * GRID, None),   # detail right after a memo entry
-           (p, False, None, b2 / 2),          # r: A -> B -> A
-           (p, True, None, None),
-           (p2, False, None, None),           # new centre, same r
-           (dup, False, b1 + 2 * GRID, None),  # duplicated point, same key
-           (dup, True, None, None),
-           (p2, True, None, 0.0),             # empty smaller ball, no pair
-           (p2, True, None, None),
-           (p, False, None, None)]
+    seq = [(p, None, None),
+           (p, b1 + 4 * GRID, None),      # b1 varies, same pair
+           (p, None, b2 / 2),             # r: A -> B -> A
+           (p, None, None),
+           (p2, None, None),              # new centre, same r
+           (dup, b1 + 2 * GRID, None),    # duplicated point, same key
+           (dup, None, None),
+           (p2, None, 0.0),               # empty smaller ball, no pair
+           (p2, None, None),
+           (p, None, None)]
     eng = ImageRankEngine(pts, level1, level2, flavor=flavor, q=q, lmax=lmax)
-    got = []
-    for i, keep, r1, r2 in seq:
-        got.append(eng.query(pts[i], keep_detail=keep, b1=r1, b2=r2))
+    got, pairs = [], []
+    for i, r1, r2 in seq:
+        got.append(eng.query(pts[i], b1=r1, b2=r2).ranks)
+        pairs.append(eng._memo[1])
         fresh = ImageRankEngine(pts, level1, level2, flavor=flavor, q=q, lmax=lmax)
-        _same_result(got[-1], fresh.query(pts[i], keep_detail=keep, b1=r1, b2=r2))
-    assert any(got[3].ranks.values()) and any(got[8].ranks.values())
+        assert got[-1] == fresh.query(pts[i], b1=r1, b2=r2).ranks
+    assert any(got[3].values()) and any(got[8].values())
+    assert pairs[0] is pairs[1] and pairs[2] is not pairs[3]
     # the duplicate and the query after the empty ball read one pair
-    shared = [ell for ell, d in got[6].detail.items() if d is not None]
-    assert shared and all(got[6].detail[ell]["pair"] is got[8].detail[ell]["pair"]
-                          for ell in shared)
-    assert all(d is None for d in got[7].detail.values())
+    assert pairs[5] is pairs[6] is pairs[7] is pairs[8]
+    assert not any(got[7].values())
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -531,7 +512,6 @@ def test_collinear_cech_triples_on_grid(q):
             eng = ImageRankEngine(pts, (a1, b1), (a2, b2), flavor="cech", q=q,
                                   lmax=lmax)
             fast = eng.query(c).ranks
-            assert eng.query(c, keep_detail=True).ranks == fast
             assert image_rank(spec, pts).ranks == fast
             assert image_rank_oracle(spec, pts).ranks == fast
             seen.add(tuple(sorted(fast.items())))
@@ -539,16 +519,20 @@ def test_collinear_cech_triples_on_grid(q):
 
 
 def test_collapse_keeps_off_ball_vertex_with_tree_edge():
-    # ball vertices 0 and 1 hang on the off-ball vertex 4; once they have,
-    # 4 is dominated by 3, but deleting it would cut their tree edges off,
-    # so 3 goes onto 4 instead
+    # ball vertices 0 and 1 go onto the off-ball vertex 4 and keep no edge
+    # to it; 4 is then dominated by 3 and goes onto it, off-ball onto
+    # off-ball
     adj = [0] * 5
     for u, v in [(0, 4), (1, 4), (3, 4), (2, 3)]:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     nbr, onto = collapse_vertices(adj, 0b11)
-    assert onto == [(2, 3), (1, 4), (0, 4), (3, 4)]
+    assert onto == [(2, 3), (1, 4), (0, 4), (4, 3)]
     assert nbr == [0] * 5
+    # a star on the ball vertex 0: each off-ball leaf is dominated only by
+    # the centre, so every vertex stays
+    star = [0b1110, 0b0001, 0b0001, 0b0001]
+    assert collapse_vertices(star, 0b0001) == (star, [])
     _replay_collapse(adj, 0b11, nbr, onto)
 
 
@@ -560,18 +544,17 @@ def test_collapse_replays_as_dominations_on_grid_ties(inst):
     _check_collapse(pts, p, level2)
 
 
-@pytest.mark.parametrize("lmax", [0, 1])
+@pytest.mark.parametrize("lmax", [0, 1, 2, 3])
 def test_rips_rank_query_reads_no_global_complex(lmax):
-    # Rips up to degree 1: a rank query builds both of its levels from the
-    # local graph; only detail queries read the global level-1 complex
+    # a Rips rank query builds both of its levels from the local graph at
+    # every lmax; the engine builds no global level-2 complex
     pts, p, level1, level2 = _clustered_instance(np.random.default_rng(5), True)
     spec = QuerySpec(p, level1, level2, flavor="rips", q=3, lmax=lmax)
-    want = image_rank(spec, pts).ranks
     eng = ImageRankEngine(pts, level1, level2, flavor="rips", q=3, lmax=lmax)
-    assert eng.query(pts[p], keep_detail=True).ranks == want
+    assert not hasattr(eng, "arr2")
     del eng.arr1, eng.face1
-    assert eng.query(pts[p]).ranks == want
-    with pytest.raises(AttributeError):
+    assert eng.query(pts[p]).ranks == image_rank(spec, pts).ranks
+    with pytest.raises(ValueError, match="keep_detail"):
         eng.query(pts[p], keep_detail=True)
 
 
@@ -585,19 +568,3 @@ def test_engine_collapse_with_every_local_vertex_in_ball(q):
     fast = ImageRankEngine(pts, level1, level2, q=q).query(pts[p]).ranks
     assert fast == image_rank(spec, pts).ranks == image_rank_oracle(spec, pts).ranks
     assert fast[0] == 1
-
-
-@settings(max_examples=60)
-@given(inst=_grid_ties(), q=st.sampled_from([2, 3, 5]),
-       eps=st.integers(4, 12).map(lambda k: k * GRID))
-def test_pair_decisions_collapsed_match_global(inst, q, eps):
-    # group_strata's cross-point decisions in degrees 0 and 1: the collapsed
-    # pair (lmax 1) maps every level-1 chain to itself plus relative
-    # boundaries, so it decides as the global pair (lmax 2) does
-    pts, p, level1, level2 = inst
-    P = Sample(points=pts, epsilon=eps, noisy=False)
-    collapsed = ImageRankEngine(pts, level1, level2, q=q, lmax=1)
-    assert collapsed.kernel == "local rips vertex collapse"
-    glob = ImageRankEngine(pts, level1, level2, q=q, lmax=2)
-    assert glob.kernel == "global level-2 basis"
-    assert _pair_decisions(P, collapsed, q, 1) == _pair_decisions(P, glob, q, 1)
