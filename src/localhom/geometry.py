@@ -84,6 +84,43 @@ class Sample:
         return len(self.points)
 
 
+def _plane_points(X) -> np.ndarray:
+    """X as a float (n, 2) array; ``ValueError`` unless it is a nonempty
+    (n, 2) array of finite coordinates."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != 2:
+        raise ValueError(f"points must form a nonempty (n, 2) array of plane "
+                         f"coordinates, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("point coordinates must be finite")
+    return X
+
+
+def _plane_point(x) -> np.ndarray:
+    """The single point x as a (1, 2) array, for the one-row calls."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2,):
+        raise ValueError(f"a point of the plane has 2 coordinates, got shape {x.shape}")
+    return _plane_points(x[None])
+
+
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot product of each row of A, (n, 2), with the matching row of B, or
+    with B itself when B is one point, (2,).
+
+    A batch of (1, 2) @ (2, 1) products makes numpy take each one through
+    the 1-D ``dot`` that ``x @ y`` and ``np.linalg.norm`` use, so every
+    entry has the bits of the per-point formula; a plain elementwise
+    ``(A * B).sum(-1)`` rounds differently.
+    """
+    return np.matmul(A[:, None, :], B[..., :, None])[:, 0, 0]
+
+
+def _norms(V: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of V."""
+    return np.sqrt(_row_dots(V, V))
+
+
 @dataclass(frozen=True)
 class Stratum:
     """One stratum of a stratified shape.
@@ -93,6 +130,9 @@ class Stratum:
       arc:     (cx, cy, radius, theta0, theta1) with theta1 - theta0 <= 2*pi
       segment: (x0, y0, x1, y1)
     ``valence`` (point strata only) counts incident curve branches.
+
+    ``dists`` and ``projections`` are the closed forms, over the rows of an
+    (n, 2) array; ``dist`` and ``project`` are their one-row calls.
     """
 
     sid: int
@@ -101,62 +141,86 @@ class Stratum:
     params: tuple
     valence: int = 0
 
+    def dists(self, X) -> np.ndarray:
+        """Distance from each row of X to the closure of this stratum."""
+        X = _plane_points(X)
+        if self.kind == "point":
+            return np.hypot(X[:, 0] - self.params[0], X[:, 1] - self.params[1])
+        if self.kind == "segment":
+            return _norms(X - self._segment_points(X))
+        if self.kind == "arc":
+            cx, cy, r = self.params[:3]
+            V = X - np.array([cx, cy])
+            out = np.abs(_norms(V) - r)
+            if self._full_circle():
+                return out
+            off = ~self._within_angles(V)
+            if off.any():
+                e0, e1 = self._arc_ends()
+                Y = X[off]
+                out[off] = np.minimum(_norms(Y - e0), _norms(Y - e1))
+            return out
+        raise ValueError(f"unknown stratum kind {self.kind!r}")
+
+    def projections(self, X) -> np.ndarray:
+        """Nearest point of the stratum closure to each row of X, (n, 2)."""
+        X = _plane_points(X)
+        if self.kind == "point":
+            return np.tile(np.array(self.params, dtype=float), (len(X), 1))
+        if self.kind == "segment":
+            return self._segment_points(X)
+        if self.kind == "arc":
+            cx, cy, r = self.params[:3]
+            c = np.array([cx, cy])
+            V = X - c
+            nv = _norms(V)
+            full = self._full_circle()
+            radial = nv > 0 if full else (nv > 0) & self._within_angles(V)
+            out = np.empty_like(X)
+            out[radial] = c + V[radial] * (r / nv[radial])[:, None]
+            if full:
+                out[~radial] = c + np.array([r, 0.0])
+            elif not radial.all():
+                e0, e1 = self._arc_ends()
+                Y = X[~radial]
+                nearer0 = _norms(Y - e0) <= _norms(Y - e1)
+                out[~radial] = np.where(nearer0[:, None], e0, e1)
+            return out
+        raise ValueError(f"unknown stratum kind {self.kind!r}")
+
     def dist(self, x) -> float:
         """Distance from x to the closure of this stratum (closed form)."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "point":
-            return float(np.hypot(x[0] - self.params[0], x[1] - self.params[1]))
-        if self.kind == "segment":
-            x0, y0, x1, y1 = self.params
-            p0 = np.array([x0, y0])
-            d = np.array([x1 - x0, y1 - y0])
-            L2 = float(d @ d)
-            s = 0.0 if L2 == 0 else float(np.clip((x - p0) @ d / L2, 0.0, 1.0))
-            return float(np.linalg.norm(x - (p0 + s * d)))
-        if self.kind == "arc":
-            cx, cy, r, t0, t1 = self.params
-            v = x - np.array([cx, cy])
-            if t1 - t0 >= 2 * math.pi - 1e-15:
-                return abs(float(np.linalg.norm(v)) - r)
-            phi = math.atan2(v[1], v[0])
-            # normalize into [t0, t0 + 2*pi)
-            phi = t0 + (phi - t0) % (2 * math.pi)
-            if phi <= t1:
-                return abs(float(np.linalg.norm(v)) - r)
-            e0 = np.array([cx + r * math.cos(t0), cy + r * math.sin(t0)])
-            e1 = np.array([cx + r * math.cos(t1), cy + r * math.sin(t1)])
-            return min(float(np.linalg.norm(x - e0)), float(np.linalg.norm(x - e1)))
-        raise ValueError(f"unknown stratum kind {self.kind!r}")
+        return float(self.dists(_plane_point(x))[0])
 
     def project(self, x) -> np.ndarray:
         """Nearest point of the stratum closure to x."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "point":
-            return np.array(self.params, dtype=float)
-        if self.kind == "segment":
-            x0, y0, x1, y1 = self.params
-            p0 = np.array([x0, y0])
-            d = np.array([x1 - x0, y1 - y0])
-            L2 = float(d @ d)
-            s = 0.0 if L2 == 0 else float(np.clip((x - p0) @ d / L2, 0.0, 1.0))
-            return p0 + s * d
-        if self.kind == "arc":
-            cx, cy, r, t0, t1 = self.params
-            c = np.array([cx, cy])
-            v = x - c
-            nv = float(np.linalg.norm(v))
-            if t1 - t0 >= 2 * math.pi - 1e-15:
-                if nv == 0:
-                    return c + np.array([r, 0.0])
-                return c + v * (r / nv)
-            phi = math.atan2(v[1], v[0]) if nv > 0 else t0
-            phi = t0 + (phi - t0) % (2 * math.pi)
-            if phi <= t1 and nv > 0:
-                return c + v * (r / nv)
-            e0 = c + r * np.array([math.cos(t0), math.sin(t0)])
-            e1 = c + r * np.array([math.cos(t1), math.sin(t1)])
-            return e0 if np.linalg.norm(x - e0) <= np.linalg.norm(x - e1) else e1
-        raise ValueError(f"unknown stratum kind {self.kind!r}")
+        return self.projections(_plane_point(x))[0]
+
+    def _segment_points(self, X: np.ndarray) -> np.ndarray:
+        """Nearest segment point to each row of X."""
+        x0, y0, x1, y1 = self.params
+        p0 = np.array([x0, y0])
+        d = np.array([x1 - x0, y1 - y0])
+        L2 = float(d @ d)
+        s = np.zeros(len(X)) if L2 == 0 else np.clip(_row_dots(X - p0, d) / L2, 0.0, 1.0)
+        return p0 + s[:, None] * d
+
+    def _full_circle(self) -> bool:
+        t0, t1 = self.params[3:]
+        return t1 - t0 >= 2 * math.pi - 1e-15
+
+    def _within_angles(self, V: np.ndarray) -> np.ndarray:
+        """Whether the angle of each offset V from the centre, normalized
+        into [t0, t0 + 2*pi), is at most t1.  ``math.atan2`` is the angle:
+        ``np.arctan2`` can differ from it in the last bit."""
+        t0, t1 = self.params[3:]
+        phi = np.array([math.atan2(vy, vx) for vx, vy in V.tolist()])
+        return t0 + np.mod(phi - t0, 2 * math.pi) <= t1
+
+    def _arc_ends(self):
+        cx, cy, r, t0, t1 = self.params
+        return (np.array([cx + r * math.cos(t0), cy + r * math.sin(t0)]),
+                np.array([cx + r * math.cos(t1), cy + r * math.sin(t1)]))
 
 
 @dataclass(frozen=True)
@@ -182,50 +246,81 @@ class StratifiedShape:
         self.reach_info = reach_info
         self.meta_params = dict(meta_params or {})
 
-    def dist(self, x):
-        """(distance to shape, nearest stratum id); ties go to the lowest id."""
-        best_d, best_sid = math.inf, -1
+    def dists(self, X):
+        """Distance from each row of X to the shape, and the id of the nearest
+        stratum, as two (n,) arrays.  A stratum within 1e-12 of the nearest
+        distance so far ties with it, and a tie goes to the lower id."""
+        X = _plane_points(X)
+        best_d = np.full(len(X), math.inf)
+        best_sid = np.full(len(X), -1)
         for s in self.strata:
-            d = s.dist(x)
-            if d < best_d - 0.0 and not math.isclose(d, best_d, rel_tol=0.0, abs_tol=1e-12):
-                best_d, best_sid = d, s.sid
-            elif math.isclose(d, best_d, rel_tol=0.0, abs_tol=1e-12) and s.sid < best_sid:
-                best_sid = s.sid
-                best_d = min(best_d, d)
+            d = s.dists(X)
+            close = (d == best_d) | (np.abs(d - best_d) <= 1e-12)
+            take = (d < best_d) & ~close
+            tie = close & (s.sid < best_sid)
+            best_d = np.where(take, d, np.where(tie, np.minimum(best_d, d), best_d))
+            best_sid = np.where(take | tie, s.sid, best_sid)
         return best_d, best_sid
 
-    def project(self, x):
-        """(nearest shape point, stratum id, distance)."""
-        d, sid = self.dist(x)
-        s = self.strata[sid]
-        return s.project(x), sid, d
+    def projections(self, X):
+        """Nearest shape point to each row of X, (n, 2), with the stratum ids
+        and distances of ``dists``."""
+        X = _plane_points(X)
+        d, sid = self.dists(X)
+        out = np.empty_like(X)
+        for s in self.strata:
+            rows = sid == s.sid
+            if rows.any():
+                out[rows] = s.projections(X[rows])
+        return out, sid, d
 
-    def zero_strata(self):
-        return [s for s in self.strata if s.height == 0 and s.kind == "point"]
+    def zero_strata_dists(self, X) -> np.ndarray:
+        """Distance from each row of X to the nearest 0-stratum (inf if none)."""
+        X = _plane_points(X)
+        out = np.full(len(X), math.inf)
+        for s in self.zero_strata():
+            out = np.minimum(out, s.dists(X))
+        return out
 
-    def dist_to_zero_strata(self, x) -> float:
-        zs = self.zero_strata()
-        if not zs:
-            return math.inf
-        return min(s.dist(x) for s in zs)
-
-    def ground_truth(self, x) -> GroundTruthLabel:
-        """Local homology ranks at a point of the shape.
+    def ground_truths(self, X):
+        """Local homology ranks at each row of X, which must lie on the shape.
 
         Interior points of curve strata get rank 1 in degree 1; a k-valent
         junction point gets rank k-1; a free endpoint (valence 1) gets all
         ranks zero.
         """
-        d, sid = self.dist(x)
-        if d > ON_SHAPE_TOL:
-            raise ValueError(f"point {x} is not on the shape (distance {d})")
-        s = self.strata[sid]
-        if s.kind == "point":
-            r1 = max(s.valence - 1, 0)
-        else:
-            r1 = 1
-        ranks = {1: r1} if r1 > 0 else {}
-        return GroundTruthLabel(stratum_id=sid, local_ranks=ranks)
+        X = _plane_points(X)
+        d, sid = self.dists(X)
+        off = np.flatnonzero(d > ON_SHAPE_TOL)
+        if off.size:
+            i = off[0]
+            raise ValueError(f"point {X[i]} is not on the shape (distance {float(d[i])})")
+        out = []
+        for k in sid.tolist():
+            s = self.strata[k]
+            r1 = max(s.valence - 1, 0) if s.kind == "point" else 1
+            out.append(GroundTruthLabel(stratum_id=k, local_ranks={1: r1} if r1 > 0 else {}))
+        return out
+
+    def dist(self, x):
+        """(distance to shape, nearest stratum id); ties go to the lowest id."""
+        d, sid = self.dists(_plane_point(x))
+        return float(d[0]), int(sid[0])
+
+    def project(self, x):
+        """(nearest shape point, stratum id, distance)."""
+        proj, sid, d = self.projections(_plane_point(x))
+        return proj[0], int(sid[0]), float(d[0])
+
+    def zero_strata(self):
+        return [s for s in self.strata if s.height == 0 and s.kind == "point"]
+
+    def dist_to_zero_strata(self, x) -> float:
+        return float(self.zero_strata_dists(_plane_point(x))[0])
+
+    def ground_truth(self, x) -> GroundTruthLabel:
+        """Local homology ranks at a point of the shape (see ``ground_truths``)."""
+        return self.ground_truths(_plane_point(x))[0]
 
     def component_lengths(self):
         out = []
@@ -377,17 +472,44 @@ def hausdorff(points: np.ndarray, shape: StratifiedShape, grid: int = 512) -> Ha
     """
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    pts = np.asarray(points, dtype=float)
-    d_ps = max(shape.dist(p)[0] for p in pts)
-    g = shape.grid_points(grid)
-    # min-distance from grid points to the sample, in blocks small enough
-    # that the temporaries stay a few MB
-    d_sp = 0.0
-    for lo in range(0, len(g), 256):
-        d2 = sq_dists(g[lo:lo + 256], pts)
-        d_sp = max(d_sp, float(np.sqrt(d2.min(axis=1).max())))
+    pts = _plane_points(points)
+    d_ps = float(shape.dists(pts)[0].max())
+    d_sp = math.sqrt(_max_min_sq_dist(shape.grid_points(grid), pts))
     step = 1.0 / grid
     return HausdorffResult(max(d_ps, d_sp), step / 2.0)
+
+
+def _max_min_sq_dist(g: np.ndarray, pts: np.ndarray, block: int = 64) -> float:
+    """Max over the rows of g of the min over the rows of pts of ``sq_dists``.
+
+    g runs along the shape, so a block of consecutive rows is compact.  A
+    block compares its rows only with the sample points in its bounding box
+    widened by R, the square root of the running maximum, plus a rounding
+    margin: a point outside that box is farther than R from every row of the
+    block.  While some row's minimum over those candidates exceeds R, R
+    widens to that minimum and the candidates are taken again; a box with no
+    candidates takes the whole sample.  Every minimum that can raise the
+    maximum is then one over all points within R of its row, and each
+    candidate distance is the entry of ``sq_dists`` itself, so the result
+    has the bits of the unpruned scan.
+    """
+    px, py = pts[:, 0], pts[:, 1]
+    slack = 1e-9 * (1.0 + max(float(np.abs(pts).max()), float(np.abs(g).max())))
+    best = 0.0
+    for lo in range(0, len(g), block):
+        G = g[lo:lo + block]
+        (x0, y0), (x1, y1) = G.min(axis=0), G.max(axis=0)
+        r2 = best
+        while True:
+            rad = math.sqrt(r2) + slack
+            near = np.flatnonzero((px >= x0 - rad) & (px <= x1 + rad)
+                                  & (py >= y0 - rad) & (py <= y1 + rad))
+            m = float(sq_dists(G, pts[near] if near.size else pts).min(axis=1).max())
+            if m <= r2 or not near.size:
+                break
+            r2 = m
+        best = max(best, m)
+    return best
 
 
 def generate_sample(shape: StratifiedShape, eps: float, n: int,

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Sample, StratifiedShape, sq_dists
+from .geometry import ON_SHAPE_TOL, Sample, StratifiedShape, sq_dists
 from .relhom import HomologySignature, ImageRankEngine
 from .scales import ScaleConstants, SelectedScales
 
@@ -95,15 +95,22 @@ def infer_all(P: Sample, scales: SelectedScales, cc: ScaleConstants,
 
 
 def check_on_shape(P: Sample, K: StratifiedShape) -> None:
-    """Raises ``ValueError`` unless K gives a ground truth at every recorded
-    generating point of P, as ``classify`` needs; a sample generated on
-    another shape fails."""
-    for i, x in enumerate(P.true_points if P.true_points is not None else ()):
-        try:
-            K.ground_truth(x)
-        except ValueError as exc:
-            raise ValueError(f"sample point {i}: {exc}; the sample was generated "
-                             f"on another shape than {K.kind}") from None
+    """Raises ``ValueError`` unless P is a plane sample and K gives a ground
+    truth at every recorded generating point of P, as ``classify`` needs; a
+    sample generated on another shape fails."""
+    dim = P.points.shape[1]
+    if dim != 2:
+        raise ValueError(f"sample points have {dim} coordinate(s), but the "
+                         f"{K.kind} shape lies in the plane")
+    if P.true_points is None:
+        return
+    d, _ = K.dists(P.true_points)
+    off = np.flatnonzero(d > ON_SHAPE_TOL)
+    if off.size:
+        i = int(off[0])
+        raise ValueError(f"sample point {i}: point {P.true_points[i]} is not on the "
+                         f"shape (distance {float(d[i])}); the sample was "
+                         f"generated on another shape than {K.kind}")
 
 
 def classify(P: Sample, results: Sequence[PointResult], K: StratifiedShape,
@@ -118,18 +125,19 @@ def classify(P: Sample, results: Sequence[PointResult], K: StratifiedShape,
     """
     results = list(results)
     n_ok = 0
-    for r in results:
-        p = P.points[r.index]
+    if results:
+        idx = [r.index for r in results]
         if P.true_points is not None:
-            x = P.true_points[r.index]
+            X = P.true_points[idx]
         else:
-            x, _, _ = K.project(p)
-        gt = K.ground_truth(x)
-        _, sid = K.dist(x)
-        r.nearest_stratum = sid
-        r.dist_to_0strata = float(min(K.dist_to_zero_strata(x), 1e300))
-        r.correct = r.signature.nonzero() == gt.local_ranks
-        n_ok += r.correct
+            X = K.projections(P.points[idx])[0]
+        labels = K.ground_truths(X)
+        d0 = np.minimum(K.zero_strata_dists(X), 1e300).tolist()
+        for r, gt, d in zip(results, labels, d0):
+            r.nearest_stratum = gt.stratum_id
+            r.dist_to_0strata = d
+            r.correct = r.signature.nonzero() == gt.local_ranks
+            n_ok += r.correct
     report = RunReport(sample_meta=_sample_meta(P), scales=scales,
                        points=results, coords=P.points,
                        overall_accuracy=n_ok / len(results) if results else None)

@@ -212,6 +212,23 @@ def test_infer_mismatched_shape_is_validation_error(tmp_path, monkeypatch, capsy
     assert rc == 0 and queried
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_infer_non_planar_sample_is_validation_error(tmp_path, dim, capsys):
+    # a sample read from CSV may have any number of columns; the shapes lie
+    # in the plane, so scoring against one needs exactly two
+    sample = tmp_path / "pts.csv"
+    rows = [[1.0, 0.0, 0.5], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.5]]
+    lines = [",".join(f"x{k}" for k in range(dim))]
+    lines += [",".join(repr(v) for v in row[:dim]) for row in rows]
+    sample.write_text("\n".join(lines) + "\n")
+    rc = main(["infer", "--sample", str(sample), "--eps", "0.5", "--shape", "circle",
+               "--scale1", "0.5", "--scale2", "1.2", "--ball-R", "1.5", "--ball-r", "1.4"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"sample points have {dim} coordinate(s)" in captured.err
+    assert captured.out == ""
+
+
 def test_check_prints_tally(capsys):
     rc = main(["check", "--random", "25", "--seed", "3"])
     assert rc == 0

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from localhom import geometry
-from localhom.geometry import (circle, circle_chord, distance, generate_sample,
-                               ground_truth, hausdorff, load_sample_csv,
-                               save_sample_csv, segment, sq_dists)
+from localhom.geometry import (StratifiedShape, Stratum, circle, circle_chord,
+                               distance, generate_sample, ground_truth, hausdorff,
+                               load_sample_csv, save_sample_csv, segment, sq_dists)
 
 
 def test_distance_basics():
@@ -181,3 +181,218 @@ def test_csv_roundtrip(tmp_path):
     assert Q.epsilon == P.epsilon and Q.noisy == P.noisy and Q.seed == P.seed
     assert np.array_equal(P.true_points, Q.true_points)
     assert Q.shape_meta["kind"] == "circle"
+
+
+# ---------------------------------------------------------------------------
+# The array kernels against the per-point formulas they replaced, bit for bit
+
+
+def _ref_stratum_dist(s, x):
+    x = np.asarray(x, dtype=float)
+    if s.kind == "point":
+        return float(np.hypot(x[0] - s.params[0], x[1] - s.params[1]))
+    if s.kind == "segment":
+        x0, y0, x1, y1 = s.params
+        p0 = np.array([x0, y0])
+        d = np.array([x1 - x0, y1 - y0])
+        L2 = float(d @ d)
+        t = 0.0 if L2 == 0 else float(np.clip((x - p0) @ d / L2, 0.0, 1.0))
+        return float(np.linalg.norm(x - (p0 + t * d)))
+    cx, cy, r, t0, t1 = s.params
+    v = x - np.array([cx, cy])
+    if t1 - t0 >= 2 * math.pi - 1e-15:
+        return abs(float(np.linalg.norm(v)) - r)
+    phi = math.atan2(v[1], v[0])
+    phi = t0 + (phi - t0) % (2 * math.pi)
+    if phi <= t1:
+        return abs(float(np.linalg.norm(v)) - r)
+    e0 = np.array([cx + r * math.cos(t0), cy + r * math.sin(t0)])
+    e1 = np.array([cx + r * math.cos(t1), cy + r * math.sin(t1)])
+    return min(float(np.linalg.norm(x - e0)), float(np.linalg.norm(x - e1)))
+
+
+def _ref_stratum_project(s, x):
+    x = np.asarray(x, dtype=float)
+    if s.kind == "point":
+        return np.array(s.params, dtype=float)
+    if s.kind == "segment":
+        x0, y0, x1, y1 = s.params
+        p0 = np.array([x0, y0])
+        d = np.array([x1 - x0, y1 - y0])
+        L2 = float(d @ d)
+        t = 0.0 if L2 == 0 else float(np.clip((x - p0) @ d / L2, 0.0, 1.0))
+        return p0 + t * d
+    cx, cy, r, t0, t1 = s.params
+    c = np.array([cx, cy])
+    v = x - c
+    nv = float(np.linalg.norm(v))
+    if t1 - t0 >= 2 * math.pi - 1e-15:
+        if nv == 0:
+            return c + np.array([r, 0.0])
+        return c + v * (r / nv)
+    phi = math.atan2(v[1], v[0]) if nv > 0 else t0
+    phi = t0 + (phi - t0) % (2 * math.pi)
+    if phi <= t1 and nv > 0:
+        return c + v * (r / nv)
+    e0 = c + r * np.array([math.cos(t0), math.sin(t0)])
+    e1 = c + r * np.array([math.cos(t1), math.sin(t1)])
+    return e0 if np.linalg.norm(x - e0) <= np.linalg.norm(x - e1) else e1
+
+
+def _ref_shape_dist(K, x):
+    best_d, best_sid = math.inf, -1
+    for s in K.strata:
+        d = _ref_stratum_dist(s, x)
+        if d < best_d and not math.isclose(d, best_d, rel_tol=0.0, abs_tol=1e-12):
+            best_d, best_sid = d, s.sid
+        elif math.isclose(d, best_d, rel_tol=0.0, abs_tol=1e-12) and s.sid < best_sid:
+            best_sid = s.sid
+            best_d = min(best_d, d)
+    return best_d, best_sid
+
+
+def _ref_hausdorff(points, K, grid):
+    """Every sample point against every stratum, every grid point against
+    every sample point, in blocks of 256 grid points."""
+    pts = np.asarray(points, dtype=float)
+    d_ps = max(_ref_shape_dist(K, p)[0] for p in pts)
+    g = K.grid_points(grid)
+    d_sp = 0.0
+    for lo in range(0, len(g), 256):
+        d2 = sq_dists(g[lo:lo + 256], pts)
+        d_sp = max(d_sp, float(np.sqrt(d2.min(axis=1).max())))
+    return max(d_ps, d_sp)
+
+
+def _partial_arc_shape():
+    """One arc of angle 0.3 to 2.0 about (0.25, -0.5), radius 1.5, with
+    both ends as 0-strata: the endpoint branches away from the junctions."""
+    c, r, t0, t1 = (0.25, -0.5), 1.5, 0.3, 2.0
+    ends = [(c[0] + r * math.cos(t), c[1] + r * math.sin(t)) for t in (t0, t1)]
+    strata = [Stratum(0, 0, "point", ends[0], valence=1),
+              Stratum(1, 0, "point", ends[1], valence=1),
+              Stratum(2, 1, "arc", (c[0], c[1], r, t0, t1))]
+    return StratifiedShape("arc", strata, [])
+
+
+def _exactness_points():
+    rng = np.random.default_rng(18)
+    xs = np.linspace(-0.95, 0.95, 39)
+    # equidistant from the chord and an arc: y = (1 - x^2) / 2 above the
+    # chord, mirrored below; then off by up to twice the tie tolerance
+    tie_y = (1 - xs ** 2) / 2
+    ties = [np.c_[xs, sgn * tie_y + dy] for sgn in (1, -1)
+            for dy in (-2e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 2e-12)]
+    special = np.array([
+        (-1.0, 0.0), (1.0, 0.0),                 # the junctions
+        (0.0, 0.0), (0.0, -0.0), (-0.0, 0.0),    # the circle centre, nv = 0
+        (0.25, -0.5),                            # the partial arc's centre
+        (-0.5, 0.0), (-0.5, -0.0), (0.5, 0.0), (0.5, -0.0),   # phi == t1
+        (-2.0, 0.0), (2.0, -0.0), (0.0, 1.0), (0.0, -1.0),
+        (0.25 + 1.5 * math.cos(2.0), -0.5 + 1.5 * math.sin(2.0)),
+        (0.25 + 3 * math.cos(0.3), -0.5 + 3 * math.sin(0.3)),
+        (0.3, 1e-300), (1e-300, 0.7), (0.5 + 1e-13, 0.5),
+    ])
+    # a few ulps of angle from the partial arc's ends, where np.arctan2
+    # (numpy 2.4 on x86-64) and math.atan2 put the point on different sides
+    # of the end
+    ends = np.array([[float.fromhex(a), float.fromhex(b)] for a, b in [
+        ("0x1.1fecc2ebb8e00p+1", "0x1.e556b243fb7a8p-4"),
+        ("0x1.f456dc6891b12p+0", "0x1.be6f9f0f9a6a0p-6"),
+        ("0x1.f72c2d80da72fp+0", "0x1.f687183ed4520p-6"),
+        ("0x1.765b41959275cp-3", "-0x1.699f27b206ad0p-2")]])
+    lattice = np.stack(np.meshgrid(np.arange(-32, 33) / 16,
+                                   np.arange(-32, 33) / 16), -1).reshape(-1, 2)
+    t = rng.uniform(0, 2 * math.pi, 300)
+    rand = np.vstack([rng.uniform(-2.5, 2.5, size=(1200, 2)),
+                      rng.normal(0.0, 1e-3, size=(100, 2)), np.c_[np.cos(t), np.sin(t)]])
+    pts = np.vstack([special, ends, *ties, lattice, rand])
+    return np.vstack([pts, pts[::7]])            # and duplicates
+
+
+_EXACT_SHAPES = [circle(), circle(2.0), circle_chord(), segment((0, 0), (1, 0)),
+                 segment((-0.3, 0.7), (1.1, -0.4)), _partial_arc_shape()]
+
+
+@pytest.mark.parametrize("K", _EXACT_SHAPES, ids=lambda K: K.kind)
+def test_stratum_kernels_match_per_point_formulas(K):
+    X = _exactness_points()
+    for s in K.strata:
+        want = np.array([_ref_stratum_dist(s, x) for x in X])
+        assert _same_bits(s.dists(X), want), (K.kind, s.sid)
+        want = np.array([_ref_stratum_project(s, x) for x in X])
+        assert _same_bits(s.projections(X), want), (K.kind, s.sid)
+        for x in X[:40]:
+            assert s.dist(x) == _ref_stratum_dist(s, x)
+            assert _same_bits(s.project(x), _ref_stratum_project(s, x))
+
+
+@pytest.mark.parametrize("K", _EXACT_SHAPES, ids=lambda K: K.kind)
+def test_shape_kernels_match_per_point_formulas(K):
+    X = _exactness_points()
+    ref = [_ref_shape_dist(K, x) for x in X]
+    want_d = np.array([d for d, _ in ref])
+    want_sid = np.array([sid for _, sid in ref])
+    d, sid = K.dists(X)
+    assert _same_bits(d, want_d) and sid.tolist() == want_sid.tolist()
+    proj, psid, pd = K.projections(X)
+    want = np.array([_ref_stratum_project(K.strata[k], x) for k, x in zip(want_sid, X)])
+    assert _same_bits(proj, want)
+    assert psid.tolist() == want_sid.tolist() and _same_bits(pd, want_d)
+    zs = K.zero_strata()
+    want = np.array([min((_ref_stratum_dist(s, x) for s in zs), default=math.inf)
+                     for x in X])
+    assert _same_bits(K.zero_strata_dists(X), want)
+    for x, (dx, kx) in zip(X[:60], ref[:60]):
+        assert K.dist(x) == (dx, kx)
+        p, k, dd = K.project(x)
+        assert _same_bits(p, _ref_stratum_project(K.strata[kx], x)) and (k, dd) == (kx, dx)
+    on = proj[::5]
+    labels = K.ground_truths(on)
+    assert [gt.stratum_id for gt in labels] == [K.dist(x)[1] for x in on]
+    assert labels == [K.ground_truth(x) for x in on]
+
+
+@pytest.mark.parametrize("bad", [np.zeros((0, 2)), np.zeros((4, 3)), np.zeros((4, 1)),
+                                 np.zeros(2), [[0.0, math.nan]], [[math.inf, 0.0]]])
+def test_kernels_reject_non_planar_points(bad):
+    K = circle_chord()
+    for call in (K.dists, K.projections, K.strata[3].dists, K.ground_truths,
+                 lambda X: hausdorff(X, K, grid=64)):
+        with pytest.raises(ValueError, match="nonempty \\(n, 2\\) array|finite"):
+            call(bad)
+    with pytest.raises(ValueError, match="2 coordinates"):
+        K.dist((0.0, 1.0, 0.0))
+
+
+def _hausdorff_inputs():
+    K = circle_chord()
+    P = generate_sample(K, 0.018, 1500, noise=0.009, seed=7).points
+    rng = np.random.default_rng(5)
+    # the upper arc left out: its grid points find no sample point in their
+    # boxes and fall back to the whole sample
+    no_arc = P[(P[:, 1] < 0.05) | (np.abs(P[:, 0]) > 0.95)]
+    return [
+        (K, P, 445), (K, no_arc, 445), (K, K.even_points(400), 160),
+        (K, np.array([[0.1, 0.2]]), 64), (K, np.vstack([P[:50], P[:50]]), 200),
+        (circle(), K.even_points(60) * 1.5, 300),
+        (circle(2.0), rng.normal(0.0, 1.0, size=(300, 2)), 128),
+        (segment((0, 0), (1, 0)), np.r_[generate_sample(
+            segment((0, 0), (1, 0)), 0.01, 60).points, [[3.0, 4.0]]], 4096),
+        (segment((-0.3, 0.7), (1.1, -0.4)), rng.uniform(-1, 1, size=(200, 2)), 256),
+    ]
+
+
+def test_hausdorff_matches_unpruned_scan():
+    for K, pts, grid in _hausdorff_inputs():
+        got = hausdorff(pts, K, grid=grid)
+        assert got.value == _ref_hausdorff(pts, K, grid), (K.kind, len(pts), grid)
+        assert got.error_bound == 0.5 / grid
+
+
+def test_hausdorff_values_pinned():
+    # computed by the per-point, unpruned implementation this one replaced
+    K = circle_chord()
+    P = generate_sample(K, 0.018, 1500, noise=0.009, seed=7)
+    assert repr(hausdorff(P.points, K, grid=445).value) == "0.01033413366718397"
+    assert repr(hausdorff(K.even_points(400), K, grid=160).value) == "0.010384012539184972"
