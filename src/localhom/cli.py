@@ -19,7 +19,7 @@ import numpy as np
 from . import geometry, pipeline, plotting
 from .explorer import scan_alpha_section, scan_to_csv, section_properties
 from .fieldla import _is_prime
-from .geometry import (Sample, generate_sample, load_sample_csv, make_shape,
+from .geometry import (Sample, load_sample_csv, make_shape,
                        save_sample_csv, shape_from_meta)
 from .relhom import ImageRankEngine, QuerySpec, image_rank, image_rank_oracle
 from .scales import (InfeasibleScales, ReachBound, ScaleConstants,
@@ -150,14 +150,12 @@ def _shape_from_args(args):
 def cmd_generate(args) -> int:
     try:
         shape = _shape_from_args(args)
-        sample = generate_sample(shape, args.eps, args.n,
-                                 noise=args.noise, seed=args.seed)
+        sample, hd = geometry._generate_verified(shape, args.eps, args.n,
+                                                 args.noise, args.seed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     save_sample_csv(sample, args.output)
-    hd = geometry.hausdorff(sample.points, shape,
-                            grid=geometry.hausdorff_grid(args.eps))
     print(emit_json({"written": str(args.output), "n": len(sample),
                      "epsilon": sample.epsilon, "noisy": sample.noisy,
                      "hausdorff": hd.value,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -78,17 +78,23 @@ class SimplicialComplex:
         return "\n".join(lines)
 
 
-def _clique_expand(subset: np.ndarray, adj: List[int], max_dim: int,
+def _clique_expand(subset: Sequence[int], adj: Dict[int, int], max_dim: int,
                    inside: int = -1, spanning: bool = False):
-    """Clique complex of the edge graph given by ``adj`` (local bitmasks),
-    restricted to the simplices that meet ``inside``, a bitmask of local
-    vertices (default: every vertex).
+    """Clique complex of the edge graph given by ``adj``, restricted to the
+    simplices that meet ``inside``, a bitmask of local vertices (default:
+    every vertex).
+
+    ``adj`` maps each vertex of the graph, a local index, to the bitmask of
+    its neighbours, in ascending order of the local indices; every
+    neighbour is a key.  Only these vertices are read, so a caller can
+    expand a subgraph, such as the live core of a collapse, without passing
+    the others.  ``subset[i]`` is the global id of local vertex i, an int.
 
     Returns dict dim -> list of global-index tuples, each list in the
     lexicographic order of local indices (that of global ids when
     ``subset`` is sorted): the filtered lists of the full complex.  Degrees
-    0 and 1 are present when max_dim >= 1 and ``subset`` is not empty;
-    above them the dict stops before the first degree with no simplex.
+    0 and 1 are present when max_dim >= 1 and ``adj`` is not empty; above
+    them the dict stops before the first degree with no simplex.
 
     The expansion goes degree by degree.  A partial simplex carries its
     least and top local vertex, the mask of its common neighbours and its
@@ -106,17 +112,15 @@ def _clique_expand(subset: np.ndarray, adj: List[int], max_dim: int,
     ends at the kept simplices.  The argument needs v ∪ s to be a simplex,
     so it holds for Rips complexes and not for Cech complexes.
     """
-    m = len(subset)
-    ids = [int(v) for v in subset]
-    out: Dict[int, List[Tuple[int, ...]]] = {0: [(ids[i],) for i in range(m)
+    out: Dict[int, List[Tuple[int, ...]]] = {0: [(subset[i],) for i in adj
                                                  if inside >> i & 1]}
-    if max_dim < 1 or m == 0:
+    if max_dim < 1 or not adj:
         return out
     # partial simplices (least, top, common neighbours, global tuple, meets
     # inside), each with a common neighbour above top by which it can grow
     # into a simplex that meets inside
-    prev = [(i, i, adj[i], (ids[i],), inside >> i & 1) for i in range(m)
-            if (adj[i] & (-1 if inside >> i & 1 else inside)) >> (i + 1)]
+    prev = [(i, i, a, (subset[i],), inside >> i & 1) for i, a in adj.items()
+            if (a & (-1 if inside >> i & 1 else inside)) >> (i + 1)]
     for d in range(1, max_dim + 1):
         if d < max_dim:
             cur, kept = [], []
@@ -124,12 +128,12 @@ def _clique_expand(subset: np.ndarray, adj: List[int], max_dim: int,
                 for k in _bits(common >> (top + 1) << (top + 1)):
                     ck = common & adj[k]
                     if met or inside >> k & 1:
-                        gk = g + (ids[k],)
+                        gk = g + (subset[k],)
                         kept.append(gk)
                         if ck >> (k + 1):
                             cur.append((lo, k, ck, gk, 1))
                     elif (ck & inside) >> (k + 1):
-                        cur.append((lo, k, ck, g + (ids[k],), 0))
+                        cur.append((lo, k, ck, g + (subset[k],), 0))
         else:
             kept = []
             for lo, top, common, g, met in prev:
@@ -143,7 +147,7 @@ def _clique_expand(subset: np.ndarray, adj: List[int], max_dim: int,
                     v = low & -low
                     ext &= ~adj[v.bit_length() - 1]
                     low ^= v
-                kept += [g + (ids[k],) for k in _bits(ext)]
+                kept += [g + (subset[k],) for k in _bits(ext)]
         if kept or d == 1:
             out[d] = kept
         if not kept or d == max_dim:
@@ -166,7 +170,7 @@ def rips(points: np.ndarray, vertex_subset, alpha: float,
     if len(subset) == 0:
         return SimplicialComplex(subset, {}, max_dim, alpha, "rips")
     adj = _adjacency_bits(points, subset, alpha)
-    simp = _clique_expand(subset, adj, max_dim)
+    simp = _clique_expand(subset.tolist(), dict(enumerate(adj)), max_dim)
     return SimplicialComplex(subset, simp, max_dim, alpha, "rips")
 
 
@@ -188,37 +192,50 @@ def collapse_vertices(adj: List[int], inside: int):
     live core is a simplicial map of pairs, homotopy inverse to the
     inclusion of the core.
 
-    Returns the open-neighbourhood bitmasks of the live vertices (0 for the
-    others) and the collapses as (v, w), in order.
+    A dominator of v neighbours every live neighbour of v, so the scan reads
+    only the candidates in the closed neighbourhoods of v's lowest and
+    highest live neighbours.  That drops non-dominators alone and keeps the
+    order, so the first w found is the one a scan of every neighbour finds.
+
+    Returns the bitmask of the live vertices, the closed neighbourhoods
+    (``adj`` with each vertex's own bit set; the live neighbourhood of a
+    live v is ``nbr[v] & live ^ 1 << v``) and the collapses as (v, w), in
+    order.
     """
     nbr = [a | (1 << i) for i, a in enumerate(adj)]
     live = todo = (1 << len(nbr)) - 1
+    outside = ~inside
     onto = []
     while todo:
         again = 0
         while todo:
             v = todo.bit_length() - 1
-            todo ^= 1 << v
+            bit = 1 << v
+            todo ^= bit
             nv = nbr[v] & live
-            cand = nv ^ (1 << v)
-            if not inside >> v & 1:
-                cand &= ~inside
-            # candidates from the lowest up, one bit at a time (inline, as
-            # this loop dominates the collapse)
+            around = nv ^ bit
+            if not around:
+                continue
+            # candidates: common neighbours of the lowest and highest live
+            # neighbours of v, from the lowest up, one bit at a time (inline,
+            # as this loop dominates the collapse)
+            lo, hi = (around & -around).bit_length() - 1, around.bit_length() - 1
+            cand = around & nbr[lo] & nbr[hi]
+            if not inside & bit:
+                cand &= outside
             while cand:
                 low = cand & -cand
                 w = low.bit_length() - 1
                 if not nv & ~nbr[w]:
-                    live ^= 1 << v
+                    live ^= bit
                     onto.append((v, w))
                     # only a vertex that lost a neighbour can become dominated;
                     # those still in ``todo`` are tried later in this pass
-                    again |= (nv ^ (1 << v)) & ~todo
+                    again |= around & ~todo
                     break
                 cand ^= low
         todo = again
-    return [nbr[i] & live ^ (1 << i) if live >> i & 1 else 0
-            for i in range(len(nbr))], onto
+    return live, nbr, onto
 
 
 def _normalize_subset(points, vertex_subset) -> np.ndarray:
@@ -420,8 +437,9 @@ def _pair_basis(points, center, a: float, b: float, flavor: str, max_dim: int,
     local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
     near = sq[local] < b * b
     if flavor == "rips":
-        simp = _clique_expand(local, _adjacency_bits(points, local, a), max_dim,
-                              _bitmasks(near[None])[0], spanning)
+        adj = dict(enumerate(_adjacency_bits(points, local, a)))
+        simp = _clique_expand(local.tolist(), adj, max_dim, _bitmasks(near[None])[0],
+                              spanning)
     else:
         ball = set(local[near].tolist())
         simp = {d: [s for s in ss if not ball.isdisjoint(s)] for d, ss in

@@ -25,7 +25,8 @@ class AlphaSectionScan:
     """Membership grid of one scan: member[i][j] says whether the image-rank
     query with ball radii (R=values[i], r=values[j]) recovered the ground
     truth at the scan center.  Cells outside the domain R >= r > alpha are
-    None."""
+    None.  ``dense_hausdorff`` is the Hausdorff distance from the shape of
+    the dense set the scan drew, and None when the caller gave the set."""
 
     center: Tuple[float, ...]
     alpha: float
@@ -33,7 +34,7 @@ class AlphaSectionScan:
     values: np.ndarray                  # shared R/r value grid, ascending
     member: List[List[Optional[bool]]]
     dense_n: int
-    dense_hausdorff: float
+    dense_hausdorff: Optional[float]
     summary: dict = field(default_factory=dict)
 
     def cells(self):
@@ -76,7 +77,10 @@ def scan_alpha_section(K: StratifiedShape, x, alpha: float, eps: float,
 
     ``values`` is the shared grid for both R and r; only cells in the domain
     R >= r > alpha >= eps are evaluated.  Membership: the image rank of the
-    query equals the analytic local homology at x.
+    query equals the analytic local homology at x.  Without
+    ``dense_points`` the scan draws ``dense_n`` even points of K and
+    measures their Hausdorff distance from K; a caller's set is not
+    measured.
 
     Cells are visited column by column: r in the outer loop, R rising in the
     inner one.  The level-2 pair depends only on x and r, and the engine
@@ -89,26 +93,28 @@ def scan_alpha_section(K: StratifiedShape, x, alpha: float, eps: float,
         raise ValueError("infeasible grid: no value exceeds alpha")
     x = np.asarray(x, dtype=float)
     gt = K.ground_truth(x).local_ranks
+    hd = None
     if dense_points is None:
         dense_points = K.even_points(dense_n)
-    hd = hausdorff(dense_points, K, grid=hausdorff_grid(eps))
+        hd = hausdorff(dense_points, K, grid=hausdorff_grid(eps)).value
     if engine is None:
         bmax = float(values[-1])
         engine = ImageRankEngine(dense_points, (eps, bmax), (alpha, 0.0),
                                  flavor=flavor, q=q, lmax=1)
     n = len(values)
+    grid = values.tolist()
     member: List[List[Optional[bool]]] = [[None] * n for _ in range(n)]
     for j in range(n):
-        r = float(values[j])
+        r = grid[j]
         if r <= alpha:
             continue
         for i in range(j, n):
-            R = float(values[i])
+            R = grid[i]
             res = engine.query(x, b1=R, b2=r)
             nz = {d: v for d, v in res.ranks.items() if v}
             member[i][j] = (nz == gt)
     scan = AlphaSectionScan(tuple(float(v) for v in x), alpha, eps, values,
-                            member, len(dense_points), hd.value)
+                            member, len(dense_points), hd)
     a, b = _largest_triangle(member)
     if a >= 0:
         scan.summary = {

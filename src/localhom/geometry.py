@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -340,7 +340,7 @@ class StratifiedShape:
         component gets at least 2 points, so n below twice the number of
         components raises ``ValueError``.
         """
-        lengths = self.component_lengths()
+        lengths = self._sampled_lengths()
         if n < 2 * len(lengths):
             raise ValueError(f"n must be at least {2 * len(lengths)} for this shape "
                              "(2 points per sampling component)")
@@ -360,7 +360,15 @@ class StratifiedShape:
     def grid_points(self, per_unit: int) -> np.ndarray:
         """Discretization of the shape with step <= 1/per_unit along each component."""
         return self._discretize([max(2, int(math.ceil(L * per_unit)))
-                                 for L in self.component_lengths()])
+                                 for L in self._sampled_lengths()])
+
+    def _sampled_lengths(self):
+        """``component_lengths``; ``ValueError`` for a shape with no sampling
+        component, which has neither even points nor a grid."""
+        if not self.sampling_components:
+            raise ValueError(f"shape {self.kind!r} has no sampling components, "
+                             "so no points can be spread over it")
+        return self.component_lengths()
 
     def _discretize(self, counts) -> np.ndarray:
         """counts[i] points on component i: evenly spaced by angle around a
@@ -520,6 +528,12 @@ def generate_sample(shape: StratifiedShape, eps: float, n: int,
     (0 means noise-free).  Raises if the verified Hausdorff distance (value
     plus discretization bound) is not below eps.
     """
+    return _generate_verified(shape, eps, n, noise, seed)[0]
+
+
+def _generate_verified(shape: StratifiedShape, eps: float, n: int, noise: float,
+                       seed: int) -> Tuple[Sample, HausdorffResult]:
+    """``generate_sample`` and the Hausdorff distance that verified it."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     base = shape.even_points(n)
@@ -538,7 +552,7 @@ def generate_sample(shape: StratifiedShape, eps: float, n: int,
     meta = shape.meta()
     meta.update({"n": n, "noise": noise})
     return Sample(points=pts, epsilon=eps, noisy=noise > 0, seed=seed,
-                  true_points=base if noise > 0 else None, shape_meta=meta)
+                  true_points=base if noise > 0 else None, shape_meta=meta), hd
 
 
 def ground_truth(shape: StratifiedShape, x) -> GroundTruthLabel:

@@ -33,7 +33,7 @@ import numpy as np
 from .complexes import (QuotientPairComplex, _adjacency_bits, _clique_expand, _induced,
                         _pair_basis, boundary, build_complex, collapse_vertices,
                         cone_pair, delete_ball, quotient_pair)
-from .fieldla import (_require_prime, entries, kernel_basis, lane_width, pack,
+from .fieldla import (_bits, _require_prime, entries, kernel_basis, lane_width, pack,
                       persistent_reduce, rank, reduce_columns)
 from .geometry import sq_dists
 
@@ -211,11 +211,18 @@ def exactness_check(points: np.ndarray, center, a: float, b: float,
 # Batch engine
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
-    """One engine query: the image rank per degree."""
+    """One engine query: ``by_degree[d]`` is the image rank in degree d, for
+    d = 0..lmax.  A tuple of small ints takes a quarter of the memory of a
+    dict, which counts for a caller that keeps every result; ``ranks`` gives
+    them as a dict."""
 
-    ranks: Dict[int, int]
+    by_degree: Tuple[int, ...]
+
+    @property
+    def ranks(self) -> Dict[int, int]:
+        return dict(enumerate(self.by_degree))
 
 
 class ImageRankEngine:
@@ -342,13 +349,13 @@ class ImageRankEngine:
             raise ValueError("ball radius b must be >= 0")
         sq = sq_dists(self.points, center)
         near2 = sq < b2 * b2
-        ranks = dict.fromkeys(range(self.lmax + 1), 0)
+        ranks = [0] * (self.lmax + 1)
         # an empty smaller ball leaves the level-2 basis empty in every degree
         if not near2.any():
-            return QueryResult(ranks)
+            return QueryResult(tuple(ranks))
         level1 = self._level1(sq, b1)
         pair = None
-        for ell in ranks:
+        for ell in range(self.lmax + 1):
             if ell not in level1:
                 continue
             if pair is None:
@@ -362,7 +369,7 @@ class ImageRankEngine:
             cols += pair.stacked_columns(ell, simplices, bnd1, n2)
             lows, _ = reduce_columns(cols, self.q)
             ranks[ell] = _count_below(lows[nb2:], n2)
-        return QueryResult(ranks)
+        return QueryResult(tuple(ranks))
 
     def _level1(self, sq, b1: float) -> dict:
         """The level-1 basis of a query, per degree ell <= lmax with a basis
@@ -510,6 +517,7 @@ class _CollapsedRipsPair(_Level2Pair):
     vertices; with ``spanning``, degree ``top`` holds the spanning set of
     ``_clique_expand`` instead, whose boundaries span the relative
     boundaries of degree top - 1.  Rows index the degrees below ``top``.
+    Only the live core is expanded into cliques.
 
     As a level-2 pair it maps a level-1 simplex by f, the composed vertex
     map of the collapse: to the sorted f-image of its vertices, with the
@@ -517,28 +525,34 @@ class _CollapsedRipsPair(_Level2Pair):
     degenerate under f, has a vertex outside the local set, or its image
     has no row.  f is a simplicial map of pairs, homotopy inverse to the
     inclusion of the core, so the image rank is that of the uncollapsed
-    pair.
+    pair.  A level-1 pair never maps a simplex, so f is built on the first
+    ``_images`` call.
     """
 
     def __init__(self, points, sq, a: float, b: float, top: int, q: int,
                  spanning: bool = False):
         self.q = q
+        self.n = len(sq)
         self.local, nb, adj = _local_graph(points, sq, a, b)
-        nbr, onto = collapse_vertices(adj, (1 << nb) - 1)
-        f = list(range(len(self.local)))
-        inside = (1 << nb) - 1
-        # each vertex after the one it went onto
-        for v, w in reversed(onto):
-            f[v] = f[w]
-            inside &= ~(1 << v)
-        # f on global ids, -1 off the local set
-        self.f = np.full(len(sq), -1, dtype=np.int64)
-        self.f[self.local] = f
-        self.simplices = _clique_expand(range(len(self.local)), nbr, top, inside,
-                                        spanning)
+        live, nbr, self._onto = collapse_vertices(adj, (1 << nb) - 1)
+        core = {i: nbr[i] & live ^ 1 << i for i in _bits(live)}
+        self.simplices = _clique_expand(range(len(self.local)), core, top,
+                                        (1 << nb) - 1, spanning)
         self.rows = {d: {s: r for r, s in enumerate(ss)}
                      for d, ss in self.simplices.items() if d < top}
         self._bnd = {}
+        self.f = None
+
+    def _vertex_map(self) -> np.ndarray:
+        """f on global ids, -1 off the local set."""
+        if self.f is None:
+            f = list(range(len(self.local)))
+            # each vertex after the one it went onto
+            for v, w in reversed(self._onto):
+                f[v] = f[w]
+            self.f = np.full(self.n, -1, dtype=np.int64)
+            self.f[self.local] = f
+        return self.f
 
     def nrows(self, ell: int) -> int:
         return len(self.rows.get(ell, ()))
@@ -552,7 +566,7 @@ class _CollapsedRipsPair(_Level2Pair):
     def _images(self, ell: int, simplices: np.ndarray) -> list:
         rows, q, k = self.rows.get(ell, {}), self.q, lane_width(self.q)
         out = []
-        for s in self.f[simplices].tolist():
+        for s in self._vertex_map()[simplices].tolist():
             r = rows.get(tuple(sorted(s)))
             if r is None:
                 out.append(0)

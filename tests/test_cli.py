@@ -6,6 +6,7 @@ import pytest
 
 from localhom import cli
 from localhom.cli import main
+from localhom.geometry import circle_chord, hausdorff_grid, load_sample_csv
 from localhom.relhom import HomologySignature, ImageRankEngine, QueryResult
 
 
@@ -23,6 +24,26 @@ def test_generate_writes_sample_and_sidecar(tmp_path, capsys):
     assert blob["n"] == 70 and blob["noisy"] is False
     assert blob["hausdorff"] + blob["hausdorff_error_bound"] < 0.05
     assert out.exists() and out.with_suffix(".meta.json").exists()
+
+
+def test_generate_measures_the_sample_once(tmp_path, monkeypatch, capsys):
+    # the printed Hausdorff distance is the one that verified the sample
+    calls = []
+    measure = cli.geometry.hausdorff
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(cli.geometry, "hausdorff", counted)
+    out = tmp_path / "chord.csv"
+    assert main(["generate", "--shape", "circle-chord", "--eps", "0.05", "--n", "300",
+                 "--noise", "0.01", "--seed", "3", "-o", str(out)]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    P = load_sample_csv(out)
+    hd = measure(P.points, circle_chord(), grid=hausdorff_grid(0.05))
+    assert (blob["hausdorff"], blob["hausdorff_error_bound"]) == (hd.value, hd.error_bound)
 
 
 def test_generate_too_sparse_is_validation_error(tmp_path):
@@ -249,7 +270,7 @@ def test_check_mismatch_exit_code(monkeypatch, capsys):
 def test_check_engine_mismatch_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(
         ImageRankEngine, "query_index",
-        lambda self, i, keep_detail=False: QueryResult({0: 99, 1: 0}))
+        lambda self, i, keep_detail=False: QueryResult((99, 0)))
     rc = main(["check", "--random", "3", "--seed", "3"])
     assert rc == 4
     out = capsys.readouterr().out

@@ -248,23 +248,34 @@ def _tied_points(rng, n):
 @pytest.mark.parametrize("max_dim", [0, 1, 2, 3, 4])
 def test_clique_expand_restricted_to_mask(max_dim):
     # list for list, the full complex filtered by the mask: no mask, mask 0,
-    # every vertex and random masks, over an unsorted local numbering
+    # every vertex and random masks, over an unsorted local numbering; and
+    # the expansion of a vertex subset, as of a collapse's live core, is
+    # the full one restricted to the simplices on that subset
     rng = np.random.default_rng(max_dim)
     for t in range(40):
         n = int(rng.integers(1, 14))
         pts = _tied_points(rng, n) if n > 1 else np.zeros((1, 2))
-        subset = rng.permutation(n)[:int(rng.integers(1, n + 1))]
-        adj = _adjacency_bits(pts, subset, float(rng.choice([1, 1.5, 2])) / 16)
+        subset = rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist()
+        adj = dict(enumerate(_adjacency_bits(pts, subset, float(rng.choice([1, 1.5, 2])) / 16)))
         full = _clique_expand(subset, adj, max_dim)
         assert full == _clique_expand(subset, adj, max_dim, -1)
         m = len(subset)
         for mask in (0, (1 << m) - 1, int(rng.integers(0, 1 << m)), int(rng.integers(0, 1 << m))):
-            near = {int(subset[i]) for i in range(m) if mask >> i & 1}
+            near = {subset[i] for i in range(m) if mask >> i & 1}
             want = {d: [s for s in ss if near.intersection(s)] for d, ss in full.items()}
             got = _clique_expand(subset, adj, max_dim, mask)
             assert {d: ss for d, ss in got.items() if ss} == \
                 {d: ss for d, ss in want.items() if ss}
             assert set(got) <= set(full)
+        for keep in (0, (1 << m) - 1, int(rng.integers(0, 1 << m))):
+            on = {subset[i] for i in range(m) if keep >> i & 1}
+            sub = {i: a & keep for i, a in adj.items() if keep >> i & 1}
+            mask = int(rng.integers(0, 1 << m)) if t % 2 else -1
+            want = _clique_expand(subset, adj, max_dim, mask)
+            want = {d: [s for s in ss if on.issuperset(s)] for d, ss in want.items()}
+            got = _clique_expand(subset, sub, max_dim, mask)
+            assert {d: ss for d, ss in got.items() if ss} == \
+                {d: ss for d, ss in want.items() if ss}
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from localhom import relhom
+from localhom import explorer, relhom
 from localhom.explorer import (AlphaSectionScan, _largest_triangle,
                                scan_alpha_section, scan_to_csv,
                                section_properties)
@@ -120,6 +120,25 @@ def test_scan_deterministic():
     a = _circle_scan(0.15, [0.3, 0.6, 0.9], dense_n=300)
     b = _circle_scan(0.15, [0.3, 0.6, 0.9], dense_n=300)
     assert a.member == b.member and a.summary == b.summary
+
+
+def test_scan_measures_only_a_dense_set_it_draws(monkeypatch):
+    # the scan measures the Hausdorff distance of the set it draws; a
+    # caller's set goes unmeasured and reads None
+    calls = []
+    measure = explorer.hausdorff
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(explorer, "hausdorff", counted)
+    drawn = _circle_scan(0.15, [0.3, 0.6, 0.9], dense_n=300)
+    assert len(calls) == 1 and 0 < drawn.dense_hausdorff < drawn.alpha / 4
+    given = scan_alpha_section(circle(), (1.0, 0.0), 0.15, 0.05, [0.3, 0.6, 0.9],
+                               dense_points=circle().even_points(300))
+    assert len(calls) == 1 and given.dense_hausdorff is None
+    assert given.member == drawn.member and given.summary == drawn.summary
 
 
 def test_chord_scan_builds_one_pair_per_r(monkeypatch):

@@ -104,6 +104,18 @@ def test_even_points_needs_two_points_per_component():
         generate_sample(circle(), 0.5, 1)
 
 
+def test_shape_without_sampling_components_has_no_grid():
+    # a hand-built shape with strata but nothing to spread points over
+    K = _partial_arc_shape()
+    pts = np.array([[0.25, 1.0], [-0.5, 0.8]])
+    assert np.isfinite(K.dists(pts)[0]).all()
+    for call in (lambda: K.grid_points(64), lambda: K.even_points(10),
+                 lambda: hausdorff(pts, K, grid=64),
+                 lambda: generate_sample(K, 0.1, 10)):
+        with pytest.raises(ValueError, match="no sampling components"):
+            call()
+
+
 def test_segment_needs_distinct_endpoints():
     with pytest.raises(ValueError, match="endpoints coincide"):
         segment((0.5, 0.0), (0.5, 0.0))

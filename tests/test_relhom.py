@@ -111,19 +111,30 @@ def _filled_patch(draw):
     return np.vstack([pts] + extra), p, (a1, b1), (a2, b2)
 
 
-def _replay_collapse(adj, inside, nbr, onto):
+def _live_nbrs(live, nbr):
+    """The live neighbourhood of each live vertex, 0 for the others, from
+    the live mask and closed neighbourhoods ``collapse_vertices`` returns."""
+    return [nbr[i] & live ^ 1 << i if live >> i & 1 else 0 for i in range(len(nbr))]
+
+
+def _replay_collapse(adj, inside, out):
     """Replays ``collapse_vertices`` step by step: every collapse (v, w) was a
     domination of live vertices at that moment, an off-ball v went only onto
     an off-ball w, and at the end no live vertex is dominated under these
-    rules and ``nbr`` is the live graph."""
+    rules, the live mask is that of the replay and ``nbr`` is the closed
+    graph."""
+    live_out, nbr_out, onto = out
+    nbr = _live_nbrs(live_out, nbr_out)
     m = len(adj)
     closed = [a | 1 << i for i, a in enumerate(adj)]
+    assert nbr_out == closed
     live = (1 << m) - 1
     for v, w in onto:
         assert v != w and live >> v & 1 and live >> w & 1 and closed[v] >> w & 1
         assert not closed[v] & live & ~closed[w]
         assert inside >> v & 1 or not inside >> w & 1
         live ^= 1 << v
+    assert live == live_out
     for v in range(m):
         if not live >> v & 1:
             assert nbr[v] == 0
@@ -132,6 +143,36 @@ def _replay_collapse(adj, inside, nbr, onto):
         cand = nbr[v] & (~0 if inside >> v & 1 else ~inside)
         assert all(closed[v] & live & ~closed[w] for w in range(m) if cand >> w & 1)
     return bin(live).count("1")
+
+
+def _collapse_by_full_scan(adj, inside):
+    """Reference: the collapse with every live neighbour of v a candidate,
+    returning the live neighbourhoods (0 for collapsed vertices) and the
+    collapses."""
+    nbr = [a | (1 << i) for i, a in enumerate(adj)]
+    live = todo = (1 << len(nbr)) - 1
+    onto = []
+    while todo:
+        again = 0
+        while todo:
+            v = todo.bit_length() - 1
+            todo ^= 1 << v
+            nv = nbr[v] & live
+            cand = nv ^ (1 << v)
+            if not inside >> v & 1:
+                cand &= ~inside
+            while cand:
+                low = cand & -cand
+                w = low.bit_length() - 1
+                if not nv & ~nbr[w]:
+                    live ^= 1 << v
+                    onto.append((v, w))
+                    again |= (nv ^ (1 << v)) & ~todo
+                    break
+                cand ^= low
+        todo = again
+    return [nbr[i] & live ^ (1 << i) if live >> i & 1 else 0
+            for i in range(len(nbr))], onto
 
 
 def _check_collapse(pts, p, level):
@@ -146,10 +187,10 @@ def _check_collapse(pts, p, level):
     adj = _adjacency_bits(pts, local, a)
     counts = []
     for nb in (int((sq[local] < b * b).sum()), 0, len(local)):
-        nbr, onto = collapse_vertices(adj, (1 << nb) - 1)
-        core = _replay_collapse(adj, (1 << nb) - 1, nbr, onto)
-        assert core + len(onto) == len(local)
-        counts.append(len(onto))
+        out = collapse_vertices(adj, (1 << nb) - 1)
+        core = _replay_collapse(adj, (1 << nb) - 1, out)
+        assert core + len(out[2]) == len(local)
+        counts.append(len(out[2]))
     return counts[0]
 
 
@@ -526,14 +567,39 @@ def test_collapse_keeps_off_ball_vertex_with_tree_edge():
     for u, v in [(0, 4), (1, 4), (3, 4), (2, 3)]:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    nbr, onto = collapse_vertices(adj, 0b11)
+    out = collapse_vertices(adj, 0b11)
+    live, nbr, onto = out
     assert onto == [(2, 3), (1, 4), (0, 4), (4, 3)]
-    assert nbr == [0] * 5
+    assert _live_nbrs(live, nbr) == [0] * 5
     # a star on the ball vertex 0: each off-ball leaf is dominated only by
     # the centre, so every vertex stays
     star = [0b1110, 0b0001, 0b0001, 0b0001]
-    assert collapse_vertices(star, 0b0001) == (star, [])
-    _replay_collapse(adj, 0b11, nbr, onto)
+    live, nbr, onto = collapse_vertices(star, 0b0001)
+    assert (_live_nbrs(live, nbr), onto) == (star, [])
+    _replay_collapse(adj, 0b11, out)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_collapse_matches_full_scan(seed):
+    # the pruned candidate scan finds the same dominator as a scan of every
+    # live neighbour: the same collapses, in order, and the same live
+    # graph, on 1/8-grid points whose distances tie with 2*alpha, with
+    # duplicates, isolated vertices, and an empty, full or random ball
+    rng = np.random.default_rng(40 + seed)
+    collapsed = 0
+    for t in range(100):
+        n = int(rng.integers(1, 30))
+        pts = rng.integers(0, 8, size=(n, 2)) / 8
+        pts[rng.integers(0, n, size=n // 4)] = pts[rng.integers(0, n, size=n // 4)]
+        if t % 3 == 0:
+            pts[-1] = (4.0 + t, 4.0)            # isolated
+        local = rng.permutation(n)
+        adj = _adjacency_bits(pts, local, float(rng.choice([1, 1.5, 2, 3])) / 16)
+        for inside in (0, (1 << n) - 1, int(rng.integers(0, 1 << n))):
+            live, nbr, onto = collapse_vertices(adj, inside)
+            assert (_live_nbrs(live, nbr), onto) == _collapse_by_full_scan(adj, inside)
+            collapsed += len(onto)
+    assert collapsed > 0
 
 
 @settings(max_examples=100)
