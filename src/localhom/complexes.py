@@ -22,7 +22,9 @@ from .geometry import sq_dists
 
 
 def _adjacency_bits(points: np.ndarray, subset: np.ndarray, alpha: float):
-    """Per-vertex int bitmasks of the Rips/Cech edge graph at scale alpha.
+    """Per-vertex int bitmasks of the closed neighbourhoods in the Rips/Cech
+    edge graph at scale alpha: each vertex's own bit is set, as its squared
+    distance to itself is 0.
 
     Bit positions are LOCAL indices into ``subset``.  Edge rule: squared
     distance <= (2*alpha)^2.  Rows are computed in blocks of 256, so the
@@ -32,10 +34,7 @@ def _adjacency_bits(points: np.ndarray, subset: np.ndarray, alpha: float):
     thr = (2.0 * alpha) ** 2
     adj: List[int] = []
     for lo in range(0, len(pts), 256):
-        close = sq_dists(pts[lo:lo + 256], pts) <= thr
-        rows = np.arange(len(close))
-        close[rows, rows + lo] = False
-        adj += _bitmasks(close)
+        adj += _bitmasks(sq_dists(pts[lo:lo + 256], pts) <= thr)
     return adj
 
 
@@ -170,7 +169,8 @@ def rips(points: np.ndarray, vertex_subset, alpha: float,
     if len(subset) == 0:
         return SimplicialComplex(subset, {}, max_dim, alpha, "rips")
     adj = _adjacency_bits(points, subset, alpha)
-    simp = _clique_expand(subset.tolist(), dict(enumerate(adj)), max_dim)
+    simp = _clique_expand(subset.tolist(), {i: a ^ 1 << i for i, a in enumerate(adj)},
+                          max_dim)
     return SimplicialComplex(subset, simp, max_dim, alpha, "rips")
 
 
@@ -178,32 +178,30 @@ def collapse_vertices(adj: List[int], inside: int):
     """Strong collapse of a flag complex X relative to its subcomplex A off
     a ball.
 
-    ``adj`` holds open-neighbourhood bitmasks over local vertex indices (as
-    from ``_adjacency_bits``); ``inside`` is the bitmask of the vertices in
-    the deleted ball.  A live vertex v is dominated by a live neighbour w
-    when N[v] ⊆ N[w], closed neighbourhoods taken over the live vertices
-    (Barmak & Minian, "Strong homotopy types, nerves and collapses", DCG
-    2012).  Vertices are tried from the highest index down, and each one's
-    candidates w from the lowest up, until no live vertex is dominated.  A
-    dominated ball vertex goes onto any such w, one off the ball only onto a
-    w off the ball.  Each step v -> w is then a simplicial retraction of X
-    onto X - v that maps A into A, a strong deformation retraction of the
-    pair, so H(X, A) is unchanged; and the composed vertex map onto the
-    live core is a simplicial map of pairs, homotopy inverse to the
-    inclusion of the core.
+    ``adj`` holds closed-neighbourhood bitmasks over local vertex indices,
+    each vertex's own bit set (as from ``_adjacency_bits``); ``inside`` is
+    the bitmask of the vertices in the deleted ball.  A live vertex v is
+    dominated by a live neighbour w when N[v] ⊆ N[w], closed
+    neighbourhoods taken over the live vertices (Barmak & Minian, "Strong
+    homotopy types, nerves and collapses", DCG 2012).  Vertices are tried
+    from the highest index down, and each one's candidates w from the
+    lowest up, until no live vertex is dominated.  A dominated ball vertex
+    goes onto any such w, one off the ball only onto a w off the ball.
+    Each step v -> w is then a simplicial retraction of X onto X - v that
+    maps A into A, a strong deformation retraction of the pair, so H(X, A)
+    is unchanged; and the composed vertex map onto the live core is a
+    simplicial map of pairs, homotopy inverse to the inclusion of the core.
 
     A dominator of v neighbours every live neighbour of v, so the scan reads
     only the candidates in the closed neighbourhoods of v's lowest and
     highest live neighbours.  That drops non-dominators alone and keeps the
     order, so the first w found is the one a scan of every neighbour finds.
 
-    Returns the bitmask of the live vertices, the closed neighbourhoods
-    (``adj`` with each vertex's own bit set; the live neighbourhood of a
-    live v is ``nbr[v] & live ^ 1 << v``) and the collapses as (v, w), in
-    order.
+    Returns the bitmask of the live vertices (the live neighbourhood of a
+    live v is ``adj[v] & live ^ 1 << v``) and the collapses as (v, w), in
+    order.  ``adj`` is only read.
     """
-    nbr = [a | (1 << i) for i, a in enumerate(adj)]
-    live = todo = (1 << len(nbr)) - 1
+    live = todo = (1 << len(adj)) - 1
     outside = ~inside
     onto = []
     while todo:
@@ -212,7 +210,7 @@ def collapse_vertices(adj: List[int], inside: int):
             v = todo.bit_length() - 1
             bit = 1 << v
             todo ^= bit
-            nv = nbr[v] & live
+            nv = adj[v] & live
             around = nv ^ bit
             if not around:
                 continue
@@ -220,13 +218,13 @@ def collapse_vertices(adj: List[int], inside: int):
             # neighbours of v, from the lowest up, one bit at a time (inline,
             # as this loop dominates the collapse)
             lo, hi = (around & -around).bit_length() - 1, around.bit_length() - 1
-            cand = around & nbr[lo] & nbr[hi]
+            cand = around & adj[lo] & adj[hi]
             if not inside & bit:
                 cand &= outside
             while cand:
                 low = cand & -cand
                 w = low.bit_length() - 1
-                if not nv & ~nbr[w]:
+                if not nv & ~adj[w]:
                     live ^= bit
                     onto.append((v, w))
                     # only a vertex that lost a neighbour can become dominated;
@@ -235,7 +233,7 @@ def collapse_vertices(adj: List[int], inside: int):
                     break
                 cand ^= low
         todo = again
-    return live, nbr, onto
+    return live, onto
 
 
 def _normalize_subset(points, vertex_subset) -> np.ndarray:
@@ -437,7 +435,7 @@ def _pair_basis(points, center, a: float, b: float, flavor: str, max_dim: int,
     local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
     near = sq[local] < b * b
     if flavor == "rips":
-        adj = dict(enumerate(_adjacency_bits(points, local, a)))
+        adj = {i: x ^ 1 << i for i, x in enumerate(_adjacency_bits(points, local, a))}
         simp = _clique_expand(local.tolist(), adj, max_dim, _bitmasks(near[None])[0],
                               spanning)
     else:

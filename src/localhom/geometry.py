@@ -36,10 +36,14 @@ def sq_dists(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     The coordinate terms are summed one coordinate at a time, in order,
     which is the order numpy's ``((P[:, None] - Q) ** 2).sum(-1)`` adds
     them in below 8 terms (its pairwise sum unrolls by 8), so both give the
-    same bits; at D = 0 or D >= 8 that formula itself is used.
+    same bits; at D = 0 or D >= 8 that formula itself is used.  Raises
+    ``ValueError`` unless Q's last dimension is D.
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
+    if Q.shape[-1:] != P.shape[1:]:
+        raise ValueError(f"points have {P.shape[1]} coordinates, query points "
+                         f"{Q.shape[-1] if Q.ndim else 0}")
     if not 0 < P.shape[1] < 8:
         return ((P[:, None] - Q) ** 2).sum(-1) if Q.ndim == 2 else ((P - Q) ** 2).sum(-1)
     out = np.subtract.outer(P[:, 0], Q[..., 0]) ** 2

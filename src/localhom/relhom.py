@@ -211,18 +211,35 @@ def exactness_check(points: np.ndarray, center, a: float, b: float,
 # Batch engine
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class QueryResult:
     """One engine query: ``by_degree[d]`` is the image rank in degree d, for
     d = 0..lmax.  A tuple of small ints takes a quarter of the memory of a
     dict, which counts for a caller that keeps every result; ``ranks`` gives
-    them as a dict."""
+    them as a dict.  Results are immutable, so an engine hands out one
+    instance per distinct rank tuple."""
 
     by_degree: Tuple[int, ...]
 
     @property
     def ranks(self) -> Dict[int, int]:
         return dict(enumerate(self.by_degree))
+
+
+class _Centre:
+    """What an engine keeps of the centre of its latest query: every
+    point's squared distance ``sq`` to it, the local Rips graph per scale,
+    and the level-2 pair of the latest b2."""
+
+    __slots__ = ("key", "sq", "graphs", "level2")
+
+    def __init__(self, key: bytes, sq: np.ndarray):
+        self.key = key
+        self.sq = sq
+        # scale -> (ball radius built for, local ids sorted by distance,
+        # their sq, closed-neighbourhood bitmasks)
+        self.graphs = {}
+        self.level2 = (None, None)      # (b2, pair)
 
 
 class ImageRankEngine:
@@ -237,15 +254,22 @@ class ImageRankEngine:
     chosen by ``flavor``:
 
       * Rips: one ``_CollapsedRipsPair`` per level, at every lmax, built on
-        the vertices near the level's ball and strong-collapsed.  S is the
-        level-1 core's simplices that meet the larger ball, up to degree
-        lmax, and a level-1 simplex maps by the vertex map of the level-2
-        collapse.  No global complex is read;
+        the centre's local graph at the level's scale and ball and
+        strong-collapsed.  S is the level-1 core's simplices that meet the
+        larger ball, up to degree lmax, and a level-1 simplex maps by the
+        vertex map of the level-2 collapse.  No global complex is read;
       * Cech: S is the global level-1 complex's simplices that meet the
         larger ball, found by a mask scan, and the level-2 pair is a
         ``_GlobalPair``, the view of a global level-2 complex (scale a2,
         built to lmax + 1) under the query's ball masks.  Cech complexes
         are not flag complexes, so the vertex collapse does not apply.
+
+    The engine keeps what it learnt about the centre of its latest query
+    (``_Centre``): the squared distances, one local Rips graph per scale,
+    which a query with a smaller ball slices (``_graph``), and the level-2
+    pair of the latest b2.  A query at a new centre replaces it.  So a scan
+    of ball radii around one centre builds a few graphs per level and one
+    level-2 pair per b2.  Level-1 pairs are built per query.
 
     Set-up builds the global level-1 complex (scale a1, to lmax) for both
     flavors and checks that its simplices key as int64; only Cech queries
@@ -270,8 +294,9 @@ class ImageRankEngine:
             c2 = build_complex(self.points, None, self.a2, lmax + 1, flavor)
             self._check_keys(c2)
             self.arr2, self.keys2, self.face2 = self._index(c2)
-        # (key, pair): the level-2 pair of the latest query that built one
-        self._memo = (None, None)
+        self._at: Optional[_Centre] = None
+        # rank tuple -> its one QueryResult
+        self._results: Dict[Tuple[int, ...], QueryResult] = {}
 
     @property
     def kernel(self) -> str:
@@ -326,12 +351,14 @@ class ImageRankEngine:
               b1: Optional[float] = None, b2: Optional[float] = None) -> QueryResult:
         """One image-rank query; ``b1``/``b2`` override the default deleted-ball
         radii (the complex scales stay fixed per engine).  Negative radii
-        raise ``ValueError``, as in ``quotient_pair``.
+        raise ``ValueError``, as in ``quotient_pair``, and so does a centre
+        that is not one point of the sample's dimension.
 
-        The level-2 pair depends only on ``center`` and ``b2``.  The engine
-        keeps the pair of its latest query, one entry, and a query with the
-        same centre and ``b2`` reuses it; so a run of queries that varies only
-        ``b1``, such as one column of an explorer scan, builds one pair.
+        Queries at the centre of the latest one reuse its distances, its
+        local graphs and, at the same ``b2``, its level-2 pair: so a run of
+        queries that varies only ``b1``, such as one column of an explorer
+        scan, builds one level-2 pair, and a whole scan builds two local
+        graphs per scale.  Equal ranks return the same ``QueryResult``.
 
         A query returns ranks only.  ``keep_detail`` stays as a keyword, as
         the benchmark's engine wrapper passes it by name, and must be False.
@@ -339,6 +366,9 @@ class ImageRankEngine:
         if keep_detail:
             raise ValueError("queries keep no detail: keep_detail must be False")
         center = np.asarray(center, dtype=float)
+        if center.shape != self.points.shape[1:]:
+            raise ValueError(f"centre of shape {center.shape} for points of "
+                             f"shape {self.points.shape[1:]}")
         if b1 is None:
             b1 = self.b1
         if b2 is None:
@@ -347,19 +377,18 @@ class ImageRankEngine:
             raise ValueError("nesting violated: need b2 <= b1")
         if b2 < 0:
             raise ValueError("ball radius b must be >= 0")
-        sq = sq_dists(self.points, center)
-        near2 = sq < b2 * b2
+        at = self._centre(center)
         ranks = [0] * (self.lmax + 1)
         # an empty smaller ball leaves the level-2 basis empty in every degree
-        if not near2.any():
-            return QueryResult(tuple(ranks))
-        level1 = self._level1(sq, b1)
+        if not (at.sq < b2 * b2).any():
+            return self._result(ranks)
+        level1 = self._level1(at, b1)
         pair = None
         for ell in range(self.lmax + 1):
             if ell not in level1:
                 continue
             if pair is None:
-                pair = self._pair(center, sq, near2, b2)
+                pair = self._pair(at, b2)
             n2 = pair.nrows(ell)
             if not n2:
                 continue
@@ -369,9 +398,50 @@ class ImageRankEngine:
             cols += pair.stacked_columns(ell, simplices, bnd1, n2)
             lows, _ = reduce_columns(cols, self.q)
             ranks[ell] = _count_below(lows[nb2:], n2)
-        return QueryResult(tuple(ranks))
+        return self._result(ranks)
 
-    def _level1(self, sq, b1: float) -> dict:
+    def _result(self, ranks: list) -> QueryResult:
+        """The one ``QueryResult`` this engine returns for these ranks."""
+        key = tuple(ranks)
+        out = self._results.get(key)
+        if out is None:
+            out = self._results[key] = QueryResult(key)
+        return out
+
+    def _centre(self, center: np.ndarray) -> _Centre:
+        """The kept state of ``center``, made anew unless it is the latest
+        query's centre."""
+        key = center.tobytes()
+        if self._at is None or self._at.key != key:
+            self._at = _Centre(key, sq_dists(self.points, center))
+        return self._at
+
+    def _graph(self, at: _Centre, a: float, b: float):
+        """``_local_graph`` at (a, b) around the centre ``at``.
+
+        It is sliced from the centre's graph at scale a when that was built
+        for a ball >= b: local sets are distance-sorted prefixes of larger
+        ones, ties in the same stable order, and an edge depends only on
+        its two points.  Otherwise it is built: for b itself at a centre's
+        first request, and for max(b, default b1) after one, so that a scan
+        whose radii stay within the default rebuilds once per scale.
+        """
+        g = at.graphs.get(a)
+        if g is None or g[0] < b:
+            ball = b if g is None else max(b, self.b1)
+            local, nb, bits = _local_graph(self.points, at.sq, a, ball)
+            at.graphs[a] = g = (ball, local, at.sq[local], bits)
+            if ball == b:
+                return local, nb, bits
+        _, local, sqs, bits = g
+        m = int(np.searchsorted(sqs, (b + 2 * a) ** 2 * (1 + 1e-12), "right"))
+        nb = int(np.searchsorted(sqs, b * b, "left"))
+        if m == len(local):
+            return local, nb, bits
+        mask = (1 << m) - 1
+        return local[:m], nb, [x & mask for x in bits[:m]]
+
+    def _level1(self, at: _Centre, b1: float) -> dict:
         """The level-1 basis of a query, per degree ell <= lmax with a basis
         simplex: the simplices as rows of global vertex ids, and their
         boundary columns over the degree-(ell - 1) basis.
@@ -383,7 +453,8 @@ class ImageRankEngine:
         by a mask scan.
         """
         if self.flavor == "rips":
-            pair = _CollapsedRipsPair(self.points, sq, self.a1, b1, self.lmax, self.q)
+            pair = _CollapsedRipsPair(self._graph(at, self.a1, b1), len(self.points),
+                                      self.lmax, self.q)
             out = {}
             for ell, ss in pair.simplices.items():
                 if ss:
@@ -391,7 +462,7 @@ class ImageRankEngine:
                     out[ell] = (pair.local[arr],
                                 pair.boundary_columns(ell - 1) if ell else [0] * len(ss))
             return out
-        near1 = sq < b1 * b1
+        near1 = at.sq < b1 * b1
         m1 = {d: near1[a].any(axis=1) for d, a in self.arr1.items()}
         out = {}
         for ell, mask1 in m1.items():
@@ -406,17 +477,17 @@ class ImageRankEngine:
             out[ell] = (self.arr1[ell][b1idx], bnd1)
         return out
 
-    def _pair(self, center: np.ndarray, sq, near2, b2: float) -> "_Level2Pair":
-        """The level-2 pair at ``center`` with smaller ball radius ``b2``.  It
-        depends on nothing else, and it is read-only once built, so a query
-        with the same key as the latest one reuses its pair."""
-        key = (center.tobytes(), float(b2))
-        if self._memo[0] != key:
-            pair = (_CollapsedRipsPair(self.points, sq, self.a2, b2, self.lmax + 1,
-                                       self.q, spanning=True)
-                    if self.flavor == "rips" else _GlobalPair(self, near2))
-            self._memo = (key, pair)
-        return self._memo[1]
+    def _pair(self, at: _Centre, b2: float) -> "_Level2Pair":
+        """The level-2 pair at the centre ``at`` with smaller ball radius
+        ``b2``.  It depends on nothing else, and it is read-only once built,
+        so a query at the same centre and ``b2`` as the latest pair's reuses
+        it."""
+        if at.level2[0] != b2:
+            pair = (_CollapsedRipsPair(self._graph(at, self.a2, b2), len(self.points),
+                                       self.lmax + 1, self.q, spanning=True)
+                    if self.flavor == "rips" else _GlobalPair(self, at.sq < b2 * b2))
+            at.level2 = (b2, pair)
+        return at.level2[1]
 
     def query_index(self, i: int, keep_detail: bool = False) -> QueryResult:
         return self.query(self.points[i], keep_detail=keep_detail)
@@ -497,8 +568,9 @@ def _local_graph(points, sq, a: float, b: float):
 
     Only these vertices carry chains of the pair with the open b-ball
     deleted (the excision ``quotient_pair`` relies on).  They are numbered
-    by distance to the centre, so the ball's are 0..nb-1.  Returns the
-    global id of each local vertex, nb and the neighbourhood bitmasks.
+    by distance to the centre, ties in index order, so the ball's are
+    0..nb-1.  Returns the global id of each local vertex, nb and the
+    closed-neighbourhood bitmasks.
     """
     local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
     local = local[np.argsort(sq[local], kind="stable")]
@@ -508,13 +580,14 @@ def _local_graph(points, sq, a: float, b: float):
 
 class _CollapsedRipsPair(_Level2Pair):
     """The Rips pair (X, A) at scale a with the open b-ball deleted, for
-    either level of a query and every lmax.
+    either level of a query and every lmax, on the n sample points.
 
-    The pair is built on ``_local_graph`` and shrunk by
-    ``collapse_vertices``: far vertices are tried first, each onto its
-    nearest dominating neighbour.  Its basis in degree d <= ``top`` is the
-    d-simplices of the live core that meet the ball, as tuples of local
-    vertices; with ``spanning``, degree ``top`` holds the spanning set of
+    The pair is built on its ``_local_graph``, ``graph`` = (local ids, nb,
+    closed-neighbourhood bitmasks), and shrunk by ``collapse_vertices``:
+    far vertices are tried first, each onto its nearest dominating
+    neighbour.  Its basis in degree d <= ``top`` is the d-simplices of the
+    live core that meet the ball, as tuples of local vertices; with
+    ``spanning``, degree ``top`` holds the spanning set of
     ``_clique_expand`` instead, whose boundaries span the relative
     boundaries of degree top - 1.  Rows index the degrees below ``top``.
     Only the live core is expanded into cliques.
@@ -529,13 +602,12 @@ class _CollapsedRipsPair(_Level2Pair):
     ``_images`` call.
     """
 
-    def __init__(self, points, sq, a: float, b: float, top: int, q: int,
-                 spanning: bool = False):
+    def __init__(self, graph, n: int, top: int, q: int, spanning: bool = False):
         self.q = q
-        self.n = len(sq)
-        self.local, nb, adj = _local_graph(points, sq, a, b)
-        live, nbr, self._onto = collapse_vertices(adj, (1 << nb) - 1)
-        core = {i: nbr[i] & live ^ 1 << i for i in _bits(live)}
+        self.n = n
+        self.local, nb, adj = graph
+        live, self._onto = collapse_vertices(adj, (1 << nb) - 1)
+        core = {i: adj[i] & live ^ 1 << i for i in _bits(live)}
         self.simplices = _clique_expand(range(len(self.local)), core, top,
                                         (1 << nb) - 1, spanning)
         self.rows = {d: {s: r for r, s in enumerate(ss)}

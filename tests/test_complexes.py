@@ -29,15 +29,16 @@ def test_rips_unit_square():
 
 
 def _adjacency_bits_by_row_loop(points, subset, alpha):
-    """Reference: each row's mask set bit by bit from its nonzero entries."""
+    """Reference: each row's closed-neighbourhood mask set bit by bit from
+    its nonzero entries, its own bit included."""
     pts = points[subset]
     close = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1) <= (2 * alpha) ** 2
     adj = []
     for i in range(len(subset)):
         row = 0
         for j in np.flatnonzero(close[i]):
-            if j != i:
-                row |= 1 << int(j)
+            row |= 1 << int(j)
+        assert row >> i & 1
         adj.append(row)
     return adj
 
@@ -58,7 +59,8 @@ def test_adjacency_bits_match_row_loop(m):
     if m >= 2:
         assert adj[0] >> (m - 1) & 1 and adj[m - 1] & 1
     if m >= 64:
-        assert any(row >> 63 for row in adj)        # bits past one word
+        # bits past one word, besides a vertex's own
+        assert any((row ^ 1 << i) >> 63 for i, row in enumerate(adj))
 
 
 def test_rips_empty_subset():
@@ -256,7 +258,8 @@ def test_clique_expand_restricted_to_mask(max_dim):
         n = int(rng.integers(1, 14))
         pts = _tied_points(rng, n) if n > 1 else np.zeros((1, 2))
         subset = rng.permutation(n)[:int(rng.integers(1, n + 1))].tolist()
-        adj = dict(enumerate(_adjacency_bits(pts, subset, float(rng.choice([1, 1.5, 2])) / 16)))
+        adj = {i: a ^ 1 << i for i, a in
+               enumerate(_adjacency_bits(pts, subset, float(rng.choice([1, 1.5, 2])) / 16))}
         full = _clique_expand(subset, adj, max_dim)
         assert full == _clique_expand(subset, adj, max_dim, -1)
         m = len(subset)

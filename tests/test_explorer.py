@@ -143,24 +143,36 @@ def test_scan_measures_only_a_dense_set_it_draws(monkeypatch):
 
 def test_chord_scan_builds_one_pair_per_r(monkeypatch):
     # cells run column by column, so the engine reuses its level-2 pair
-    # while only R changes: one collapsed level-2 pair per r > alpha (the
-    # level-1 pairs, built per query, are not spanning)
-    built = []
+    # while only R changes: one collapsed level-2 pair per r > alpha, each
+    # with the dense points within r of x as its ball (the level-1 pairs,
+    # built per query, are not spanning); and two local graphs per level,
+    # one for the first cell's ball and one for the largest radius, from
+    # which every later graph is sliced
+    built, graphs = [], []
+    local_graph = relhom._local_graph
 
     class Counted(relhom._CollapsedRipsPair):
-        def __init__(self, *args, spanning=False):
+        def __init__(self, graph, *args, spanning=False):
             if spanning:
-                built.append(args[3])
-            super().__init__(*args, spanning=spanning)
+                built.append(graph[1])
+            super().__init__(graph, *args, spanning=spanning)
+
+    def counted(points, sq, a, b):
+        graphs.append((a, b))
+        return local_graph(points, sq, a, b)
 
     monkeypatch.setattr(relhom, "_CollapsedRipsPair", Counted)
+    monkeypatch.setattr(relhom, "_local_graph", counted)
     K, x, alpha, eps = circle_chord(), (-1.0, 0.0), 0.12, 0.05
     values = np.linspace(0.1, 1.0, 10)
     scan = scan_alpha_section(K, x, alpha, eps, values, dense_n=400)
-    assert built == [float(r) for r in values if r > alpha]
-    assert len(built) == 9
-    # the same grid from a fresh engine per cell
     dense, gt = K.even_points(400), K.ground_truth(np.asarray(x)).local_ranks
+    sq = ((dense - x) ** 2).sum(-1)
+    assert built == [int((sq < r * r).sum()) for r in values if r > alpha]
+    assert len(set(built)) == 9
+    first, last = float(values[1]), float(values[-1])
+    assert graphs == [(eps, first), (alpha, first), (eps, last), (alpha, last)]
+    # the same grid from a fresh engine per cell
     for i, j, m in scan.cells():
         eng = ImageRankEngine(dense, (eps, float(values[-1])), (alpha, 0.0))
         ranks = eng.query(x, b1=float(values[i]), b2=float(values[j])).ranks

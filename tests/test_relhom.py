@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localhom.complexes import (_adjacency_bits, cech, collapse_vertices,
+from localhom.complexes import (_adjacency_bits, cech, collapse_vertices, delete_ball,
                                 min_enclosing_radius, quotient_pair)
 from localhom.geometry import circle_chord, generate_sample
-from localhom.relhom import (HomologySignature, ImageRankEngine, QuerySpec,
-                             exactness_check, image_rank, image_rank_oracle,
-                             relative_betti)
+from localhom.relhom import (HomologySignature, ImageRankEngine, QueryResult, QuerySpec,
+                             _local_graph, exactness_check, image_rank,
+                             image_rank_oracle, relative_betti)
 
 
 def _random_instance(rng, max_pts=10, lmax=1):
@@ -113,7 +114,8 @@ def _filled_patch(draw):
 
 def _live_nbrs(live, nbr):
     """The live neighbourhood of each live vertex, 0 for the others, from
-    the live mask and closed neighbourhoods ``collapse_vertices`` returns."""
+    the live mask ``collapse_vertices`` returns and the closed
+    neighbourhoods it was given."""
     return [nbr[i] & live ^ 1 << i if live >> i & 1 else 0 for i in range(len(nbr))]
 
 
@@ -121,13 +123,13 @@ def _replay_collapse(adj, inside, out):
     """Replays ``collapse_vertices`` step by step: every collapse (v, w) was a
     domination of live vertices at that moment, an off-ball v went only onto
     an off-ball w, and at the end no live vertex is dominated under these
-    rules, the live mask is that of the replay and ``nbr`` is the closed
+    rules, the live mask is that of the replay and ``adj`` is the closed
     graph."""
-    live_out, nbr_out, onto = out
-    nbr = _live_nbrs(live_out, nbr_out)
+    live_out, onto = out
+    nbr = _live_nbrs(live_out, adj)
     m = len(adj)
     closed = [a | 1 << i for i, a in enumerate(adj)]
-    assert nbr_out == closed
+    assert adj == closed
     live = (1 << m) - 1
     for v, w in onto:
         assert v != w and live >> v & 1 and live >> w & 1 and closed[v] >> w & 1
@@ -189,8 +191,8 @@ def _check_collapse(pts, p, level):
     for nb in (int((sq[local] < b * b).sum()), 0, len(local)):
         out = collapse_vertices(adj, (1 << nb) - 1)
         core = _replay_collapse(adj, (1 << nb) - 1, out)
-        assert core + len(out[2]) == len(local)
-        counts.append(len(out[2]))
+        assert core + len(out[1]) == len(local)
+        counts.append(len(out[1]))
     return counts[0]
 
 
@@ -502,7 +504,7 @@ def test_engine_pair_memo_matches_fresh_engines(flavor, lmax, q):
     got, pairs = [], []
     for i, r1, r2 in seq:
         got.append(eng.query(pts[i], b1=r1, b2=r2).ranks)
-        pairs.append(eng._memo[1])
+        pairs.append(eng._at.level2[1])
         fresh = ImageRankEngine(pts, level1, level2, flavor=flavor, q=q, lmax=lmax)
         assert got[-1] == fresh.query(pts[i], b1=r1, b2=r2).ranks
     assert any(got[3].values()) and any(got[8].values())
@@ -510,6 +512,111 @@ def test_engine_pair_memo_matches_fresh_engines(flavor, lmax, q):
     # the duplicate and the query after the empty ball read one pair
     assert pairs[5] is pairs[6] is pairs[7] is pairs[8]
     assert not any(got[7].values())
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("flavor,lmax,shared", [("rips", 1, False), ("rips", 1, True),
+                                                ("rips", 2, False), ("rips", 2, True),
+                                                ("cech", 1, False)])
+def test_engine_at_one_centre_matches_fresh_engines(flavor, lmax, shared, q):
+    # one engine asked at one centre, with ball radii ascending, descending
+    # and above its defaults, builds, slices and rebuilds its local graphs
+    # (one graph for both levels when a1 == a2); every answer equals that
+    # of a fresh engine and of image_rank
+    pts, p, (a1, b1), (a2, b2) = _clustered_instance(np.random.default_rng(7), True)
+    if shared:
+        a2 = a1
+    radii = [b2 / 2, b2, b1, b1 + 3 * GRID]
+    up = [(R, r) for r in radii for R in radii if R >= r]
+    seq = up + up[::-1] + [(b1 + 8 * GRID, b1 + 6 * GRID), (b1 / 2, b2 / 4)]
+    eng = ImageRankEngine(pts, (a1, b1), (a2, b2), flavor=flavor, q=q, lmax=lmax)
+    seen = set()
+    for R, r in seq:
+        got = eng.query(pts[p], b1=R, b2=r).ranks
+        fresh = ImageRankEngine(pts, (a1, b1), (a2, b2), flavor=flavor, q=q, lmax=lmax)
+        spec = QuerySpec(p, (a1, R), (a2, r), flavor=flavor, q=q, lmax=lmax)
+        assert got == fresh.query(pts[p], b1=R, b2=r).ranks == image_rank(spec, pts).ranks
+        seen.add(tuple(got.values()))
+    assert len(seen) > 1
+    if flavor == "rips":
+        assert {a: g[0] for a, g in eng._at.graphs.items()} == \
+            {a2: b1 + 6 * GRID, a1: b1 + 8 * GRID}
+
+
+def _same_graph(g, h):
+    return np.array_equal(g[0], h[0]) and g[1:] == h[1:]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sliced_local_graph_equals_built_one(seed):
+    # on 1/8-grid points with duplicates, and points at exactly b and at
+    # b + 2a from the centre for every radius b asked, a graph sliced from
+    # one built for a larger ball has the ids, nb and bitmasks of
+    # _local_graph at b; a larger ball is built for max(b, b1)
+    rng = np.random.default_rng(60 + seed)
+    for t in range(30):
+        n = int(rng.integers(5, 40))
+        pts = rng.integers(-12, 13, size=(n, 2)) / 8
+        pts[rng.integers(0, n, size=n // 4)] = pts[rng.integers(0, n, size=n // 4)]
+        c = pts[int(rng.integers(0, n))]
+        a = float(rng.choice([1, 1.5, 2, 3])) / 16
+        radii = sorted(rng.integers(0, 16, size=4) / 8)
+        extra = [c + s * np.array(u) * r for r in radii for s in (1, -1)
+                 for u in [(1, 0), (0, 1)] for r in (r, r + 2 * a)]
+        pts = np.vstack([pts] + extra)
+        sq = ((pts - c) ** 2).sum(-1)
+        eng = ImageRankEngine(pts, (a, radii[2]), (a, 0.0), lmax=0)
+        at = eng._centre(c)
+        for b in radii[::-1] + [0.0]:
+            assert _same_graph(eng._graph(at, a, b), _local_graph(pts, sq, a, b))
+        assert at.graphs[a][0] == radii[-1]
+        big = radii[-1] + 1 / 8
+        assert _same_graph(eng._graph(at, a, big), _local_graph(pts, sq, a, big))
+        for b in radii:
+            assert _same_graph(eng._graph(at, a, b), _local_graph(pts, sq, a, b))
+        assert at.graphs[a][0] == big
+        if radii[-1] < radii[2] + 1 / 8:
+            continue
+        # asked first for a small ball, the engine rebuilds for b1
+        at = eng._centre(c + (1 / 8, 0))
+        at = eng._centre(c)
+        eng._graph(at, a, radii[0])
+        assert at.graphs[a][0] == radii[0]
+        eng._graph(at, a, radii[1] + 1 / 16)
+        assert at.graphs[a][0] == max(radii[1] + 1 / 16, radii[2])
+
+
+def test_engine_results_are_shared_and_frozen():
+    # equal ranks are one immutable object; a hand-made result still works
+    pts, p, level1, level2 = _clustered_instance(np.random.default_rng(4), True)
+    eng = ImageRankEngine(pts, level1, level2)
+    kept = {}
+    for i in range(len(pts)):
+        res = eng.query_index(i)
+        assert kept.setdefault(res.by_degree, res) is res
+    assert len(kept) > 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.by_degree = (99, 0)
+    assert QueryResult((99, 0)).ranks == {0: 99, 1: 0}
+
+
+def test_centres_of_another_dimension_rejected():
+    # distances read every coordinate of both sides: a planar sample takes
+    # only planar centres, in the engine (before its kept centre is
+    # consulted, which a (1, 2) centre's bytes would match), quotient_pair
+    # and delete_ball
+    pts = np.random.default_rng(3).uniform(-1, 1, (30, 2))
+    eng = ImageRankEngine(pts, (0.2, 0.8), (0.3, 0.4))
+    (x, y), kept = pts[0], eng.query(pts[0])
+    for bad in [(x, y, 5.0), (x,), [[x, y]]]:
+        with pytest.raises(ValueError, match="centre of shape"):
+            eng.query(bad)
+    assert eng.query(pts[0]) is kept
+    for bad in [(x, y, 5.0), (x,)]:
+        with pytest.raises(ValueError, match="coordinates"):
+            quotient_pair(pts, bad, 0.2, 0.8)
+        with pytest.raises(ValueError, match="coordinates"):
+            delete_ball(pts, bad, 0.4)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -567,15 +674,17 @@ def test_collapse_keeps_off_ball_vertex_with_tree_edge():
     for u, v in [(0, 4), (1, 4), (3, 4), (2, 3)]:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
+    adj = [a | 1 << i for i, a in enumerate(adj)]
     out = collapse_vertices(adj, 0b11)
-    live, nbr, onto = out
+    live, onto = out
     assert onto == [(2, 3), (1, 4), (0, 4), (4, 3)]
-    assert _live_nbrs(live, nbr) == [0] * 5
+    assert _live_nbrs(live, adj) == [0] * 5
     # a star on the ball vertex 0: each off-ball leaf is dominated only by
     # the centre, so every vertex stays
     star = [0b1110, 0b0001, 0b0001, 0b0001]
-    live, nbr, onto = collapse_vertices(star, 0b0001)
-    assert (_live_nbrs(live, nbr), onto) == (star, [])
+    closed = [a | 1 << i for i, a in enumerate(star)]
+    live, onto = collapse_vertices(closed, 0b0001)
+    assert (_live_nbrs(live, closed), onto) == (star, [])
     _replay_collapse(adj, 0b11, out)
 
 
@@ -596,8 +705,8 @@ def test_collapse_matches_full_scan(seed):
         local = rng.permutation(n)
         adj = _adjacency_bits(pts, local, float(rng.choice([1, 1.5, 2, 3])) / 16)
         for inside in (0, (1 << n) - 1, int(rng.integers(0, 1 << n))):
-            live, nbr, onto = collapse_vertices(adj, inside)
-            assert (_live_nbrs(live, nbr), onto) == _collapse_by_full_scan(adj, inside)
+            live, onto = collapse_vertices(adj, inside)
+            assert (_live_nbrs(live, adj), onto) == _collapse_by_full_scan(adj, inside)
             collapsed += len(onto)
     assert collapsed > 0
 
