@@ -561,8 +561,8 @@ def test_sliced_local_graph_equals_built_one(seed):
         c = pts[int(rng.integers(0, n))]
         a = float(rng.choice([1, 1.5, 2, 3])) / 16
         radii = sorted(rng.integers(0, 16, size=4) / 8)
-        extra = [c + s * np.array(u) * r for r in radii for s in (1, -1)
-                 for u in [(1, 0), (0, 1)] for r in (r, r + 2 * a)]
+        extra = [c + s * np.array(u) * d for b in radii for d in (b, b + 2 * a)
+                 for s in (1, -1) for u in [(1, 0), (0, 1)]]
         pts = np.vstack([pts] + extra)
         sq = ((pts - c) ** 2).sum(-1)
         eng = ImageRankEngine(pts, (a, radii[2]), (a, 0.0), lmax=0)
@@ -577,8 +577,9 @@ def test_sliced_local_graph_equals_built_one(seed):
         assert at.graphs[a][0] == big
         if radii[-1] < radii[2] + 1 / 8:
             continue
-        # asked first for a small ball, the engine rebuilds for b1
-        at = eng._centre(c + (1 / 8, 0))
+        # asked first for a small ball, the engine rebuilds for b1; a query
+        # at another centre in between drops the kept graphs
+        eng._centre(c + (1 / 8, 0))
         at = eng._centre(c)
         eng._graph(at, a, radii[0])
         assert at.graphs[a][0] == radii[0]
