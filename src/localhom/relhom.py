@@ -26,11 +26,12 @@ and cokernels", SODA 2009).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .complexes import (QuotientPairComplex, _adjacency_bits, _clique_expand, _induced,
+from .complexes import (QuotientPairComplex, _bitmasks, _clique_expand, _induced,
                         _pair_basis, boundary, build_complex, collapse_vertices,
                         cone_pair, delete_ball, quotient_pair)
 from .fieldla import (_bits, _require_prime, entries, kernel_basis, lane_width, pack,
@@ -228,16 +229,24 @@ class QueryResult:
 
 class _Centre:
     """What an engine keeps of the centre of its latest query: every
-    point's squared distance ``sq`` to it, the local Rips graph per scale,
-    and the level-2 pair of the latest b2."""
+    point's squared distance ``sq`` to it, its neighbourhood, and the
+    level-2 pair of the latest b2.
 
-    __slots__ = ("key", "sq", "graphs", "level2")
+    Local ids, one order per centre: the neighbourhood ``local`` holds the
+    ids within the largest radius built for, sorted by distance to the
+    centre with ties in index order, and ``sqs`` their sq.  Every local set
+    at this centre, at any scale and ball, is a prefix of that order, so
+    local vertex i is ``local[i]`` in the graphs and pairs of both levels.
+    """
+
+    __slots__ = ("key", "sq", "local", "sqs", "graphs", "level2")
 
     def __init__(self, key: bytes, sq: np.ndarray):
         self.key = key
         self.sq = sq
-        # scale -> (ball radius built for, local ids sorted by distance,
-        # their sq, closed-neighbourhood bitmasks)
+        self.local = self.sqs = None
+        # scale -> (ball radius built for, closed-neighbourhood bitmasks of
+        # the local vertices within that ball + 2 * scale)
         self.graphs = {}
         self.level2 = (None, None)      # (b2, pair)
 
@@ -257,7 +266,9 @@ class ImageRankEngine:
         the centre's local graph at the level's scale and ball and
         strong-collapsed.  S is the level-1 core's simplices that meet the
         larger ball, up to degree lmax, and a level-1 simplex maps by the
-        vertex map of the level-2 collapse.  No global complex is read;
+        vertex map of the level-2 collapse.  Both are in local ids, one
+        order per centre (``_Centre``), so S passes to level 2 as it is.
+        No global complex is read;
       * Cech: S is the global level-1 complex's simplices that meet the
         larger ball, found by a mask scan, and the level-2 pair is a
         ``_GlobalPair``, the view of a global level-2 complex (scale a2,
@@ -265,11 +276,13 @@ class ImageRankEngine:
         are not flag complexes, so the vertex collapse does not apply.
 
     The engine keeps what it learnt about the centre of its latest query
-    (``_Centre``): the squared distances, one local Rips graph per scale,
-    which a query with a smaller ball slices (``_graph``), and the level-2
-    pair of the latest b2.  A query at a new centre replaces it.  So a scan
-    of ball radii around one centre builds a few graphs per level and one
-    level-2 pair per b2.  Level-1 pairs are built per query.
+    (``_Centre``): the squared distances, one neighbourhood with a local
+    Rips graph per scale, which a query with a smaller ball slices
+    (``_graph``), and the level-2 pair of the latest b2.  One distance block
+    gives both scales' graphs (``_neighbourhood``).  A query at a new
+    centre replaces it.  So a scan of ball radii around one centre builds
+    a few neighbourhoods and one level-2 pair per b2.  Level-1 pairs are
+    built per query.
 
     Set-up builds the global level-1 complex (scale a1, to lmax) for both
     flavors and checks that its simplices key as int64; only Cech queries
@@ -357,8 +370,8 @@ class ImageRankEngine:
         Queries at the centre of the latest one reuse its distances, its
         local graphs and, at the same ``b2``, its level-2 pair: so a run of
         queries that varies only ``b1``, such as one column of an explorer
-        scan, builds one level-2 pair, and a whole scan builds two local
-        graphs per scale.  Equal ranks return the same ``QueryResult``.
+        scan, builds one level-2 pair, and a whole scan builds two
+        neighbourhoods.  Equal ranks return the same ``QueryResult``.
 
         A query returns ranks only.  ``keep_detail`` stays as a keyword, as
         the benchmark's engine wrapper passes it by name, and must be False.
@@ -382,6 +395,8 @@ class ImageRankEngine:
         # an empty smaller ball leaves the level-2 basis empty in every degree
         if not (at.sq < b2 * b2).any():
             return self._result(ranks)
+        if self.flavor == "rips":
+            self._cover(at, b1, b2)
         level1 = self._level1(at, b1)
         pair = None
         for ell in range(self.lmax + 1):
@@ -416,52 +431,56 @@ class ImageRankEngine:
             self._at = _Centre(key, sq_dists(self.points, center))
         return self._at
 
-    def _graph(self, at: _Centre, a: float, b: float):
-        """``_local_graph`` at (a, b) around the centre ``at``.
-
-        It is sliced from the centre's graph at scale a when that was built
-        for a ball >= b: local sets are distance-sorted prefixes of larger
-        ones, ties in the same stable order, and an edge depends only on
-        its two points.  Otherwise it is built: for b itself at a centre's
-        first request, and for max(b, default b1) after one, so that a scan
-        whose radii stay within the default rebuilds once per scale.
+    def _cover(self, at: _Centre, b1: float, b2: float) -> None:
+        """Makes the centre's graphs cover the ball b1 at scale a1 and b2 at
+        a2, building its neighbourhood unless both kept graphs were built
+        for balls at least as large.  A build makes both scales' graphs:
+        for the balls asked at a centre's first build, and for max(b,
+        default b1) after one, so that a scan whose radii stay within the
+        default builds twice.  With a1 == a2 both levels share one graph,
+        built for b1 >= b2.
         """
-        g = at.graphs.get(a)
-        if g is None or g[0] < b:
-            ball = b if g is None else max(b, self.b1)
-            local, nb, bits = _local_graph(self.points, at.sq, a, ball)
-            at.graphs[a] = g = (ball, local, at.sq[local], bits)
-            if ball == b:
-                return local, nb, bits
-        _, local, sqs, bits = g
-        m = int(np.searchsorted(sqs, (b + 2 * a) ** 2 * (1 + 1e-12), "right"))
-        nb = int(np.searchsorted(sqs, b * b, "left"))
-        if m == len(local):
-            return local, nb, bits
-        mask = (1 << m) - 1
-        return local[:m], nb, [x & mask for x in bits[:m]]
+        want = {self.a2: b2, self.a1: b1}
+        g = at.graphs
+        if all(a in g and g[a][0] >= b for a, b in want.items()):
+            return
+        if g:
+            want = {a: max(b, self.b1) for a, b in want.items()}
+        at.local, at.sqs, bits = _neighbourhood(self.points, at.sq, want)
+        at.graphs = {a: (b, bits[a]) for a, b in want.items()}
+
+    def _graph(self, at: _Centre, a: float, b: float):
+        """The local Rips graph at (a, b) around the centre ``at``, on local
+        vertices 0..m-1, the ids within b + 2a: nb, the number in the open
+        b-ball, and the closed-neighbourhood bitmasks.
+
+        It is sliced from the centre's graph at scale a, which ``_cover``
+        built for a ball >= b: local sets are prefixes of the centre's one
+        order, and an edge depends only on its two points.
+        """
+        bits = at.graphs[a][1]
+        m = int(np.searchsorted(at.sqs, (b + 2 * a) ** 2 * (1 + 1e-12), "right"))
+        nb = int(np.searchsorted(at.sqs, b * b, "left"))
+        if m < len(bits):
+            mask = (1 << m) - 1
+            bits = [x & mask for x in bits[:m]]
+        return nb, bits
 
     def _level1(self, at: _Centre, b1: float) -> dict:
         """The level-1 basis of a query, per degree ell <= lmax with a basis
-        simplex: the simplices as rows of global vertex ids, and their
-        boundary columns over the degree-(ell - 1) basis.
+        simplex: the simplices, and their boundary columns over the
+        degree-(ell - 1) basis.
 
-        For Rips it is the basis of the collapsed level-1 pair at (a1, b1).
-        Its core pair includes into the level-1 pair as a homotopy
-        equivalence of pairs, so the image rank is the same.  For Cech it is
-        the global level-1 complex's simplices that meet the b1-ball, found
-        by a mask scan.
+        For Rips it is the basis of the collapsed level-1 pair at (a1, b1),
+        as tuples of local ids.  Its core pair includes into the level-1
+        pair as a homotopy equivalence of pairs, so the image rank is the
+        same.  For Cech it is the global level-1 complex's simplices that
+        meet the b1-ball, found by a mask scan, as rows of global ids.
         """
         if self.flavor == "rips":
-            pair = _CollapsedRipsPair(self._graph(at, self.a1, b1), len(self.points),
-                                      self.lmax, self.q)
-            out = {}
-            for ell, ss in pair.simplices.items():
-                if ss:
-                    arr = np.array(ss, dtype=np.int64).reshape(len(ss), ell + 1)
-                    out[ell] = (pair.local[arr],
-                                pair.boundary_columns(ell - 1) if ell else [0] * len(ss))
-            return out
+            pair = _CollapsedRipsPair(self._graph(at, self.a1, b1), self.lmax, self.q)
+            return {ell: (ss, pair.boundary_columns(ell - 1) if ell else [0] * len(ss))
+                    for ell, ss in pair.simplices.items() if ss}
         near1 = at.sq < b1 * b1
         m1 = {d: near1[a].any(axis=1) for d, a in self.arr1.items()}
         out = {}
@@ -483,8 +502,8 @@ class ImageRankEngine:
         so a query at the same centre and ``b2`` as the latest pair's reuses
         it."""
         if at.level2[0] != b2:
-            pair = (_CollapsedRipsPair(self._graph(at, self.a2, b2), len(self.points),
-                                       self.lmax + 1, self.q, spanning=True)
+            pair = (_CollapsedRipsPair(self._graph(at, self.a2, b2), self.lmax + 1,
+                                       self.q, spanning=True)
                     if self.flavor == "rips" else _GlobalPair(self, at.sq < b2 * b2))
             at.level2 = (b2, pair)
         return at.level2[1]
@@ -523,11 +542,12 @@ class _Level2Pair:
 
     q: int
 
-    def stacked_columns(self, ell: int, simplices: np.ndarray, boundary: list,
+    def stacked_columns(self, ell: int, simplices, boundary: list,
                         shift: int) -> list:
-        """Per level-1 basis simplex (a row of the global ``simplices``): its
-        image in rows 0..nrows(ell)-1 plus its restricted level-1 ``boundary``
-        column moved up by ``shift`` >= nrows(ell) rows."""
+        """Per level-1 basis simplex (one of ``simplices``, in the ids of
+        ``_level1``): its image in rows 0..nrows(ell)-1 plus its restricted
+        level-1 ``boundary`` column moved up by ``shift`` >= nrows(ell)
+        rows."""
         shift *= lane_width(self.q)
         return [x | b << shift for x, b in zip(self._images(ell, simplices), boundary)]
 
@@ -562,68 +582,85 @@ class _GlobalPair(_Level2Pair):
         return [1 << r * k if r >= 0 else 0 for r in rows]
 
 
-def _local_graph(points, sq, a: float, b: float):
-    """The Rips graph at scale a on the vertices within b + 2a of a query's
-    centre, ``sq`` holding every point's squared distance to it.
+def _neighbourhood(points, sq, balls: dict):
+    """The local Rips graphs around a query's centre at each scale a of
+    ``balls`` = {a: b}, ``sq`` holding every point's squared distance to the
+    centre.
 
-    Only these vertices carry chains of the pair with the open b-ball
-    deleted (the excision ``quotient_pair`` relies on).  They are numbered
-    by distance to the centre, ties in index order, so the ball's are
-    0..nb-1.  Returns the global id of each local vertex, nb and the
+    The graph at (a, b) is on the vertices within b + 2a of the centre: only
+    these carry chains of the pair with the open b-ball deleted (the
+    excision ``quotient_pair`` relies on).  All are numbered in one order,
+    by distance to the centre with ties in index order, so each scale's
+    vertices are a prefix of the ids within the largest radius and a
+    ball's are 0..nb-1.  One distance block over those ids gives every
+    scale's edges, by thresholding its leading block at (2a)^2.  Returns
+    the global ids in that order, their sq, and per scale the
     closed-neighbourhood bitmasks.
     """
-    local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
+    reach = [(b + 2 * a) ** 2 * (1 + 1e-12) for a, b in balls.items()]
+    local = np.flatnonzero(sq <= max(reach))
     local = local[np.argsort(sq[local], kind="stable")]
-    nb = int((sq[local] < b * b).sum())
-    return local, nb, _adjacency_bits(points, local, a)
+    sqs = sq[local]
+    size = dict(zip(balls, np.searchsorted(sqs, reach, "right").tolist()))
+    pts = points[local]
+    bits = {a: [] for a in balls}
+    # rows in blocks of 256, so the temporaries stay a few MB on large sets
+    for lo in range(0, len(pts), 256):
+        # ``block`` stays bound until the next one is made: freed first, it
+        # lets malloc trim the heap, and the next block faults its pages in
+        # again (4x the page faults and 1.5x the time on 1500 points)
+        block = sq_dists(pts[lo:lo + 256], pts)
+        for a, m in size.items():
+            if lo < m:
+                bits[a] += _bitmasks(block[:m - lo, :m] <= (2.0 * a) ** 2)
+    return local, sqs, bits
 
 
 class _CollapsedRipsPair(_Level2Pair):
     """The Rips pair (X, A) at scale a with the open b-ball deleted, for
-    either level of a query and every lmax, on the n sample points.
+    either level of a query and every lmax, in local ids, one order per
+    centre.
 
-    The pair is built on its ``_local_graph``, ``graph`` = (local ids, nb,
-    closed-neighbourhood bitmasks), and shrunk by ``collapse_vertices``:
-    far vertices are tried first, each onto its nearest dominating
-    neighbour.  Its basis in degree d <= ``top`` is the d-simplices of the
-    live core that meet the ball, as tuples of local vertices; with
-    ``spanning``, degree ``top`` holds the spanning set of
-    ``_clique_expand`` instead, whose boundaries span the relative
-    boundaries of degree top - 1.  Rows index the degrees below ``top``.
-    Only the live core is expanded into cliques.
+    The pair is built on the centre's local graph at (a, b), ``graph`` =
+    (nb, closed-neighbourhood bitmasks of local vertices 0..m-1), and
+    shrunk by ``collapse_vertices``: far vertices are tried first, each
+    onto its nearest dominating neighbour.  Its basis in degree d <=
+    ``top`` is the d-simplices of the live core that meet the ball, as
+    tuples of local ids; with ``spanning``, degree ``top`` holds the
+    spanning set of ``_clique_expand`` instead, whose boundaries span the
+    relative boundaries of degree top - 1.  Rows index the degrees below
+    ``top``.  Only the live core is expanded into cliques.
 
-    As a level-2 pair it maps a level-1 simplex by f, the composed vertex
-    map of the collapse: to the sorted f-image of its vertices, with the
-    sign of the sorting permutation.  The image is 0 when the simplex is
-    degenerate under f, has a vertex outside the local set, or its image
-    has no row.  f is a simplicial map of pairs, homotopy inverse to the
-    inclusion of the core, so the image rank is that of the uncollapsed
-    pair.  A level-1 pair never maps a simplex, so f is built on the first
-    ``_images`` call.
+    As a level-2 pair it maps a level-1 simplex, in the same local ids, by
+    f, the composed vertex map of the collapse: to the sorted f-image of
+    its vertices, with the sign of the sorting permutation.  The image is 0
+    when the simplex has a vertex at or past m, off the local set, is
+    degenerate under f, or its image has no row.  f is a simplicial map of
+    pairs, homotopy inverse to the inclusion of the core, so the image
+    rank is that of the uncollapsed pair.  A level-1 pair never maps a
+    simplex, so f is built on the first ``_images`` call.
     """
 
-    def __init__(self, graph, n: int, top: int, q: int, spanning: bool = False):
+    def __init__(self, graph, top: int, q: int, spanning: bool = False):
         self.q = q
-        self.n = n
-        self.local, nb, adj = graph
+        nb, adj = graph
+        self.m = len(adj)
         live, self._onto = collapse_vertices(adj, (1 << nb) - 1)
         core = {i: adj[i] & live ^ 1 << i for i in _bits(live)}
-        self.simplices = _clique_expand(range(len(self.local)), core, top,
-                                        (1 << nb) - 1, spanning)
+        self.simplices = _clique_expand(range(self.m), core, top, (1 << nb) - 1, spanning)
         self.rows = {d: {s: r for r, s in enumerate(ss)}
                      for d, ss in self.simplices.items() if d < top}
         self._bnd = {}
         self.f = None
 
-    def _vertex_map(self) -> np.ndarray:
-        """f on global ids, -1 off the local set."""
+    def _vertex_map(self) -> list:
+        """f on local ids 0..m-1."""
         if self.f is None:
-            f = list(range(len(self.local)))
+            f = list(range(self.m))
             # each vertex after the one it went onto
             for v, w in reversed(self._onto):
                 f[v] = f[w]
-            self.f = np.full(self.n, -1, dtype=np.int64)
-            self.f[self.local] = f
+            self.f = f
         return self.f
 
     def nrows(self, ell: int) -> int:
@@ -635,17 +672,19 @@ class _CollapsedRipsPair(_Level2Pair):
                                       self.rows.get(ell, {}), self.q)
         return list(self._bnd[ell])
 
-    def _images(self, ell: int, simplices: np.ndarray) -> list:
+    def _images(self, ell: int, simplices) -> list:
         rows, q, k = self.rows.get(ell, {}), self.q, lane_width(self.q)
+        f, m = self._vertex_map(), self.m
+        image = f.__getitem__
         out = []
-        for s in self._vertex_map()[simplices].tolist():
-            r = rows.get(tuple(sorted(s)))
+        for s in simplices:
+            # local tuples ascend, so a vertex off the local set is s[-1] >= m
+            r = rows.get(tuple(sorted(map(image, s)))) if s[-1] < m else None
             if r is None:
                 out.append(0)
                 continue
-            # the sign of the permutation that sorts s, by its inversion
-            # parity; a sign is 1 at q = 2 and for a vertex
-            odd = q > 2 and ell and sum(x > y for i, x in enumerate(s)
-                                        for y in s[i + 1:]) & 1
+            # the sign of the permutation that sorts the image, by its
+            # inversion parity; a sign is 1 at q = 2 and for a vertex
+            odd = q > 2 and ell and sum(f[x] > f[y] for x, y in combinations(s, 2)) & 1
             out.append((q - 1 if odd else 1) << r * k)
         return out

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from localhom.complexes import (_adjacency_bits, _clique_expand, _induced, _pair_basis,
-                                boundary, cech, cone_pair, delete_ball,
-                                min_enclosing_radius, quotient_pair, rips)
+                                boundary, cech, cone_pair, delete_ball, quotient_pair, rips)
 from localhom.fieldla import entries, rank
+from reference import min_enclosing_radius
 
 
 def _simplex_set(cx):
@@ -43,10 +43,10 @@ def _adjacency_bits_by_row_loop(points, subset, alpha):
     return adj
 
 
-@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 63, 64, 65, 200])
+@pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 63, 64, 65, 128, 129, 200])
 def test_adjacency_bits_match_row_loop(m):
     # a local subset of a larger 1/64-grid sample, as the engine passes it;
-    # the counts straddle byte and 64-bit word boundaries
+    # the counts straddle byte, 64-bit word and two-word (128-bit) boundaries
     rng = np.random.default_rng(m)
     alpha = 5 / 64
     pts = np.round(rng.uniform(0, 1, (m + 10, 2)) * 64) / 64

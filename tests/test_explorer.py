@@ -145,24 +145,24 @@ def test_chord_scan_builds_one_pair_per_r(monkeypatch):
     # cells run column by column, so the engine reuses its level-2 pair
     # while only R changes: one collapsed level-2 pair per r > alpha, each
     # with the dense points within r of x as its ball (the level-1 pairs,
-    # built per query, are not spanning); and two local graphs per level,
-    # one for the first cell's ball and one for the largest radius, from
-    # which every later graph is sliced
-    built, graphs = [], []
-    local_graph = relhom._local_graph
+    # built per query, are not spanning); and two neighbourhoods, each
+    # giving both levels' graphs, one for the first cell's balls and one
+    # for the largest radius, from which every later graph is sliced
+    built, builds = [], []
+    neighbourhood = relhom._neighbourhood
 
     class Counted(relhom._CollapsedRipsPair):
         def __init__(self, graph, *args, spanning=False):
             if spanning:
-                built.append(graph[1])
+                built.append(graph[0])
             super().__init__(graph, *args, spanning=spanning)
 
-    def counted(points, sq, a, b):
-        graphs.append((a, b))
-        return local_graph(points, sq, a, b)
+    def counted(points, sq, balls):
+        builds.append(dict(balls))
+        return neighbourhood(points, sq, balls)
 
     monkeypatch.setattr(relhom, "_CollapsedRipsPair", Counted)
-    monkeypatch.setattr(relhom, "_local_graph", counted)
+    monkeypatch.setattr(relhom, "_neighbourhood", counted)
     K, x, alpha, eps = circle_chord(), (-1.0, 0.0), 0.12, 0.05
     values = np.linspace(0.1, 1.0, 10)
     scan = scan_alpha_section(K, x, alpha, eps, values, dense_n=400)
@@ -171,7 +171,7 @@ def test_chord_scan_builds_one_pair_per_r(monkeypatch):
     assert built == [int((sq < r * r).sum()) for r in values if r > alpha]
     assert len(set(built)) == 9
     first, last = float(values[1]), float(values[-1])
-    assert graphs == [(eps, first), (alpha, first), (eps, last), (alpha, last)]
+    assert builds == [{eps: first, alpha: first}, {eps: last, alpha: last}]
     # the same grid from a fresh engine per cell
     for i, j, m in scan.cells():
         eng = ImageRankEngine(dense, (eps, float(values[-1])), (alpha, 0.0))

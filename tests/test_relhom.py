@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localhom.complexes import (_adjacency_bits, cech, collapse_vertices, delete_ball,
-                                min_enclosing_radius, quotient_pair)
+                                quotient_pair)
 from localhom.geometry import circle_chord, generate_sample
 from localhom.relhom import (HomologySignature, ImageRankEngine, QueryResult, QuerySpec,
-                             _local_graph, exactness_check, image_rank,
-                             image_rank_oracle, relative_betti)
+                             exactness_check, image_rank, image_rank_oracle,
+                             relative_betti)
+from reference import local_graph, min_enclosing_radius
 
 
 def _random_instance(rng, max_pts=10, lmax=1):
@@ -543,48 +544,70 @@ def test_engine_at_one_centre_matches_fresh_engines(flavor, lmax, shared, q):
             {a2: b1 + 6 * GRID, a1: b1 + 8 * GRID}
 
 
-def _same_graph(g, h):
-    return np.array_equal(g[0], h[0]) and g[1:] == h[1:]
+def _same_graph(at, g, h):
+    """The engine's graph ``g`` = (nb, bits) at the centre ``at``, its ids
+    the leading local ids, equals the reference graph ``h``."""
+    nb, bits = g
+    return np.array_equal(at.local[:len(bits)], h[0]) and (nb, bits) == h[1:]
+
+
+def _balls(at):
+    return {a: g[0] for a, g in at.graphs.items()}
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_sliced_local_graph_equals_built_one(seed):
     # on 1/8-grid points with duplicates, and points at exactly b and at
-    # b + 2a from the centre for every radius b asked, a graph sliced from
-    # one built for a larger ball has the ids, nb and bitmasks of
-    # _local_graph at b; a larger ball is built for max(b, b1)
+    # b + 2a from the centre for every radius b asked and both scales
+    # a1 < a2: one neighbourhood build gives both levels' graphs, and a
+    # graph sliced for any smaller ball has the ids, nb and bitmasks of
+    # local_graph at (a, b); the two levels' ids are prefixes of one order.
+    # A larger ball rebuilds both scales, for max(b, b1)
     rng = np.random.default_rng(60 + seed)
     for t in range(30):
         n = int(rng.integers(5, 40))
         pts = rng.integers(-12, 13, size=(n, 2)) / 8
         pts[rng.integers(0, n, size=n // 4)] = pts[rng.integers(0, n, size=n // 4)]
         c = pts[int(rng.integers(0, n))]
-        a = float(rng.choice([1, 1.5, 2, 3])) / 16
+        a1, a2 = sorted(rng.choice([1, 1.5, 2, 3], size=2, replace=False) / 16)
         radii = sorted(rng.integers(0, 16, size=4) / 8)
-        extra = [c + s * np.array(u) * d for b in radii for d in (b, b + 2 * a)
-                 for s in (1, -1) for u in [(1, 0), (0, 1)]]
+        extra = [c + s * np.array(u) * d for b in radii for a in (a1, a2)
+                 for d in (b, b + 2 * a) for s in (1, -1) for u in [(1, 0), (0, 1)]]
         pts = np.vstack([pts] + extra)
         sq = ((pts - c) ** 2).sum(-1)
-        eng = ImageRankEngine(pts, (a, radii[2]), (a, 0.0), lmax=0)
+        eng = ImageRankEngine(pts, (a1, radii[2]), (a2, 0.0), lmax=0)
         at = eng._centre(c)
+        eng._cover(at, radii[-1], radii[-1])
+        assert _balls(at) == {a1: radii[-1], a2: radii[-1]}
+        kept = at.local
         for b in radii[::-1] + [0.0]:
-            assert _same_graph(eng._graph(at, a, b), _local_graph(pts, sq, a, b))
-        assert at.graphs[a][0] == radii[-1]
+            eng._cover(at, b, b)
+            assert at.local is kept
+            ids = []
+            for a in (a1, a2):
+                g = eng._graph(at, a, b)
+                assert _same_graph(at, g, local_graph(pts, sq, a, b))
+                ids.append(at.local[:len(g[1])])
+            assert np.array_equal(ids[1][:len(ids[0])], ids[0])
         big = radii[-1] + 1 / 8
-        assert _same_graph(eng._graph(at, a, big), _local_graph(pts, sq, a, big))
-        for b in radii:
-            assert _same_graph(eng._graph(at, a, b), _local_graph(pts, sq, a, b))
-        assert at.graphs[a][0] == big
-        if radii[-1] < radii[2] + 1 / 8:
-            continue
-        # asked first for a small ball, the engine rebuilds for b1; a query
-        # at another centre in between drops the kept graphs
+        eng._cover(at, big, radii[0])
+        assert _balls(at) == {a1: big, a2: max(radii[0], radii[2])}
+        assert len(at.local) == max(len(g[1]) for g in at.graphs.values())
+        for a, ball in _balls(at).items():
+            for b in [r for r in radii + [big] if r <= ball]:
+                assert _same_graph(at, eng._graph(at, a, b), local_graph(pts, sq, a, b))
+        # asked first for small balls, a centre's graphs are built for
+        # them; after a query at another centre, a larger level-1 ball
+        # rebuilds both scales for b1 at least
         eng._centre(c + (1 / 8, 0))
         at = eng._centre(c)
-        eng._graph(at, a, radii[0])
-        assert at.graphs[a][0] == radii[0]
-        eng._graph(at, a, radii[1] + 1 / 16)
-        assert at.graphs[a][0] == max(radii[1] + 1 / 16, radii[2])
+        eng._cover(at, radii[1], radii[0])
+        assert _balls(at) == {a1: radii[1], a2: radii[0]}
+        eng._cover(at, radii[1] + 1 / 16, radii[0])
+        assert _balls(at) == {a1: max(radii[1] + 1 / 16, radii[2]),
+                              a2: max(radii[0], radii[2])}
+        for a, ball in _balls(at).items():
+            assert _same_graph(at, eng._graph(at, a, ball), local_graph(pts, sq, a, ball))
 
 
 def test_engine_results_are_shared_and_frozen():
@@ -605,7 +628,7 @@ def test_centres_of_another_dimension_rejected():
     # distances read every coordinate of both sides: a planar sample takes
     # only planar centres, in the engine (before its kept centre is
     # consulted, which a (1, 2) centre's bytes would match), quotient_pair
-    # and delete_ball
+    # (also at b = 0, whose empty pair reads no distance) and delete_ball
     pts = np.random.default_rng(3).uniform(-1, 1, (30, 2))
     eng = ImageRankEngine(pts, (0.2, 0.8), (0.3, 0.4))
     (x, y), kept = pts[0], eng.query(pts[0])
@@ -613,9 +636,11 @@ def test_centres_of_another_dimension_rejected():
         with pytest.raises(ValueError, match="centre of shape"):
             eng.query(bad)
     assert eng.query(pts[0]) is kept
+    for bad in [(x, y, 5.0), (x,), [[x, y]]]:
+        for b in (0.8, 0.0):
+            with pytest.raises(ValueError, match="coordinates"):
+                quotient_pair(pts, bad, 0.2, b)
     for bad in [(x, y, 5.0), (x,)]:
-        with pytest.raises(ValueError, match="coordinates"):
-            quotient_pair(pts, bad, 0.2, 0.8)
         with pytest.raises(ValueError, match="coordinates"):
             delete_ball(pts, bad, 0.4)
 
@@ -654,8 +679,8 @@ def test_collinear_cech_triples_on_grid(q):
         assert min_enclosing_radius(pts[list(t1)]) == a1
         assert min_enclosing_radius(pts[list(t2)]) == a2
         assert ((pts[-1] - c) ** 2).sum() == b2 * b2
-        assert cech(pts, None, a1, 2).has(tuple(sorted(t1)))
-        assert cech(pts, None, a2, 2).has(tuple(sorted(t2)))
+        assert tuple(sorted(t1)) in cech(pts, None, a1, 2).simplices[2]
+        assert tuple(sorted(t2)) in cech(pts, None, a2, 2).simplices[2]
         for lmax in (1, 2):
             spec = QuerySpec(p, (a1, b1), (a2, b2), flavor="cech", q=q, lmax=lmax)
             eng = ImageRankEngine(pts, (a1, b1), (a2, b2), flavor="cech", q=q,
