@@ -180,23 +180,29 @@ def rips(points: np.ndarray, vertex_subset, alpha: float,
     return SimplicialComplex(subset, simp, max_dim, alpha, "rips")
 
 
-def collapse_vertices(adj: List[int], inside: int):
-    """Strong collapse of a flag complex X relative to its subcomplex A off
-    a ball.
+def collapse_vertices(adj: List[int], inside: int, bad=()):
+    """Strong collapse of a Rips or Cech complex X relative to its
+    subcomplex A off a ball.
 
     ``adj`` holds closed-neighbourhood bitmasks over local vertex indices,
     each vertex's own bit set (as from ``_adjacency_bits``); ``inside`` is
-    the bitmask of the vertices in the deleted ball.  A live vertex v is
-    dominated by a live neighbour w when N[v] ⊆ N[w], closed
-    neighbourhoods taken over the live vertices (Barmak & Minian, "Strong
-    homotopy types, nerves and collapses", DCG 2012).  Vertices are tried
-    from the highest index down, and each one's candidates w from the
-    lowest up, until no live vertex is dominated.  A dominated ball vertex
-    goes onto any such w, one off the ball only onto a w off the ball.
-    Each step v -> w is then a simplicial retraction of X onto X - v that
-    maps A into A, a strong deformation retraction of the pair, so H(X, A)
-    is unchanged; and the composed vertex map onto the live core is a
-    simplicial map of pairs, homotopy inverse to the inclusion of the core.
+    the bitmask of the vertices in the deleted ball.  X is the clique
+    complex of ``adj`` less the cofaces of the vertex sets in ``bad``,
+    bitmasks such as ``_bad_simplices`` gives for a Cech complex; a Rips
+    complex passes none.  A live vertex v is dominated by a live neighbour
+    w when every simplex of X on the live vertices that holds v is still
+    one with w added (Barmak & Minian, "Strong homotopy types, nerves and
+    collapses", DCG 2012).  That asks N[v] ⊆ N[w], closed neighbourhoods
+    taken over the live vertices, and that no bad set t holding w, whose
+    other vertices are v or live neighbours of v, leaves (t - w) + v a
+    simplex of X (``_adds_bad``).  Vertices are tried from the highest index down, and
+    each one's candidates w from the lowest up, until no live vertex is
+    dominated.  A dominated ball vertex goes onto any such w, one off the
+    ball only onto a w off the ball.  Each step v -> w is then a
+    simplicial retraction of X onto X - v that maps A into A, a strong
+    deformation retraction of the pair, so H(X, A) is unchanged; and the
+    composed vertex map onto the live core is a simplicial map of pairs,
+    homotopy inverse to the inclusion of the core.
 
     A dominator of v neighbours every live neighbour of v, so the scan reads
     only the candidates in the closed neighbourhoods of v's lowest and
@@ -230,7 +236,7 @@ def collapse_vertices(adj: List[int], inside: int):
             while cand:
                 low = cand & -cand
                 w = low.bit_length() - 1
-                if not nv & ~adj[w]:
+                if not nv & ~adj[w] and not (bad and _adds_bad(bad, v, w, nv)):
                     live ^= bit
                     onto.append((v, w))
                     # only a vertex that lost a neighbour can become dominated;
@@ -240,6 +246,20 @@ def collapse_vertices(adj: List[int], inside: int):
                 cand ^= low
         todo = again
     return live, onto
+
+
+def _adds_bad(bad, v: int, w: int, nv: int) -> bool:
+    """Whether some simplex on the live vertices that holds v stops being
+    one when w is added: some t in ``bad`` holds w, its other vertices lie
+    in ``nv``, the live closed neighbourhood of v, and (t - w) + v holds no
+    set of ``bad``, so it is a simplex whose union with w holds t."""
+    bw = 1 << w
+    for t in bad:
+        if t & bw and not t & ~nv:
+            s = t ^ bw | 1 << v
+            if all(u & ~s for u in bad):
+                return True
+    return False
 
 
 def _normalize_subset(points, vertex_subset) -> np.ndarray:
@@ -255,9 +275,13 @@ def _det(M: np.ndarray) -> np.ndarray:
     """Determinants of an (m, n, n) stack by the Leibniz formula: n! products
     and no division, so exact where the products are, as on grid points."""
     n = M.shape[-1]
-    perms = list(permutations(range(n)))
-    sign = [(-1) ** sum(a > b for a, b in combinations(p, 2)) for p in perms]
-    return M[:, np.arange(n), perms].prod(axis=2) @ np.array(sign, dtype=float)
+    out = 0.0
+    # summed in one fixed order, so a row's value does not depend on the rows
+    # beside it, as a matrix product's blocking could make it
+    for p in permutations(range(n)):
+        term = M[:, np.arange(n), p].prod(axis=1)
+        out = out - term if sum(a > b for a, b in combinations(p, 2)) & 1 else out + term
+    return out
 
 
 def _support_sets(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -282,6 +306,14 @@ def _support_sets(P: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return (w * h).sum(axis=1), independent & (w > 0).all(axis=1) & (w.sum(axis=1) < 1)
 
 
+def _too_wide(P: np.ndarray, alpha: float) -> np.ndarray:
+    """Which vertex sets of an (m, k, D) stack, k >= 3, ``cech`` rejects on
+    their own account at scale alpha: the support sets of circumradius over
+    alpha, with a relative fuzz of 1e-12 so that grid ties stay in."""
+    r2, support = _support_sets(P)
+    return support & (r2 > alpha * alpha * (1 + 1e-12) + 1e-24)
+
+
 def cech(points: np.ndarray, vertex_subset, alpha: float,
          max_dim: int) -> SimplicialComplex:
     """Cech complex: simplex present iff its min enclosing ball radius <= alpha.
@@ -289,14 +321,16 @@ def cech(points: np.ndarray, vertex_subset, alpha: float,
     Candidates are drawn from the Rips complex at the same scale (a set with
     enclosing radius <= alpha has diameter <= 2*alpha).  A candidate whose
     facets are all present is present unless it is itself a support set with
-    circumradius > alpha: otherwise its smallest enclosing ball is that of
-    one of its facets.  Sets of more than D + 1 points are never support
-    sets, so in the plane only triangles are measured, and only acute ones
-    can fail.
+    circumradius > alpha (``_too_wide``): otherwise its smallest enclosing
+    ball is that of one of its facets.  Sets of more than D + 1 points are
+    never support sets, so in the plane only triangles are measured, and
+    only acute ones can fail.  So the Cech complex is the Rips complex less
+    the cofaces of the cliques of 3 to D + 1 vertices that ``_too_wide``
+    rejects (``_bad_simplices``).  Each set is measured with its vertices in
+    ascending order.
     """
     points = np.asarray(points, dtype=float)
     base = rips(points, vertex_subset, alpha, max_dim)
-    thr2 = alpha * alpha * (1 + 1e-12) + 1e-24
     simp: Dict[int, List[Tuple[int, ...]]] = {}
     for d in sorted(base.simplices):
         kept = list(base.simplices[d])
@@ -308,13 +342,54 @@ def cech(points: np.ndarray, vertex_subset, alpha: float,
         if kept and 2 <= d <= points.shape[1]:
             out = []
             for i in range(0, len(kept), 4096):     # blocks bound the temporaries
-                r2, support = _support_sets(points[np.array(kept[i:i + 4096])])
-                out += (support & (r2 > thr2)).tolist()
+                out += _too_wide(points[np.array(kept[i:i + 4096])], alpha).tolist()
             kept = [s for s, o in zip(kept, out) if not o]
         if not kept and d >= 2:
             break
         simp[d] = kept
     return SimplicialComplex(base.vertex_ids, simp, max_dim, alpha, "cech")
+
+
+def _bad_simplices(points: np.ndarray, ids: np.ndarray, alpha: float) -> List[int]:
+    """The cliques of 3 to D + 1 vertices of the Rips graph at scale alpha on
+    the points ``ids`` that ``_too_wide`` rejects, as bitmasks of local
+    vertices, local vertex i being point ``ids[i]``.  A clique is a Cech
+    simplex iff it holds none of them.
+
+    By Jung's theorem, a k-set of circumradius r has an edge of length at
+    least r sqrt(2k / (k - 1)), sqrt(3) r for a triangle.  So only the
+    cliques whose longest edge is longer than alpha sqrt(2k / (k - 1)),
+    less a relative 1e-9 that keeps ties and rounding in, are measured.
+    Each is grown once, from its longest edge: pairs are ordered by squared
+    length with ties by ascending ids, and a vertex joins only if its edges
+    to the set come before that one.  Each set is measured with its ids
+    ascending, as ``cech`` measures it, so the verdicts are the same.
+    """
+    m = len(ids)
+    pts = points[ids]
+    sq = sq_dists(pts, pts)
+    up = np.arange(m)
+    # each pair's place in that order; a vertex with itself comes last
+    iu, ju = np.triu_indices(m, 1)
+    place = np.empty(len(iu), dtype=np.int64)
+    place[np.argsort(sq[iu, ju], kind="stable")] = np.arange(len(iu))
+    order = np.full((m, m), len(iu))
+    order[iu, ju] = order[ju, iu] = place
+    edge = (sq <= (2.0 * alpha) ** 2) & (up > up[:, None])
+    out = []
+    for k in range(3, min(points.shape[1] + 1, m) + 1):
+        i, j = np.nonzero(edge & (sq > alpha * alpha * 2 * k / (k - 1) * (1 - 1e-9)))
+        sets, top = np.c_[i, j], order[i, j][:, None]
+        common = (order[i] < top) & (order[j] < top)
+        for step in range(k - 2):
+            e, x = np.nonzero(common)
+            sets, top = np.c_[sets[e], x], top[e]
+            if step < k - 3:
+                common = common[e] & (order[x] < top) & (up > x[:, None])
+        if len(sets):
+            bad = _too_wide(points[np.sort(ids[sets], axis=1)], alpha)
+            out += [sum(1 << v for v in s) for s in sets[bad].tolist()]
+    return out
 
 
 def build_complex(points, vertex_subset, alpha, max_dim, flavor="rips"):
@@ -412,6 +487,8 @@ def quotient_pair(points: np.ndarray, center, a: float, b: float,
     if c.shape != points.shape[1:]:
         raise ValueError(f"centre of shape {c.shape} for points with "
                          f"{points.shape[1]} coordinates")
+    if not np.isfinite(c).all():
+        raise ValueError("centre coordinates must be finite")
     return QuotientPairComplex(c, a, b, flavor, max_dim,
                                _pair_basis(points, c, a, b, flavor, max_dim))
 

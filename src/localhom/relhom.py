@@ -15,25 +15,27 @@ Every rank comes from the one column reduction of packed int columns,
 ``fieldla.reduce_columns``; Z1 is read off the same reduction with unit
 columns stacked under the level-1 boundary (``fieldla.kernel_basis``).
 ``ImageRankEngine`` evaluates the direct method for many query points.  A
-Rips query builds both levels locally and strong-collapses each one, at
-every lmax; a level-1 simplex maps by the level-2 collapse's vertex map.  A
-Cech query's pairs are views of shared global complexes.  Either reduces
-one stacked matrix per degree instead of a kernel basis (Cohen-Steiner,
-Edelsbrunner, Harer & Morozov, "Persistent homology for kernels, images,
-and cokernels", SODA 2009).
+query, Rips or Cech, builds both levels locally and strong-collapses each
+one, at every lmax: a Cech level is its local Rips graph less the cofaces
+of its bad simplices (``complexes._bad_simplices``), which the collapse
+keeps (``complexes.collapse_vertices``).  A level-1 simplex maps by the
+level-2 collapse's vertex map, and one stacked matrix per degree is reduced
+instead of a kernel basis (Cohen-Steiner, Edelsbrunner, Harer & Morozov,
+"Persistent homology for kernels, images, and cokernels", SODA 2009).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .complexes import (QuotientPairComplex, _bitmasks, _clique_expand, _induced,
-                        _pair_basis, boundary, build_complex, collapse_vertices,
-                        cone_pair, delete_ball, quotient_pair)
+from .complexes import (QuotientPairComplex, _bad_simplices, _bitmasks, _clique_expand,
+                        _induced, _pair_basis, boundary, build_complex,
+                        collapse_vertices, cone_pair, delete_ball, quotient_pair)
 from .fieldla import (_bits, _require_prime, entries, kernel_basis, lane_width, pack,
                       persistent_reduce, rank, reduce_columns)
 from .geometry import sq_dists
@@ -59,10 +61,13 @@ class QuerySpec:
 
 
 def _check_levels(level1, level2, flavor: str, q: int, lmax: int) -> None:
-    """Raises ``ValueError`` unless the levels nest with a1 > 0 and b2 >= 0,
-    ``flavor`` is known, q is prime and lmax >= 0."""
+    """Raises ``ValueError`` unless no scale or radius is NaN, the levels
+    nest with a1 > 0 and b2 >= 0, ``flavor`` is known, q is prime and
+    lmax >= 0."""
     a1, b1 = level1
     a2, b2 = level2
+    if a1 != a1 or b1 != b1 or a2 != a2 or b2 != b2:
+        raise ValueError("scales and ball radii must not be NaN")
     if a1 > a2 or b2 > b1:
         raise ValueError("nesting violated: need a1 <= a2 and b2 <= b1")
     if a1 <= 0:
@@ -259,21 +264,16 @@ class ImageRankEngine:
     image i(s) in rows 0..n2-1 and its restricted level-1 boundary in rows
     n2 and up.  Pivots are lowest nonzero rows, so the S columns' lows below
     n2 count the image rank, rank(B2 + i(Z1)) - rank(B2), and all lows at n2
-    and up count |S| - dim Z1.  Both levels come from one of two places,
-    chosen by ``flavor``:
+    and up count |S| - dim Z1.
 
-      * Rips: one ``_CollapsedRipsPair`` per level, at every lmax, built on
-        the centre's local graph at the level's scale and ball and
-        strong-collapsed.  S is the level-1 core's simplices that meet the
-        larger ball, up to degree lmax, and a level-1 simplex maps by the
-        vertex map of the level-2 collapse.  Both are in local ids, one
-        order per centre (``_Centre``), so S passes to level 2 as it is.
-        No global complex is read;
-      * Cech: S is the global level-1 complex's simplices that meet the
-        larger ball, found by a mask scan, and the level-2 pair is a
-        ``_GlobalPair``, the view of a global level-2 complex (scale a2,
-        built to lmax + 1) under the query's ball masks.  Cech complexes
-        are not flag complexes, so the vertex collapse does not apply.
+    Both levels are a ``_CollapsedPair``, for Rips and Cech alike and at
+    every lmax: built on the centre's local graph at the level's scale and
+    ball, less the cofaces of the level's bad simplices for Cech
+    (``_bad_simplices``), and strong-collapsed.  S is the level-1 core's
+    simplices that meet the larger ball, up to degree lmax, and a level-1
+    simplex maps by the vertex map of the level-2 collapse.  Both are in
+    local ids, one order per centre (``_Centre``), so S passes to level 2
+    as it is.  No global complex is read.
 
     The engine keeps what it learnt about the centre of its latest query
     (``_Centre``): the squared distances, one neighbourhood with a local
@@ -284,39 +284,33 @@ class ImageRankEngine:
     a few neighbourhoods and one level-2 pair per b2.  Level-1 pairs are
     built per query.
 
-    Set-up builds the global level-1 complex (scale a1, to lmax) for both
-    flavors and checks that its simplices key as int64; only Cech queries
-    read it.  Results are identical to sequential per-point evaluation with
-    ``image_rank``.
+    Set-up rejects a sample with a non-finite coordinate, builds the global
+    level-1 complex (scale a1, to lmax) and checks that its simplices key as
+    int64; no query reads it.  Results are identical to sequential
+    per-point evaluation with ``image_rank``.
     """
 
     def __init__(self, points: np.ndarray, level1, level2,
                  flavor: str = "rips", q: int = 2, lmax: int = 1):
         _check_levels(level1, level2, flavor, q, lmax)
         self.points = np.asarray(points, dtype=float)
+        if not np.isfinite(self.points).all():
+            raise ValueError("sample points must have finite coordinates")
         self.a1, self.b1 = level1
         self.a2, self.b2 = level2
         self.flavor = flavor
         self.q = q
         self.lmax = lmax
         self.base = len(self.points) + 1
-        c1 = build_complex(self.points, None, self.a1, lmax, flavor)
-        self._check_keys(c1)
-        self.arr1, _, self.face1 = self._index(c1)
-        if flavor == "cech":
-            c2 = build_complex(self.points, None, self.a2, lmax + 1, flavor)
-            self._check_keys(c2)
-            self.arr2, self.keys2, self.face2 = self._index(c2)
+        self._check_keys(build_complex(self.points, None, self.a1, lmax, flavor))
         self._at: Optional[_Centre] = None
         # rank tuple -> its one QueryResult
         self._results: Dict[Tuple[int, ...], QueryResult] = {}
 
     @property
     def kernel(self) -> str:
-        """The level-2 pair of every query, for reports."""
-        if self.flavor == "rips":
-            return "local rips vertex collapse"
-        return "global level-2 basis"
+        """The pairs of every query, for reports."""
+        return "local vertex collapse"
 
     def _check_keys(self, cx) -> None:
         """Simplices are keyed as base-(n+1) int64 numbers; the key of the
@@ -330,42 +324,13 @@ class ImageRankEngine:
                 raise ValueError(f"{self.base - 1} points are too many to key the "
                                  f"{d}-simplices of the complex as int64")
 
-    def _index(self, cx):
-        """Per degree: simplex arrays, their sorted keys, and facet indices."""
-        arr = {d: np.array(ss, dtype=np.int64).reshape(len(ss), d + 1)
-               for d, ss in cx.simplices.items()}
-        keys = {d: self._pack(a, self.base) for d, a in arr.items()}
-        face = {d: self._face_index(a, keys[d - 1], self.base)
-                for d, a in arr.items() if d >= 1}
-        return arr, keys, face
-
-    @staticmethod
-    def _pack(arr: np.ndarray, base: int) -> np.ndarray:
-        keys = np.zeros(len(arr), dtype=np.int64)
-        for k in range(arr.shape[1]):
-            keys = keys * base + arr[:, k]
-        return keys
-
-    @staticmethod
-    def _face_index(arr: np.ndarray, facet_keys: np.ndarray, base: int) -> np.ndarray:
-        """(m, d+1) array: index of the k-th facet (vertex k removed) in the
-        lexicographically sorted (d-1)-simplex array."""
-        m, w = arr.shape
-        out = np.empty((m, w), dtype=np.int64)
-        for k in range(w):
-            keys = ImageRankEngine._pack(np.delete(arr, k, axis=1), base)
-            pos = np.searchsorted(facet_keys, keys)
-            if not np.array_equal(facet_keys[pos], keys):
-                raise AssertionError("face closure violated")
-            out[:, k] = pos
-        return out
-
     def query(self, center, keep_detail: bool = False,
               b1: Optional[float] = None, b2: Optional[float] = None) -> QueryResult:
         """One image-rank query; ``b1``/``b2`` override the default deleted-ball
-        radii (the complex scales stay fixed per engine).  Negative radii
-        raise ``ValueError``, as in ``quotient_pair``, and so does a centre
-        that is not one point of the sample's dimension.
+        radii (the complex scales stay fixed per engine).  Negative or NaN
+        radii raise ``ValueError``, as in ``quotient_pair``, and so does a
+        centre that is not one point of the sample's dimension with finite
+        coordinates.
 
         Queries at the centre of the latest one reuse its distances, its
         local graphs and, at the same ``b2``, its level-2 pair: so a run of
@@ -386,6 +351,8 @@ class ImageRankEngine:
             b1 = self.b1
         if b2 is None:
             b2 = self.b2
+        if b1 != b1 or b2 != b2:
+            raise ValueError("ball radius b must not be NaN")
         if b2 > b1:
             raise ValueError("nesting violated: need b2 <= b1")
         if b2 < 0:
@@ -395,8 +362,7 @@ class ImageRankEngine:
         # an empty smaller ball leaves the level-2 basis empty in every degree
         if not (at.sq < b2 * b2).any():
             return self._result(ranks)
-        if self.flavor == "rips":
-            self._cover(at, b1, b2)
+        self._cover(at, b1, b2)
         level1 = self._level1(at, b1)
         pair = None
         for ell in range(self.lmax + 1):
@@ -425,9 +391,12 @@ class ImageRankEngine:
 
     def _centre(self, center: np.ndarray) -> _Centre:
         """The kept state of ``center``, made anew unless it is the latest
-        query's centre."""
+        query's centre.  A centre with a non-finite coordinate raises
+        ``ValueError``; it is never kept, so only a new centre is read."""
         key = center.tobytes()
         if self._at is None or self._at.key != key:
+            if not all(map(math.isfinite, center.tolist())):
+                raise ValueError("centre coordinates must be finite")
             self._at = _Centre(key, sq_dists(self.points, center))
         return self._at
 
@@ -466,120 +435,41 @@ class ImageRankEngine:
             bits = [x & mask for x in bits[:m]]
         return nb, bits
 
+    def _collapsed(self, at: _Centre, a: float, b: float, top: int,
+                   spanning: bool = False) -> "_CollapsedPair":
+        """The collapsed pair at (a, b) around the centre ``at``, to degree
+        ``top``; a Cech pair drops the cofaces of its local graph's bad
+        simplices."""
+        graph = self._graph(at, a, b)
+        if self.flavor == "rips":
+            return _CollapsedPair(graph, top, self.q, spanning)
+        bad = _bad_simplices(self.points, at.local[:len(graph[1])], a)
+        return _CollapsedPair(graph, top, self.q, bad=bad)
+
     def _level1(self, at: _Centre, b1: float) -> dict:
         """The level-1 basis of a query, per degree ell <= lmax with a basis
         simplex: the simplices, and their boundary columns over the
         degree-(ell - 1) basis.
 
-        For Rips it is the basis of the collapsed level-1 pair at (a1, b1),
-        as tuples of local ids.  Its core pair includes into the level-1
-        pair as a homotopy equivalence of pairs, so the image rank is the
-        same.  For Cech it is the global level-1 complex's simplices that
-        meet the b1-ball, found by a mask scan, as rows of global ids.
+        It is the basis of the collapsed level-1 pair at (a1, b1), as tuples
+        of local ids.  Its core pair includes into the level-1 pair as a
+        homotopy equivalence of pairs, so the image rank is the same.
         """
-        if self.flavor == "rips":
-            pair = _CollapsedRipsPair(self._graph(at, self.a1, b1), self.lmax, self.q)
-            return {ell: (ss, pair.boundary_columns(ell - 1) if ell else [0] * len(ss))
-                    for ell, ss in pair.simplices.items() if ss}
-        near1 = at.sq < b1 * b1
-        m1 = {d: near1[a].any(axis=1) for d, a in self.arr1.items()}
-        out = {}
-        for ell, mask1 in m1.items():
-            b1idx = np.flatnonzero(mask1)
-            if not len(b1idx):
-                continue
-            if ell == 0:
-                bnd1 = [0] * len(b1idx)
-            else:
-                rmask = m1[ell - 1]
-                bnd1 = _assemble(b1idx, self.face1[ell], rmask, _rows(rmask), self.q)
-            out[ell] = (self.arr1[ell][b1idx], bnd1)
-        return out
+        pair = self._collapsed(at, self.a1, b1, self.lmax)
+        return {ell: (ss, pair.boundary_columns(ell - 1) if ell else [0] * len(ss))
+                for ell, ss in pair.simplices.items() if ss}
 
-    def _pair(self, at: _Centre, b2: float) -> "_Level2Pair":
+    def _pair(self, at: _Centre, b2: float) -> "_CollapsedPair":
         """The level-2 pair at the centre ``at`` with smaller ball radius
         ``b2``.  It depends on nothing else, and it is read-only once built,
         so a query at the same centre and ``b2`` as the latest pair's reuses
         it."""
         if at.level2[0] != b2:
-            pair = (_CollapsedRipsPair(self._graph(at, self.a2, b2), self.lmax + 1,
-                                       self.q, spanning=True)
-                    if self.flavor == "rips" else _GlobalPair(self, at.sq < b2 * b2))
-            at.level2 = (b2, pair)
+            at.level2 = (b2, self._collapsed(at, self.a2, b2, self.lmax + 1, True))
         return at.level2[1]
 
     def query_index(self, i: int, keep_detail: bool = False) -> QueryResult:
         return self.query(self.points[i], keep_detail=keep_detail)
-
-
-def _rows(mask: np.ndarray) -> np.ndarray:
-    """Row of each simplex in the basis ``mask`` selects (valid where True)."""
-    return np.cumsum(mask) - 1
-
-
-def _assemble(simp_idx, face_idx, row_mask, loc, q: int):
-    """Boundary columns restricted to a basis; facet k has sign (-1)^k."""
-    faces = face_idx[simp_idx]
-    k, nrows = lane_width(q), int(row_mask.sum())
-    terms = []
-    # per facet position i: each simplex's term, (-1)^i at its facet's row,
-    # read from a table whose last entry, for row -1, is 0
-    for i, fr in enumerate(np.where(row_mask[faces], loc[faces], -1).T.tolist()):
-        table = [(-1) ** i % q << r * k for r in range(nrows)] + [0]
-        terms.append(list(map(table.__getitem__, fr)))
-    # the facets of a simplex have distinct rows, so no two terms share a lane
-    return list(map(sum, zip(*terms)))
-
-
-class _Level2Pair:
-    """The level-2 pair of one query, seen through two operations: the
-    boundary columns of degree ell + 1 over the pair's degree-ell basis, and
-    the stacked columns of level-1 basis simplices.
-
-    Subclasses give ``nrows``, ``boundary_columns`` and ``_images``, the
-    image column of each level-1 basis simplex.
-    """
-
-    q: int
-
-    def stacked_columns(self, ell: int, simplices, boundary: list,
-                        shift: int) -> list:
-        """Per level-1 basis simplex (one of ``simplices``, in the ids of
-        ``_level1``): its image in rows 0..nrows(ell)-1 plus its restricted
-        level-1 ``boundary`` column moved up by ``shift`` >= nrows(ell)
-        rows."""
-        shift *= lane_width(self.q)
-        return [x | b << shift for x, b in zip(self._images(ell, simplices), boundary)]
-
-
-class _GlobalPair(_Level2Pair):
-    """The level-2 pair of one query as a view of the engine's global level-2
-    complex: its basis in degree d is the d-simplices meeting the smaller
-    ball ``near2``, and a level-1 simplex maps to itself or, off the ball,
-    to 0."""
-
-    def __init__(self, engine: ImageRankEngine, near2: np.ndarray):
-        self.q = engine.q
-        self.engine = engine
-        self.mask = {d: near2[a].any(axis=1) for d, a in engine.arr2.items()}
-        self.loc = {d: _rows(m) for d, m in self.mask.items() if d <= engine.lmax}
-
-    def nrows(self, ell: int) -> int:
-        return int(self.mask[ell].sum()) if ell in self.mask else 0
-
-    def boundary_columns(self, ell: int) -> list:
-        up = self.mask.get(ell + 1)
-        if up is None or not up.any():
-            return []
-        return _assemble(np.flatnonzero(up), self.engine.face2[ell + 1],
-                         self.mask[ell], self.loc[ell], self.q)
-
-    def _images(self, ell: int, simplices: np.ndarray) -> list:
-        eng = self.engine
-        g = np.searchsorted(eng.keys2[ell], eng._pack(simplices, eng.base))
-        k = lane_width(self.q)
-        rows = np.where(self.mask[ell][g], self.loc[ell][g], -1).tolist()
-        return [1 << r * k if r >= 0 else 0 for r in rows]
 
 
 def _neighbourhood(points, sq, balls: dict):
@@ -616,38 +506,51 @@ def _neighbourhood(points, sq, balls: dict):
     return local, sqs, bits
 
 
-class _CollapsedRipsPair(_Level2Pair):
-    """The Rips pair (X, A) at scale a with the open b-ball deleted, for
-    either level of a query and every lmax, in local ids, one order per
-    centre.
+class _CollapsedPair:
+    """The Rips or Cech pair (X, A) at scale a with the open b-ball
+    deleted, for either level of a query and every lmax, in local ids, one
+    order per centre.
 
     The pair is built on the centre's local graph at (a, b), ``graph`` =
-    (nb, closed-neighbourhood bitmasks of local vertices 0..m-1), and
-    shrunk by ``collapse_vertices``: far vertices are tried first, each
-    onto its nearest dominating neighbour.  Its basis in degree d <=
-    ``top`` is the d-simplices of the live core that meet the ball, as
-    tuples of local ids; with ``spanning``, degree ``top`` holds the
-    spanning set of ``_clique_expand`` instead, whose boundaries span the
-    relative boundaries of degree top - 1.  Rows index the degrees below
-    ``top``.  Only the live core is expanded into cliques.
+    (nb, closed-neighbourhood bitmasks of local vertices 0..m-1).  X is the
+    clique complex of the graph less the cofaces of the vertex sets in
+    ``bad``: none for Rips, the local bad simplices for Cech.  It is shrunk
+    by ``collapse_vertices``: far vertices are tried first, each onto its
+    nearest dominating neighbour.  Its basis in degree d <= ``top`` is the
+    d-simplices of the live core that meet the ball, as tuples of local
+    ids; with ``spanning``, degree ``top`` holds the spanning set of
+    ``_clique_expand`` instead, whose boundaries span the relative
+    boundaries of degree top - 1.  That needs a flag complex, so a Cech
+    pair keeps every top simplex.  Rows index the degrees below ``top``.
+    Only the live core is expanded into cliques.
 
-    As a level-2 pair it maps a level-1 simplex, in the same local ids, by
-    f, the composed vertex map of the collapse: to the sorted f-image of
-    its vertices, with the sign of the sorting permutation.  The image is 0
-    when the simplex has a vertex at or past m, off the local set, is
-    degenerate under f, or its image has no row.  f is a simplicial map of
-    pairs, homotopy inverse to the inclusion of the core, so the image
-    rank is that of the uncollapsed pair.  A level-1 pair never maps a
-    simplex, so f is built on the first ``_images`` call.
+    As a level-2 pair it gives the boundary columns of degree ell + 1 over
+    its degree-ell basis, and the stacked columns of level-1 basis
+    simplices (``stacked_columns``).  It maps a level-1 simplex, in the
+    same local ids, by f, the composed vertex map of the collapse: to the
+    sorted f-image of its vertices, with the sign of the sorting
+    permutation.  The image is 0 when the simplex has a vertex at or past
+    m, off the local set, is degenerate under f, or its image has no row.
+    f is a simplicial map of pairs, homotopy inverse to the inclusion of
+    the core, so the image rank is that of the uncollapsed pair.  A
+    level-1 pair never maps a simplex, so f is built on the first
+    ``_images`` call.
     """
 
-    def __init__(self, graph, top: int, q: int, spanning: bool = False):
+    def __init__(self, graph, top: int, q: int, spanning: bool = False, bad=()):
         self.q = q
         nb, adj = graph
         self.m = len(adj)
-        live, self._onto = collapse_vertices(adj, (1 << nb) - 1)
+        live, self._onto = collapse_vertices(adj, (1 << nb) - 1, bad)
         core = {i: adj[i] & live ^ 1 << i for i in _bits(live)}
         self.simplices = _clique_expand(range(self.m), core, top, (1 << nb) - 1, spanning)
+        # a Cech core drops the cliques that hold a bad simplex of the core
+        if held := bad and [t for t in bad if not t & ~live]:
+            for d, ss in self.simplices.items():
+                masks = [sum(1 << v for v in s) for s in ss] if d >= 2 else ()
+                if masks:
+                    self.simplices[d] = [s for s, x in zip(ss, masks)
+                                         if all(t & ~x for t in held)]
         self.rows = {d: {s: r for r, s in enumerate(ss)}
                      for d, ss in self.simplices.items() if d < top}
         self._bnd = {}
@@ -671,6 +574,14 @@ class _CollapsedRipsPair(_Level2Pair):
             self._bnd[ell] = boundary(self.simplices.get(ell + 1, []),
                                       self.rows.get(ell, {}), self.q)
         return list(self._bnd[ell])
+
+    def stacked_columns(self, ell: int, simplices, boundary: list,
+                        shift: int) -> list:
+        """Per level-1 basis simplex (one of ``simplices``, in local ids):
+        its image in rows 0..nrows(ell)-1 plus its restricted level-1
+        ``boundary`` column moved up by ``shift`` >= nrows(ell) rows."""
+        shift *= lane_width(self.q)
+        return [x | b << shift for x, b in zip(self._images(ell, simplices), boundary)]
 
     def _images(self, ell: int, simplices) -> list:
         rows, q, k = self.rows.get(ell, {}), self.q, lane_width(self.q)

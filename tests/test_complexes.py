@@ -4,9 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from localhom.complexes import (_adjacency_bits, _clique_expand, _induced, _pair_basis,
-                                boundary, cech, cone_pair, delete_ball, quotient_pair, rips)
-from localhom.fieldla import entries, rank
+from localhom.complexes import (_adjacency_bits, _bad_simplices, _clique_expand, _induced,
+                                _pair_basis, _support_sets, _too_wide, boundary, cech,
+                                cone_pair, delete_ball, quotient_pair, rips)
+from localhom.fieldla import _bits, entries, rank
 from reference import min_enclosing_radius
 
 
@@ -155,6 +156,65 @@ def test_cech_matches_enclosing_ball_reference_on_grid_ties(D):
         tie = _simplex_set(cech(P, None, 5 * m * G, 2))
         assert {(0, 1, 2), (0, 1, 3), (3, 4, 5), (0, 3, 4)} <= tie
         assert min_enclosing_radius(P[:6]) == 5 * m * G
+
+
+def _check_bad_simplices(P, alpha, ids):
+    """``_bad_simplices`` on the points ``ids``, in that local order, are
+    the Rips cliques of 3 to D + 1 vertices that ``_too_wide`` rejects, each
+    found once, and a clique is a Cech simplex iff it holds none of them;
+    returns how many there are."""
+    bad = [frozenset(ids[i] for i in _bits(t)) for t in _bad_simplices(P, ids, alpha)]
+    assert len(set(bad)) == len(bad)
+    cliques = _simplex_set(rips(P, ids, alpha, len(ids) - 1))
+    want = {frozenset(s) for s in cliques
+            if 3 <= len(s) <= P.shape[1] + 1 and _too_wide(P[np.array([s])], alpha)[0]}
+    assert set(bad) == want
+    assert _simplex_set(cech(P, ids, alpha, len(ids) - 1)) == \
+        {s for s in cliques if not any(t <= set(s) for t in bad)}
+    return len(bad)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_bad_simplices_are_the_sets_cech_rejects(D):
+    # random points, and a regular D-simplex of edge sqrt(2) at a scale just
+    # over its circumradius, at it and just under the circumradius of its
+    # facets (where it is measured), with its points in a shuffled local
+    # order; in the plane and in R^3, the grid ties above too
+    rng = np.random.default_rng(70 + D)
+    found = 0
+    for _ in range(4):
+        P = rng.uniform(0, 1, (8, D))
+        for alpha in (0.3, 0.45):
+            found += _check_bad_simplices(P, alpha * math.sqrt(D / 2), rng.permutation(8))
+    V = np.eye(D + 1) - 1 / (D + 1)
+    P = V @ np.linalg.svd(V)[2][:D].T
+    r, rf = math.sqrt(D / (D + 1)), math.sqrt((D - 1) / D)
+    for alpha in (r * (1 + 1e-9), r, (r + rf) / 2, rf * (1 - 1e-9)):
+        found += _check_bad_simplices(P, alpha, rng.permutation(D + 1))
+    if D < 4:
+        G = 1 / 64
+        P = np.zeros((8 + D - 1, D))
+        P[:8, :2] = [(3, 4), (-3, 4), (4, -3), (-5, 0), (5, 0), (0, 0), (3, 4), (0, 0)]
+        P[8:] = rng.integers(-4, 5, (D - 1, D))
+        P *= G
+        d2 = ((P[:, None] - P[None]) ** 2).sum(-1)
+        for v in sorted(set(d2[d2 > 0].tolist()))[:8] + [(5 * G) ** 2]:
+            found += _check_bad_simplices(P, math.sqrt(v) / 2, rng.permutation(len(P)))
+    assert found
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_support_sets_of_a_row_do_not_depend_on_its_stack(D):
+    # cech and the engine measure a set in stacks of different sizes; a
+    # matrix product over the 24 terms of a 4 x 4 determinant gave other
+    # bits in stacks of other sizes
+    P = np.random.default_rng(80 + D).uniform(-1, 1, (600, D + 1, D))
+    r2, support = _support_sets(P)
+    for lo in range(0, 600, 37):
+        for n in (1, 2, 3, 5, 8, 13, 64):
+            got, inside = _support_sets(P[lo:lo + n])
+            assert np.array_equal(got, r2[lo:lo + n])
+            assert np.array_equal(inside, support[lo:lo + n])
 
 
 def test_min_enclosing_radius_of_no_point_or_one():

@@ -151,17 +151,17 @@ def test_chord_scan_builds_one_pair_per_r(monkeypatch):
     built, builds = [], []
     neighbourhood = relhom._neighbourhood
 
-    class Counted(relhom._CollapsedRipsPair):
-        def __init__(self, graph, *args, spanning=False):
+    class Counted(relhom._CollapsedPair):
+        def __init__(self, graph, top, q, spanning=False, bad=()):
             if spanning:
                 built.append(graph[0])
-            super().__init__(graph, *args, spanning=spanning)
+            super().__init__(graph, top, q, spanning, bad)
 
     def counted(points, sq, balls):
         builds.append(dict(balls))
         return neighbourhood(points, sq, balls)
 
-    monkeypatch.setattr(relhom, "_CollapsedRipsPair", Counted)
+    monkeypatch.setattr(relhom, "_CollapsedPair", Counted)
     monkeypatch.setattr(relhom, "_neighbourhood", counted)
     K, x, alpha, eps = circle_chord(), (-1.0, 0.0), 0.12, 0.05
     values = np.linspace(0.1, 1.0, 10)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localhom.complexes import (_adjacency_bits, cech, collapse_vertices, delete_ball,
-                                quotient_pair)
+from localhom.complexes import (_adjacency_bits, _bad_simplices, cech, collapse_vertices,
+                                delete_ball, quotient_pair)
+from localhom.fieldla import _bits
 from localhom.geometry import circle_chord, generate_sample
 from localhom.relhom import (HomologySignature, ImageRankEngine, QueryResult, QuerySpec,
                              exactness_check, image_rank, image_rank_oracle,
@@ -198,13 +199,13 @@ def _check_collapse(pts, p, level):
 
 
 @pytest.mark.parametrize("flavor,lmax", [("rips", 1), ("rips", 2), ("rips", 3),
-                                         ("cech", 1)])
+                                         ("cech", 1), ("cech", 2)])
 @settings(max_examples=150)
 @given(data=st.data(), q=st.sampled_from([2, 3, 5]))
 def test_engine_paths_agree_on_grid_ties(flavor, lmax, data, q):
-    # collapsed pairs (Rips, every lmax) and global pair (Cech): the stacked
-    # reduction against the kernel-basis formula and the coned oracle; from
-    # lmax 2 on, filled patches too, where degree 2 is not always zero
+    # collapsed pairs, Rips and Cech, at every lmax: the stacked reduction
+    # against the kernel-basis formula and the coned oracle; from lmax 2 on,
+    # filled patches too, where degree 2 is not always zero
     pts, p, level1, level2 = data.draw(_grid_ties() if lmax < 2
                                        else _grid_ties() | _filled_patch())
     (a2, b2), c = level2, pts[p]
@@ -321,15 +322,13 @@ def test_engine_matches_direct():
         eng = ImageRankEngine(pts, spec.level1, spec.level2,
                               flavor=spec.flavor, q=spec.q, lmax=spec.lmax)
         assert eng.query(pts[spec.p]).ranks == image_rank(spec, pts).ranks
-    # lmax = 2: Rips collapses both levels as at lmax 1, Cech reads the
-    # global level-2 complex
+    # lmax = 2: both flavours collapse both levels as at lmax 1
     rng = np.random.default_rng(18)
     for _ in range(20):
         pts, spec = _random_instance(rng, lmax=2)
         eng = ImageRankEngine(pts, spec.level1, spec.level2,
                               flavor=spec.flavor, q=spec.q, lmax=spec.lmax)
-        assert eng.kernel == {"rips": "local rips vertex collapse",
-                              "cech": "global level-2 basis"}[spec.flavor]
+        assert eng.kernel == "local vertex collapse"
         fast = eng.query(pts[spec.p]).ranks
         assert fast == image_rank(spec, pts).ranks
         assert fast == image_rank_oracle(spec, pts).ranks
@@ -357,20 +356,22 @@ def test_engine_collapse_matches_direct_clustered(junction):
 
 def test_engine_collapse_matches_direct_on_criterion_1_sample():
     # the criterion-1 sample and scales; near the junctions the local sets
-    # reach about 130 vertices
+    # reach about 130 vertices, and a Cech level-2 set holds up to about
+    # 300 bad triangles
     pts = generate_sample(circle_chord(), 0.018, 1500, noise=0.009, seed=7).points
-    eng = ImageRankEngine(pts, (0.018, 0.175), (0.06, 0.116))
-    assert eng.kernel == "local rips vertex collapse"
-    picks = set()
-    # the two junctions and an arc
-    for x, k in [((-1.0, 0.0), 20), ((1.0, 0.0), 20), ((0.0, 1.0), 6)]:
-        picks.update(np.argsort(((pts - x) ** 2).sum(-1))[:k].tolist())
-    ranks = {}
-    for i in sorted(picks):
-        ranks[i] = eng.query_index(i).ranks
-        spec = QuerySpec(i, (0.018, 0.175), (0.06, 0.116))
-        assert ranks[i] == image_rank(spec, pts).ranks
-    assert {r[1] for r in ranks.values()} >= {1, 2}
+    for flavor, near in [("rips", 20), ("cech", 5)]:
+        eng = ImageRankEngine(pts, (0.018, 0.175), (0.06, 0.116), flavor=flavor)
+        assert eng.kernel == "local vertex collapse"
+        picks = set()
+        # the two junctions and an arc
+        for x, k in [((-1.0, 0.0), near), ((1.0, 0.0), near), ((0.0, 1.0), 6)]:
+            picks.update(np.argsort(((pts - x) ** 2).sum(-1))[:k].tolist())
+        ranks = {}
+        for i in sorted(picks):
+            ranks[i] = eng.query_index(i).ranks
+            spec = QuerySpec(i, (0.018, 0.175), (0.06, 0.116), flavor=flavor)
+            assert ranks[i] == image_rank(spec, pts).ranks
+        assert {r[1] for r in ranks.values()} >= {1, 2}
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -378,17 +379,20 @@ def test_engine_collapse_matches_direct_on_criterion_1_sample():
 def test_filled_square_degree_2(lmax, q):
     # a 17 x 17 grid, h = 1/16: at its centre the level-1 pair holds a
     # relative 2-cycle that survives into level 2; an edge midpoint, a
-    # corner and a point two rows in have none
+    # corner and a point two rows in have none.  The grid's right triangles
+    # are not support sets, so the Cech complexes are the Rips ones
     h = 1 / 16
     pts = h * np.array([(x, y) for y in range(17) for x in range(17)], float)
     level1, level2 = (0.75 * h, 4 * h), (h, 3 * h)
-    eng = ImageRankEngine(pts, level1, level2, q=q, lmax=lmax)
     zero = dict.fromkeys(range(lmax + 1), 0)
-    for i, want in [(8 * 17 + 8, {**zero, 2: 1}), (8, zero), (0, zero), (2 * 17 + 8, zero)]:
-        spec = QuerySpec(i, level1, level2, q=q, lmax=lmax)
-        assert eng.query_index(i).ranks == want
-        assert image_rank(spec, pts).ranks == want
-        assert image_rank_oracle(spec, pts).ranks == want
+    for flavor in ("rips", "cech"):
+        eng = ImageRankEngine(pts, level1, level2, flavor=flavor, q=q, lmax=lmax)
+        for i, want in [(8 * 17 + 8, {**zero, 2: 1}), (8, zero), (0, zero),
+                        (2 * 17 + 8, zero)]:
+            spec = QuerySpec(i, level1, level2, flavor=flavor, q=q, lmax=lmax)
+            assert eng.query_index(i).ranks == want
+            assert image_rank(spec, pts).ranks == want
+            assert image_rank_oracle(spec, pts).ranks == want
 
 
 def _line_with_clusters(far_cluster):
@@ -476,12 +480,36 @@ def test_engine_rejects_invalid_input():
         ImageRankEngine(pts, (0.0, 0.8), (0.3, 0.4))
     with pytest.raises(ValueError, match="scale a must be positive"):
         ImageRankEngine(pts, (-0.1, 0.8), (0.3, 0.4), flavor="cech")
+    # NaN and infinite input once answered all-zero ranks: each comparison
+    # with NaN is false, and an infinite centre has no point near it
+    nan, inf = float("nan"), float("inf")
+    for flavor in ("rips", "cech"):
+        good = ImageRankEngine(pts, (0.2, 0.8), (0.3, 0.4), flavor=flavor)
+        for bad in [(nan, 0.0), (inf, 0.0), (0.0, -inf)]:
+            with pytest.raises(ValueError, match="centre coordinates must be finite"):
+                good.query(bad)
+        for radii in [{"b1": nan}, {"b2": nan}, {"b1": nan, "b2": nan}]:
+            with pytest.raises(ValueError, match="must not be NaN"):
+                good.query(pts[0], **radii)
+        for level1, level2 in [((nan, 0.8), (0.3, 0.4)), ((0.2, nan), (0.3, 0.4)),
+                               ((0.2, 0.8), (nan, 0.4)), ((0.2, 0.8), (0.3, nan))]:
+            with pytest.raises(ValueError, match="must not be NaN"):
+                ImageRankEngine(pts, level1, level2, flavor=flavor)
+            with pytest.raises(ValueError, match="must not be NaN"):
+                QuerySpec(0, level1, level2, flavor=flavor)
+        for x in (nan, inf):
+            sample = pts.copy()
+            sample[7, 1] = x
+            with pytest.raises(ValueError, match="finite coordinates"):
+                ImageRankEngine(sample, (0.2, 0.8), (0.3, 0.4), flavor=flavor)
+        spec = QuerySpec(0, (0.2, 0.8), (0.3, 0.4), flavor=flavor)
+        assert good.query(pts[0]).ranks == image_rank(spec, pts).ranks
     assert eng.query(pts[0]).ranks == {0: 0, 1: 0}
 
 
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("flavor,lmax", [("rips", 1), ("rips", 2), ("rips", 3),
-                                         ("cech", 1)])
+                                         ("cech", 1), ("cech", 2)])
 def test_engine_pair_memo_matches_fresh_engines(flavor, lmax, q):
     # one engine keeps the level-2 pair of its latest query; every answer of
     # an interleaved sequence equals that of a fresh engine
@@ -518,7 +546,7 @@ def test_engine_pair_memo_matches_fresh_engines(flavor, lmax, q):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("flavor,lmax,shared", [("rips", 1, False), ("rips", 1, True),
                                                 ("rips", 2, False), ("rips", 2, True),
-                                                ("cech", 1, False)])
+                                                ("cech", 1, False), ("cech", 2, False)])
 def test_engine_at_one_centre_matches_fresh_engines(flavor, lmax, shared, q):
     # one engine asked at one centre, with ball radii ascending, descending
     # and above its defaults, builds, slices and rebuilds its local graphs
@@ -539,9 +567,8 @@ def test_engine_at_one_centre_matches_fresh_engines(flavor, lmax, shared, q):
         assert got == fresh.query(pts[p], b1=R, b2=r).ranks == image_rank(spec, pts).ranks
         seen.add(tuple(got.values()))
     assert len(seen) > 1
-    if flavor == "rips":
-        assert {a: g[0] for a, g in eng._at.graphs.items()} == \
-            {a2: b1 + 6 * GRID, a1: b1 + 8 * GRID}
+    assert {a: g[0] for a, g in eng._at.graphs.items()} == \
+        {a2: b1 + 6 * GRID, a1: b1 + 8 * GRID}
 
 
 def _same_graph(at, g, h):
@@ -640,6 +667,11 @@ def test_centres_of_another_dimension_rejected():
         for b in (0.8, 0.0):
             with pytest.raises(ValueError, match="coordinates"):
                 quotient_pair(pts, bad, 0.2, b)
+    # a non-finite centre once gave an empty basis
+    for bad in [(float("nan"), 0.0), (x, float("inf"))]:
+        for b in (0.8, 0.0):
+            with pytest.raises(ValueError, match="centre coordinates must be finite"):
+                quotient_pair(pts, bad, 0.2, b)
     for bad in [(x, y, 5.0), (x,)]:
         with pytest.raises(ValueError, match="coordinates"):
             delete_ball(pts, bad, 0.4)
@@ -737,26 +769,112 @@ def test_collapse_matches_full_scan(seed):
     assert collapsed > 0
 
 
+def _check_cech_collapse(pts, p, level):
+    """Replays the Cech collapse of the local graph of one query at one
+    level under its own ball, by brute force against ``cech`` on the live
+    vertices: each step (v, w) takes live neighbours, an off-ball v only
+    onto an off-ball w, and every Cech simplex of the live vertices that
+    holds v is still one with w added; at the end no live vertex is
+    dominated so.  A simplex of more than D + 1 vertices that fails holds
+    one of D + 1 that does, so only those are tried.  Returns the number of
+    collapses."""
+    (a, b), c = level, pts[p]
+    sq = ((pts - c) ** 2).sum(-1)
+    local = np.flatnonzero(sq <= (b + 2 * a) ** 2 * (1 + 1e-12))
+    local = local[np.argsort(sq[local], kind="stable")]
+    inside = (1 << int((sq[local] < b * b).sum())) - 1
+    live, onto = collapse_vertices(_adjacency_bits(pts, local, a), inside,
+                                   _bad_simplices(pts, local, a))
+    ids = {g: i for i, g in enumerate(local.tolist())}
+    top = pts.shape[1] + 1
+    cx = {frozenset(ids[g] for g in s)
+          for ss in cech(pts, local, a, top).simplices.values() for s in ss}
+
+    def dominated(v, w, alive):
+        return all(s | {w} in cx for s in cx if v in s and len(s) <= top and s <= alive)
+
+    alive = set(range(len(local)))
+    for v, w in onto:
+        assert v != w and {v, w} <= alive and (inside >> v & 1 or not inside >> w & 1)
+        assert dominated(v, w, alive)
+        alive.remove(v)
+    assert alive == set(_bits(live))
+    for v in alive:
+        for w in alive - {v}:
+            if inside >> v & 1 or not inside >> w & 1:
+                assert not dominated(v, w, alive)
+    return len(onto)
+
+
 @settings(max_examples=100)
 @given(inst=_grid_ties())
 def test_collapse_replays_as_dominations_on_grid_ties(inst):
     pts, p, level1, level2 = inst
     _check_collapse(pts, p, level1)
     _check_collapse(pts, p, level2)
+    _check_cech_collapse(pts, p, level1)
+    _check_cech_collapse(pts, p, level2)
 
 
 @pytest.mark.parametrize("lmax", [0, 1, 2, 3])
 def test_rips_rank_query_reads_no_global_complex(lmax):
-    # a Rips rank query builds both of its levels from the local graph at
-    # every lmax; the engine builds no global level-2 complex
+    # a rank query, Rips or Cech, builds both of its levels from the local
+    # graph at every lmax; the engine keeps no global complex
     pts, p, level1, level2 = _clustered_instance(np.random.default_rng(5), True)
-    spec = QuerySpec(p, level1, level2, flavor="rips", q=3, lmax=lmax)
-    eng = ImageRankEngine(pts, level1, level2, flavor="rips", q=3, lmax=lmax)
-    assert not hasattr(eng, "arr2")
-    del eng.arr1, eng.face1
-    assert eng.query(pts[p]).ranks == image_rank(spec, pts).ranks
-    with pytest.raises(ValueError, match="keep_detail"):
-        eng.query(pts[p], keep_detail=True)
+    for flavor in ("rips", "cech"):
+        spec = QuerySpec(p, level1, level2, flavor=flavor, q=3, lmax=lmax)
+        eng = ImageRankEngine(pts, level1, level2, flavor=flavor, q=3, lmax=lmax)
+        assert not {"arr1", "face1", "arr2", "keys2", "face2"} & set(vars(eng))
+        assert eng.query(pts[p]).ranks == image_rank(spec, pts).ranks
+        with pytest.raises(ValueError, match="keep_detail"):
+            eng.query(pts[p], keep_detail=True)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_cech_engine_on_hollow_tetrahedron(q):
+    # a regular tetrahedron of edge 1 at alpha 0.59: its faces, of
+    # circumradius 1/sqrt(3), are Cech simplices and the solid, of
+    # circumradius sqrt(3/8), is not, so the Cech complex is a 2-sphere and
+    # no vertex is dominated; the Rips complex is the solid.  Balls of
+    # radius 2 hold every vertex, so A is empty
+    pts = np.array([(0, 0, 0), (1, 0, 0), (0.5, math.sqrt(3) / 2, 0),
+                    (0.5, math.sqrt(3) / 6, math.sqrt(2 / 3))])
+    level = (0.59, 2.0)
+    for flavor, want in [("cech", {0: 1, 1: 0, 2: 1}), ("rips", {0: 1, 1: 0, 2: 0})]:
+        spec = QuerySpec(0, level, level, flavor=flavor, q=q, lmax=2)
+        eng = ImageRankEngine(pts, level, level, flavor=flavor, q=q, lmax=2)
+        assert eng.query(pts[0]).ranks == want
+        assert image_rank(spec, pts).ranks == want
+        assert image_rank_oracle(spec, pts).ranks == want
+
+
+@pytest.mark.parametrize("flavor", ["rips", "cech"])
+def test_two_sheets_meeting_on_a_line(flavor):
+    # two 17 x 17 lattices, h = 1/8, in the planes z = 0 and y = 0, sharing
+    # the 17 points of the x-axis: 561 points.  At the origin the link is
+    # two great circles meeting twice, so local H_2 has rank 3; sheet
+    # points have rank 1; at (0.75, 0, 0) and (1, 1, 0) the R-ball reaches
+    # the boundary of a sheet, and every degree is 0
+    h = 1 / 8
+    t = np.arange(-8, 9) * h
+    z = np.zeros(17 * 17)
+    x, y = (g.ravel() for g in np.meshgrid(t, t))
+    pts = np.unique(np.r_[np.c_[x, y, z], np.c_[x, z, y]], axis=0)
+    assert len(pts) == 561
+    level1, level2 = (0.75 * h, 4 * h), (h, 3 * h)
+    zero = {0: 0, 1: 0, 2: 0}
+    cases = [((0, 0, 0), {**zero, 2: 3}, True), ((0, 0.5, 0), {**zero, 2: 1}, True),
+             ((0, 0, -0.5), {**zero, 2: 1}, False), ((0.75, 0, 0), zero, False),
+             ((1, 1, 0), zero, False)]
+    for q in (2, 3):
+        eng = ImageRankEngine(pts, level1, level2, flavor=flavor, q=q, lmax=2)
+        for x, want, oracle in cases:
+            p = int(np.flatnonzero((pts == x).all(axis=1))[0])
+            spec = QuerySpec(p, level1, level2, flavor=flavor, q=q, lmax=2)
+            assert eng.query(pts[p]).ranks == want
+            assert image_rank(spec, pts).ranks == want
+            if oracle:
+                assert image_rank_oracle(spec, pts).ranks == want
 
 
 @pytest.mark.parametrize("q", [2, 3])
