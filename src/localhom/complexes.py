@@ -195,9 +195,9 @@ def collapse_vertices(adj: List[int], inside: int, bad=()):
     collapses", DCG 2012).  That asks N[v] ⊆ N[w], closed neighbourhoods
     taken over the live vertices, and that no bad set t holding w, whose
     other vertices are v or live neighbours of v, leaves (t - w) + v a
-    simplex of X (``_adds_bad``).  Vertices are tried from the highest index down, and
-    each one's candidates w from the lowest up, until no live vertex is
-    dominated.  A dominated ball vertex goes onto any such w, one off the
+    simplex of X (``_adds_bad``).  Vertices are tried from the highest
+    index down, and each one's candidates w from the lowest up, until no
+    live vertex is dominated.  A dominated ball vertex goes onto any such w, one off the
     ball only onto a w off the ball.  Each step v -> w is then a
     simplicial retraction of X onto X - v that maps A into A, a strong
     deformation retraction of the pair, so H(X, A) is unchanged; and the

@@ -547,8 +547,8 @@ class _CollapsedPair:
         # a Cech core drops the cliques that hold a bad simplex of the core
         if held := bad and [t for t in bad if not t & ~live]:
             for d, ss in self.simplices.items():
-                masks = [sum(1 << v for v in s) for s in ss] if d >= 2 else ()
-                if masks:
+                if d >= 2:
+                    masks = (sum(1 << v for v in s) for s in ss)
                     self.simplices[d] = [s for s, x in zip(ss, masks)
                                          if all(t & ~x for t in held)]
         self.rows = {d: {s: r for r, s in enumerate(ss)}
