@@ -169,7 +169,7 @@ def main(argv=None) -> int:
                    "time, set-up, timed phase and check together",
            "command": f"python3 perfbench/run.py --workload WORKLOAD --seed SEED "
                       f"--seconds {args.seconds:g}",
-           "driver": "python3 tools/bench_pairs.py " + " ".join(sys.argv[1:] if argv is None
+           "invocation": "python3 tools/bench_pairs.py " + " ".join(sys.argv[1:] if argv is None
                                                                 else argv),
            "parent": commits["parent"], "change_commit": commits["change"],
            "host": {k: (meta or {}).get(k) for k in ("cpu", "nproc", "python", "numpy")}
