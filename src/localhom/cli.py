@@ -285,10 +285,12 @@ def cmd_scan(args) -> int:
 
 
 def _random_instance(rng):
-    # points on a 1/16 grid, scales and radii in multiples of 1/32: collinear
-    # and right triangles and distances equal to 2a or to b come up
+    # points on a 1/16 grid in the plane or in space, scales and radii in
+    # multiples of 1/32: collinear and right triangles, coplanar
+    # tetrahedra and distances equal to 2a or to b come up
     n = int(rng.integers(4, 11))
-    pts = np.round(rng.uniform(-1.0, 1.0, size=(n, 2)) * 16) / 16
+    dim = int(rng.integers(2, 4))
+    pts = np.round(rng.uniform(-1.0, 1.0, size=(n, dim)) * 16) / 16
     a1 = round(float(rng.uniform(0.1, 0.5)) * 32) / 32
     a2 = a1 + round(float(rng.uniform(0.0, 0.4)) * 32) / 32
     b1 = round(float(rng.uniform(0.1, 1.5)) * 32) / 32

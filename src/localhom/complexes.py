@@ -216,6 +216,11 @@ def collapse_vertices(adj: List[int], inside: int, bad=()):
     live = todo = (1 << len(adj)) - 1
     outside = ~inside
     onto = []
+    # the bad sets that hold each vertex, listed once per collapse
+    holding = [[] for _ in adj] if bad else ()
+    for t in bad:
+        for u in _bits(t):
+            holding[u].append(t)
     while todo:
         again = 0
         while todo:
@@ -236,7 +241,7 @@ def collapse_vertices(adj: List[int], inside: int, bad=()):
             while cand:
                 low = cand & -cand
                 w = low.bit_length() - 1
-                if not nv & ~adj[w] and not (bad and _adds_bad(bad, v, w, nv)):
+                if not nv & ~adj[w] and not (holding and _adds_bad(holding, v, w, nv)):
                     live ^= bit
                     onto.append((v, w))
                     # only a vertex that lost a neighbour can become dominated;
@@ -248,16 +253,18 @@ def collapse_vertices(adj: List[int], inside: int, bad=()):
     return live, onto
 
 
-def _adds_bad(bad, v: int, w: int, nv: int) -> bool:
+def _adds_bad(holding, v: int, w: int, nv: int) -> bool:
     """Whether some simplex on the live vertices that holds v stops being
-    one when w is added: some t in ``bad`` holds w, its other vertices lie
-    in ``nv``, the live closed neighbourhood of v, and (t - w) + v holds no
-    set of ``bad``, so it is a simplex whose union with w holds t."""
+    one when w is added: some bad set t holds w, its other vertices lie in
+    ``nv``, the live closed neighbourhood of v, and (t - w) + v holds no
+    bad set, so it is a simplex whose union with w holds t.  ``holding[u]``
+    lists the bad sets that hold vertex u; a bad set inside (t - w) + v
+    holds one of its vertices, so only their lists are read."""
     bw = 1 << w
-    for t in bad:
-        if t & bw and not t & ~nv:
+    for t in holding[w]:
+        if not t & ~nv:
             s = t ^ bw | 1 << v
-            if all(u & ~s for u in bad):
+            if all(u & ~s for x in _bits(s) for u in holding[x]):
                 return True
     return False
 
@@ -412,17 +419,28 @@ def boundary(simplices, rows: Dict[Tuple[int, ...], int], q: int) -> List[int]:
 
     Facet k (vertex k removed) has coefficient (-1)^k at its row in
     ``rows``; a facet without a row is dropped, so a vertex gives the zero
-    column.
+    column.  The facets come from ``combinations(s, d)``, which drops the
+    last vertex first: the i-th drops vertex d - i.  GF(2) has no signs and
+    one-bit lanes, so it has a loop of its own.
     """
+    get = rows.get
+    cols = []
+    if q == 2:
+        for s in simplices:
+            col = 0
+            for r in map(get, combinations(s, len(s) - 1)):
+                if r is not None:
+                    col |= 1 << r
+            cols.append(col)
+        return cols
     k = lane_width(q)
     sign = (1, q - 1)
-    cols = []
     for s in simplices:
+        d = len(s) - 1
         col = 0
-        for i in range(len(s)):
-            r = rows.get(s[:i] + s[i + 1:])
+        for i, r in enumerate(map(get, combinations(s, d))):
             if r is not None:
-                col |= sign[i & 1] << r * k
+                col |= sign[(d ^ i) & 1] << r * k
         cols.append(col)
     return cols
 
@@ -555,21 +573,23 @@ def _induced(cx: SimplicialComplex, vertices) -> SimplicialComplex:
 
 
 def _coned_level(points, center, a, b, flavor, max_dim, omega):
-    """Simplices of X ∪ ωA at one (scale, ball) level, as sorted tuples, A
-    the subcomplex of X induced on the vertices outside the open ball.
+    """Simplices of X ∪ ωA at one (scale, ball) level, A the subcomplex of X
+    induced on the vertices outside the open ball, as a dict from length to
+    list: X's d-simplices at length d + 1, in lexicographic order, then ω
+    alone at length 1, and s + (ω,) at length d + 2 for each d-simplex s of
+    A with d < max_dim, in the order of s.
 
     ω is always included as an isolated vertex, so the construction also
     covers A = ∅.
     """
     X = build_complex(points, None, a, max_dim, flavor)
-    A = _induced(X, delete_ball(points, center, b))
-    out = set()
+    off = set(delete_ball(points, center, b).tolist())
+    out = {d + 1: list(ss) for d, ss in X.simplices.items()}
+    out.setdefault(1, []).append((omega,))
     for d, ss in X.simplices.items():
-        out.update(ss)
-    out.add((omega,))
-    for d, ss in A.simplices.items():
-        if d + 1 <= max_dim:
-            out.update(s + (omega,) for s in ss)
+        if d < max_dim:
+            out.setdefault(d + 2, []).extend([s + (omega,) for s in ss
+                                              if off.issuperset(s)])
     return out
 
 
@@ -577,8 +597,11 @@ def cone_pair(points: np.ndarray, center, level1, level2,
               flavor: str = "rips", max_dim: int = 2) -> ConedPair:
     """Two-level coned filtration for the inclusion-induced image oracle.
 
-    level1 = (a1, b1), level2 = (a2, b2); requires a1 <= a2 and b2 <= b1 so
-    that both the complexes and the deleted-ball subcomplexes nest.
+    level1 = (a1, b1), level2 = (a2, b2); requires a1 <= a2 and b2 <= b1
+    so that both the complexes and the deleted-ball subcomplexes nest.
+    The simplices are ordered by length, then lexicographically (ω, the
+    largest id, last), with every simplex of level 1 before the rest of
+    level 2.
     """
     a1, b1 = level1
     a2, b2 = level2
@@ -588,11 +611,19 @@ def cone_pair(points: np.ndarray, center, level1, level2,
     omega = len(points)
     k1 = _coned_level(points, center, a1, b1, flavor, max_dim, omega)
     k2 = _coned_level(points, center, a2, b2, flavor, max_dim, omega)
-    if not k1 <= k2:
-        raise ValueError("level-1 coned complex is not contained in level 2")
-    block1 = sorted(k1, key=lambda s: (len(s), s))
-    block2 = sorted(k2 - k1, key=lambda s: (len(s), s))
-    simplices = block1 + block2
-    dims = [len(s) - 1 for s in simplices]
+    block1, block2, dims1, dims2 = [], [], [], []
+    for n in sorted(k1.keys() | k2.keys()):
+        # a level lists each simplex once, so level 1 lies in level 2 iff
+        # every one of its simplices is among those level 2 lists
+        ss1 = k1.get(n, [])
+        s1 = set(ss1)
+        ss2 = k2.get(n, [])
+        new = [s for s in sorted(ss2) if s not in s1]
+        if len(ss2) - len(new) != len(s1):
+            raise ValueError("level-1 coned complex is not contained in level 2")
+        block1 += sorted(ss1)
+        block2 += new
+        dims1 += [n - 1] * len(s1)
+        dims2 += [n - 1] * len(new)
     levels = [1] * len(block1) + [2] * len(block2)
-    return ConedPair(omega, simplices, dims, levels)
+    return ConedPair(omega, block1 + block2, dims1 + dims2, levels)

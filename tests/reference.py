@@ -5,7 +5,8 @@ from itertools import combinations
 
 import numpy as np
 
-from localhom.complexes import _adjacency_bits, _support_sets
+from localhom.complexes import _adjacency_bits, _support_sets, build_complex, delete_ball
+from localhom.fieldla import lane_width
 
 
 def min_enclosing_radius(points_subset) -> float:
@@ -34,3 +35,40 @@ def local_graph(points, sq, a: float, b: float):
     local = local[np.argsort(sq[local], kind="stable")]
     nb = int((sq[local] < b * b).sum())
     return local, nb, _adjacency_bits(points, local, a)
+
+
+def boundary_by_slices(simplices, rows, q: int):
+    """Packed GF(q) boundary columns by the slice rule: facet i of s is
+    ``s[:i] + s[i + 1:]``, with coefficient (-1)^i at its row in ``rows``,
+    and a facet without a row is dropped."""
+    k = lane_width(q)
+    cols = []
+    for s in simplices:
+        col = 0
+        for i in range(len(s)):
+            r = rows.get(s[:i] + s[i + 1:])
+            if r is not None:
+                col |= (q - 1 if i % 2 else 1) << r * k
+        cols.append(col)
+    return cols
+
+
+def coned_order(points, center, level1, level2, flavor: str, max_dim: int):
+    """The two-level coned filtration as sets: per level (a, b), X the
+    complex at scale a on every point, A the complex on the points outside
+    the open b-ball, to one degree less, and X ∪ ωA with ω = len(points).
+    Each set is sorted by (length, tuple), level 1 first, then what level 2
+    adds.  Returns the simplices, their dimensions and levels."""
+    omega = len(points)
+    levels = []
+    for a, b in (level1, level2):
+        X = build_complex(points, None, a, max_dim, flavor)
+        k = {s for ss in X.simplices.values() for s in ss} | {(omega,)}
+        if max_dim >= 1:
+            A = build_complex(points, delete_ball(points, center, b), a, max_dim - 1, flavor)
+            k |= {s + (omega,) for ss in A.simplices.values() for s in ss}
+        levels.append(k)
+    block1 = sorted(levels[0], key=lambda s: (len(s), s))
+    block2 = sorted(levels[1] - levels[0], key=lambda s: (len(s), s))
+    simplices = block1 + block2
+    return simplices, [len(s) - 1 for s in simplices], [1] * len(block1) + [2] * len(block2)

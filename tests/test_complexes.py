@@ -8,7 +8,7 @@ from localhom.complexes import (_adjacency_bits, _bad_simplices, _clique_expand,
                                 _pair_basis, _support_sets, _too_wide, boundary, cech,
                                 cone_pair, delete_ball, quotient_pair, rips)
 from localhom.fieldla import _bits, entries, rank
-from reference import min_enclosing_radius
+from reference import boundary_by_slices, coned_order, min_enclosing_radius
 
 
 def _simplex_set(cx):
@@ -275,6 +275,21 @@ def test_boundary_by_hand(q, all_edges, two_edges, unordered, edge):
     assert boundary([(0, 1)], {(1,): 0, (0,): 1}, q) == [edge]
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_boundary_matches_slice_rule(q):
+    # vertices, edges, triangles and tetrahedra on 6 vertices, over rows
+    # that hold a random part of their faces, the empty face among them,
+    # in random order
+    rng = np.random.default_rng(q)
+    faces = [s for k in range(5) for s in combinations(range(6), k)]
+    simplices = [s for s in faces if s]
+    for _ in range(40):
+        keep = [f for f in faces if len(f) < 4 and rng.random() < 0.6]
+        rows = {f: int(r) for f, r in zip(keep, rng.permutation(len(keep)))}
+        order = [simplices[i] for i in rng.permutation(len(simplices))]
+        assert boundary(order, rows, q) == boundary_by_slices(order, rows, q)
+
+
 def test_quotient_pair_triangle_boundary():
     # triangle boundary (max_dim=1 keeps it hollow), delete the two vertices
     # of the bottom edge via a ball around its midpoint
@@ -456,6 +471,33 @@ def test_cone_pair_empty_A_adds_only_omega():
     # everything deleted: A empty at both levels, cone vertex isolated
     assert (cp.omega,) in cp.simplices
     assert all(cp.omega not in s or len(s) == 1 for s in cp.simplices)
+
+
+@pytest.mark.parametrize("flavor", ["rips", "cech"])
+@pytest.mark.parametrize("D", [2, 3])
+def test_cone_pair_matches_reference_order(D, flavor):
+    # points on a 1/16 grid; every fifth instance has both balls wider than
+    # the sample, so A is empty at both levels, and the next has b2 = 0
+    rng = np.random.default_rng(20 + D)
+    for k in range(30):
+        n = int(rng.integers(3, 13))
+        pts = np.round(rng.uniform(-1, 1, (n, D)) * 16) / 16
+        p = int(rng.integers(0, n))
+        a1 = round(float(rng.uniform(0.1, 0.5)) * 32) / 32
+        a2 = a1 + round(float(rng.uniform(0.0, 0.3)) * 32) / 32
+        b1 = round(float(rng.uniform(0.1, 1.5)) * 32) / 32
+        b2 = round(float(rng.uniform(0.0, b1)) * 32) / 32
+        if k % 5 == 0:
+            b2 = 2 * math.sqrt(D) + 0.5
+            b1 = b2 + 0.5
+        elif k % 5 == 1:
+            b2 = 0.0
+        max_dim = int(rng.integers(0, 4))
+        cp = cone_pair(pts, pts[p], (a1, b1), (a2, b2), flavor, max_dim)
+        assert (cp.simplices, cp.dims, cp.levels) == coned_order(
+            pts, pts[p], (a1, b1), (a2, b2), flavor, max_dim)
+        if k % 5 == 0:
+            assert all(cp.omega not in s or len(s) == 1 for s in cp.simplices)
 
 
 def test_dump_format():

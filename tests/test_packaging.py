@@ -38,3 +38,27 @@ def test_perfbench_tracer_targets_resolve(monkeypatch):
     finally:
         t.uninstall()
     assert [(s.name, s.data) for s in t.spans] == [("fieldla.reduce_columns", (3, 2))]
+
+
+def test_bench_pairs_counts_runs_without_result(capsys):
+    # a crashed run has no metrics, so its pair drops out of the summary; it
+    # must still be counted, and its workload must claim no gain
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    seeds = list(range(10))
+    ok = {"attempted": 5, "correct": 5, "failed": 0}
+    runs = {s: {"parent": {"w": dict(ok, qps=100.0 + s), "gone": dict(ok, qps=1.0)},
+                "change": {"w": dict(ok, qps=200.0 + s) if s else {"returncode": 1},
+                           "gone": {"returncode": 1}}}
+            for s in seeds}
+    metric = {"name": "qps", "better": "higher", "bound": 0.2}
+    out = bench.summarise(runs, seeds, ["w", "gone"], [metric])
+    assert out["w"]["runs_without_result"] == {"parent": 0, "change": 1}
+    assert out["w"]["metrics"]["qps"]["change_wins"] == "9/9"
+    assert not out["w"]["metrics"]["qps"]["gain"]
+    assert out["gone"]["runs_without_result"] == {"parent": 0, "change": 10}
+    assert out["gone"]["metrics"] == {}
+    bench.report(out)
+    assert "runs without a result {'parent': 0, 'change': 10}" in capsys.readouterr().out

@@ -114,6 +114,31 @@ def _filled_patch(draw):
     return np.vstack([pts] + extra), p, (a1, b1), (a2, b2)
 
 
+@st.composite
+def _lattice(draw):
+    """4 to 14 points of a 3 by 3 by 3 block of the 1/8 lattice in R^3, so
+    that many distances are tied, at scales whose 2a are 1/8 to 1/4:
+    lattice neighbours along an axis, across a face and across the cube
+    diagonal, and two apart along an axis.  Plus three adversarial points:
+    one at exactly b2 from the centre along an axis, where the lattice
+    points on that axis also lie when the centre is one of them, one at
+    exactly 2*a2 from point 0, and a duplicate."""
+    cells = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+    n = draw(st.integers(4, 14))
+    picked = draw(st.permutations(range(len(cells))))[:n]
+    pts = 8 * GRID * np.array([cells[i] for i in picked], float)
+    p = draw(st.integers(0, n - 1))
+    a1 = GRID * draw(st.integers(4, 6))
+    a2 = a1 + GRID * draw(st.integers(0, 2))
+    m = draw(st.sampled_from([1, 2, 0]))
+    b2 = GRID * 8 * m
+    b1 = b2 + GRID * draw(st.integers(0, 12))
+    axis = np.array(draw(st.sampled_from([(8, 0, 0), (0, -8, 0), (0, 0, 8)])))
+    extra = [pts[p] + axis * m * GRID, pts[0] + (0.0, 0.0, 2 * a2),
+             pts[draw(st.integers(0, n - 1))]]
+    return np.vstack([pts] + extra), p, (a1, b1), (a2, b2)
+
+
 def _live_nbrs(live, nbr):
     """The live neighbourhood of each live vertex, 0 for the others, from
     the live mask ``collapse_vertices`` returns and the closed
@@ -204,10 +229,11 @@ def _check_collapse(pts, p, level):
 @given(data=st.data(), q=st.sampled_from([2, 3, 5]))
 def test_engine_paths_agree_on_grid_ties(flavor, lmax, data, q):
     # collapsed pairs, Rips and Cech, at every lmax: the stacked reduction
-    # against the kernel-basis formula and the coned oracle; from lmax 2 on,
-    # filled patches too, where degree 2 is not always zero
-    pts, p, level1, level2 = data.draw(_grid_ties() if lmax < 2
-                                       else _grid_ties() | _filled_patch())
+    # against the kernel-basis formula and the coned oracle, in the plane
+    # and on a lattice in space; from lmax 2 on, filled patches too, where
+    # degree 2 is not always zero
+    pts, p, level1, level2 = data.draw(_grid_ties() | _lattice() if lmax < 2
+                                       else _grid_ties() | _filled_patch() | _lattice())
     (a2, b2), c = level2, pts[p]
     assert ((pts[-3] - c) ** 2).sum() == b2 * b2
     assert ((pts[-2] - pts[0]) ** 2).sum() == (2 * a2) ** 2

@@ -16,7 +16,11 @@ directions come from the change's ``BENCHMARK.json``.
 
 A metric is flagged "worse" when its median is worse than the parent's by
 more than its bound, and "gain" when the change wins at least nine pairs in
-ten and its median gap exceeds the parent's interquartile range.
+ten and its median gap exceeds the parent's interquartile range.  A run that
+exits with an error or prints no result line has no metrics, and its pair
+is left out of every summary; such runs are counted per workload and side
+(``runs_without_result``), and no metric of a workload that has one is
+called a gain.
 """
 
 from __future__ import annotations
@@ -79,7 +83,11 @@ def summarise(runs: dict, seeds, workloads, metrics) -> dict:
     interquartile range and the verdicts."""
     out = {}
     for w in workloads:
-        out[w] = {"metrics": {}}
+        # a run that crashed or printed no result line has no metrics, so
+        # its pair drops out of every metric below
+        missing = {side: sum("attempted" not in runs[s][side][w] for s in seeds)
+                   for side in ("parent", "change")}
+        out[w] = {"metrics": {}, "runs_without_result": missing}
         for m in metrics:
             sign = 1 if m["better"] == "higher" else -1
             pairs = [(runs[s]["parent"][w].get(m["name"]), runs[s]["change"][w].get(m["name"]))
@@ -99,7 +107,8 @@ def summarise(runs: dict, seeds, workloads, metrics) -> dict:
                 "change_wins": f"{wins}/{len(pairs)}",
                 "median_gap_over_parent_iqr": gap / iqr if iqr else None,
                 "worse_than_bound": worse > m["bound"],
-                "gain": wins >= 0.9 * len(pairs) and gap > iqr}
+                "gain": (wins >= 0.9 * len(pairs) and gap > iqr
+                         and not any(missing.values()))}
         fails = {side: sum(runs[s][side][w].get("failed", 0) for s in seeds)
                  for side in ("parent", "change")}
         digests = {(runs[s]["parent"][w].get("round1_digest"),
@@ -121,7 +130,8 @@ def report(summary: dict) -> None:
                   f"{s['change']['median']:11.4g} "
                   f"{ratio if ratio is None else round(ratio, 4)!s:>8} "
                   f"{s['change_wins']:>6}  {verdict} (bound {s['bound']})")
-        print(f"{w:14} failed {per['failed']}, round-1 digests equal: "
+        print(f"{w:14} failed {per['failed']}, runs without a result "
+              f"{per['runs_without_result']}, round-1 digests equal: "
               f"{per['round1_digests_equal']}")
 
 
