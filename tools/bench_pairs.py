@@ -83,8 +83,6 @@ def summarise(runs: dict, seeds, workloads, metrics) -> dict:
     interquartile range and the verdicts."""
     out = {}
     for w in workloads:
-        # a run that crashed or printed no result line has no metrics, so
-        # its pair drops out of every metric below
         missing = {side: sum("attempted" not in runs[s][side][w] for s in seeds)
                    for side in ("parent", "change")}
         out[w] = {"metrics": {}, "runs_without_result": missing}
