@@ -185,23 +185,46 @@ def persistent_reduce(columns, q: int, levels: Sequence[int],
 
     ``columns`` is the full boundary matrix of a two-level filtration in its
     own index space (rows = columns = simplices), level-1 block first, faces
-    before cofaces within each block.  Returns, per degree, the number of
-    level-1 columns that reduce to zero (births in the level-1 complex) whose
-    row is never claimed as a pivot by any column — i.e. the unreduced count
-    of level-1 homology classes surviving into level 2.
+    before cofaces within each block; ``degrees[j]`` is the dimension of
+    simplex j, so a column's rows are simplices of one degree less, and
+    degree-0 columns are zero.  Returns, per degree, the number of level-1
+    columns that reduce to zero (births in the level-1 complex) whose row is
+    never claimed as a pivot by any column — i.e. the unreduced count of
+    level-1 homology classes surviving into level 2.  The input is not
+    mutated.
+
+    The degrees are reduced one at a time from the top, each by
+    ``reduce_columns`` on its columns in filtration order, with clearing
+    (Chen & Kerber, "Persistent homology computation with a twist", 2011):
+    a column whose row a column of the degree above claims reduces to zero,
+    so it is skipped.  A zero column is never added to another, so the
+    others reduce exactly as in one left-to-right pass over the whole
+    matrix, and so do their lows.  Degree 0 needs no reduction.
     """
     n = len(columns)
     if not (len(levels) == len(degrees) == n):
         raise ValueError("levels/degrees length mismatch")
-    last1 = -1
-    for j, lv in enumerate(levels):
-        if lv == 1:
-            if j != last1 + 1:
-                raise ValueError("level-1 columns must form a leading block")
-            last1 = j
-    lows, pivot = reduce_columns(columns, q)
+    levels = list(levels)
+    n1 = levels.count(1)
+    if levels[:n1] != [1] * n1:
+        raise ValueError("level-1 columns must form a leading block")
+    by_degree: Dict[int, List[int]] = {}
+    for j, d in enumerate(degrees):
+        if d in by_degree:
+            by_degree[d].append(j)
+        else:
+            by_degree[d] = [j]
     out: Dict[int, int] = {}
-    for j in range(last1 + 1):
-        if lows[j] < 0 and j not in pivot:
-            out[degrees[j]] = out.get(degrees[j], 0) + 1
-    return out
+    claimed = {}        # rows claimed by the degree above
+    for d in sorted(by_degree, reverse=True):
+        todo = [j for j in by_degree[d] if j not in claimed] if claimed else by_degree[d]
+        if d == 0:
+            if any(columns[j] for j in todo):
+                raise ValueError("degree-0 columns must be zero")
+            born = sum(1 for j in todo if j < n1)
+        else:
+            lows, claimed = reduce_columns([columns[j] for j in todo], q)
+            born = sum(1 for j, low in zip(todo, lows) if low < 0 and j < n1)
+        if born:
+            out[d] = born
+    return dict(sorted(out.items()))

@@ -81,13 +81,52 @@ def _check_levels(level1, level2, flavor: str, q: int, lmax: int) -> None:
     _require_prime(q)
 
 
+class _Ranks(dict):
+    """A read-only dict of per-degree ranks, shared by every signature with
+    the same mapping (``_shared_ranks``).  Its mutators raise ``TypeError``;
+    ``json``, ``repr`` and equality see the plain dict, and copies and
+    pickles come back as the shared instance."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("signature ranks are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return _shared_ranks, (dict(self),)
+
+
+# item tuple -> its one _Ranks
+_RANKS: Dict[Tuple[Tuple[int, int], ...], _Ranks] = {}
+
+
+def _shared_ranks(ranks) -> _Ranks:
+    """The one ``_Ranks`` holding these items, in this order."""
+    key = tuple(ranks.items())
+    out = _RANKS.get(key)
+    if out is None:
+        out = _RANKS[key] = _Ranks(key)
+    return out
+
+
 @dataclass
 class HomologySignature:
     """Per-degree ranks of the inclusion-induced image — the local homology
-    estimate."""
+    estimate.
+
+    ``ranks`` is read-only and shared: every signature with the same
+    mapping holds the same ``_Ranks``, so a caller that keeps many results
+    keeps one small dict per distinct mapping.  It reads, prints, compares
+    and serialises as a plain dict."""
 
     ranks: Dict[int, int]
     method: str
+
+    def __post_init__(self):
+        self.ranks = _shared_ranks(self.ranks)
 
     def rank(self, ell: int) -> int:
         return self.ranks.get(ell, 0)
@@ -114,6 +153,18 @@ def _count_below(lows, n2: int) -> int:
     return sum(1 for low in lows if 0 <= low < n2)
 
 
+def _sample_and_centre(spec: QuerySpec, points):
+    """The sample as a float array and its point ``spec.p``, the centre of
+    the query; raises ``ValueError`` if a coordinate is not finite or p is
+    not an index in range(n)."""
+    points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError("sample points must have finite coordinates")
+    if not 0 <= spec.p < len(points):
+        raise ValueError(f"centre index {spec.p} outside range({len(points)})")
+    return points, points[spec.p]
+
+
 def image_rank(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
     """Rank of H(level-1 pair) -> H(level-2 pair) per degree (direct method).
 
@@ -125,8 +176,7 @@ def image_rank(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
     boundaries span the relative boundaries by ∂∂ = 0 on the cofaces of a
     flag complex.  A Cech complex is not a flag complex and keeps them all.
     """
-    points = np.asarray(points, dtype=float)
-    center = points[spec.p]
+    points, center = _sample_and_centre(spec, points)
     a1, b1 = spec.level1
     a2, b2 = spec.level2
     q, lmax = spec.q, spec.lmax
@@ -156,8 +206,7 @@ def image_rank(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
 
 def image_rank_oracle(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
     """Independent coned-persistence computation of the same image ranks."""
-    points = np.asarray(points, dtype=float)
-    center = points[spec.p]
+    points, center = _sample_and_centre(spec, points)
     cp = cone_pair(points, center, spec.level1, spec.level2,
                    spec.flavor, spec.lmax + 1)
     surv = persistent_reduce(cp.boundary_columns(spec.q), spec.q, cp.levels, cp.dims)

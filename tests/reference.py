@@ -1,12 +1,12 @@
 """Reference implementations that the tests check the library against."""
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from localhom.complexes import _adjacency_bits, _support_sets, build_complex, delete_ball
-from localhom.fieldla import lane_width
+from localhom.fieldla import lane_width, reduce_columns
 
 
 def min_enclosing_radius(points_subset) -> float:
@@ -72,3 +72,28 @@ def coned_order(points, center, level1, level2, flavor: str, max_dim: int):
     block2 = sorted(levels[1] - levels[0], key=lambda s: (len(s), s))
     simplices = block1 + block2
     return simplices, [len(s) - 1 for s in simplices], [1] * len(block1) + [2] * len(block2)
+
+
+def persistent_reduce_plain(columns, q: int, levels, degrees):
+    """``persistent_reduce`` by one left-to-right reduction of the whole
+    matrix, with no clearing: per degree, the level-1 columns that reduce to
+    zero and whose row no column claims.  ``levels`` puts level 1 first."""
+    lows, pivot = reduce_columns(list(columns), q)
+    last1 = sum(1 for lv in levels if lv == 1) - 1
+    out = {}
+    for j in range(last1 + 1):
+        if lows[j] < 0 and j not in pivot:
+            out[degrees[j]] = out.get(degrees[j], 0) + 1
+    return out
+
+
+def det_leibniz(M):
+    """Determinants of an (m, n, n) stack by the Leibniz formula, one
+    permutation at a time in ``permutations`` order, each product over its
+    rows in order and the signed terms summed from 0.0 in that order."""
+    n = M.shape[-1]
+    out = 0.0
+    for p in permutations(range(n)):
+        term = M[:, np.arange(n), p].prod(axis=1)
+        out = out - term if sum(a > b for a, b in combinations(p, 2)) & 1 else out + term
+    return out

@@ -4,11 +4,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from localhom.complexes import (_adjacency_bits, _bad_simplices, _clique_expand, _induced,
-                                _pair_basis, _support_sets, _too_wide, boundary, cech,
-                                cone_pair, delete_ball, quotient_pair, rips)
+from localhom.complexes import (_adjacency_bits, _bad_simplices, _build, _clique_expand,
+                                _det, _induced, _leibniz, _pair_basis, _support_sets,
+                                _too_wide, boundary, build_complex, cech, cone_pair,
+                                delete_ball, quotient_pair, rips)
 from localhom.fieldla import _bits, entries, rank
-from reference import boundary_by_slices, coned_order, min_enclosing_radius
+from reference import boundary_by_slices, coned_order, det_leibniz, min_enclosing_radius
 
 
 def _simplex_set(cx):
@@ -215,6 +216,79 @@ def test_support_sets_of_a_row_do_not_depend_on_its_stack(D):
             got, inside = _support_sets(P[lo:lo + n])
             assert np.array_equal(got, r2[lo:lo + n])
             assert np.array_equal(inside, support[lo:lo + n])
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_det_matches_leibniz_loop_bit_for_bit(n):
+    # random matrices, and the stacks that _support_sets builds from random
+    # and 1/16-grid points, duplicates among them, in stacks of 1 to 600
+    rng = np.random.default_rng(90 + n)
+    for m in (1, 2, 5, 37, 128, 600):
+        M = rng.uniform(-1, 1, (m, n, n))
+        assert _same_bits(_det(M), det_leibniz(M))
+        for P in (rng.uniform(-1, 1, (m, n + 1, n)),
+                  np.round(rng.uniform(-1, 1, (m, n + 1, n)) * 16) / 16):
+            P[::3, -1] = P[::3, 0]
+            E = P[:, 1:] - P[:, :1]
+            G = E @ E.transpose(0, 2, 1)
+            h = np.diagonal(G, axis1=1, axis2=2) / 2
+            M = np.where(_leibniz(n)[2], h[:, :, None], G).reshape(-1, n, n)
+            assert _same_bits(_det(M), det_leibniz(M))
+
+
+def _grid_sample(rng, m, D):
+    """m points of the 1/16 grid in R^D, duplicates included, dense enough
+    that most points have neighbours two steps away."""
+    side = math.ceil((2 * m) ** (1 / D)) + 1
+    pts = rng.integers(0, side, (m, D)) / 16
+    pts[1::9] = pts[::9][:len(pts[1::9])]
+    return pts
+
+
+@pytest.mark.parametrize("flavor", ["rips", "cech"])
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_several_scale_builds_equal_one_scale_builds(D, flavor):
+    # scales of one and two grid steps, so that distances of exactly 2 * a1
+    # and 2 * a2 occur; m straddles the 64-bit words and the 256-row blocks
+    rng = np.random.default_rng(100 + D)
+    a1, a2 = 1 / 32, 1 / 16
+    for m in (63, 64, 65, 127, 128, 129, 255, 256, 257):
+        pts = _grid_sample(rng, m + 6, D)
+        subset = np.sort(rng.choice(m + 6, m, replace=False))
+        adj = _adjacency_bits(pts, subset, (a1, a2))
+        assert adj == [_adjacency_bits(pts, subset, a1), _adjacency_bits(pts, subset, a2)]
+        assert _adjacency_bits(pts, subset, [a2]) == [adj[1]]
+        max_dim = 2 if D < 4 or m < 200 else 1
+        both = _build(pts, subset, (a1, a2), max_dim, flavor)
+        for cx, a in zip(both, (a1, a2)):
+            one = build_complex(pts, subset, a, max_dim, flavor)
+            assert (cx.scale, cx.flavor, cx.max_dim) == (a, flavor, max_dim)
+            assert np.array_equal(cx.vertex_ids, one.vertex_ids)
+            assert cx.simplices == one.simplices
+        assert both[0].count(1) < both[1].count(1)
+    # random points at three scales, where Cech drops simplices at each
+    dropped = 0
+    for _ in range(6):
+        pts = rng.uniform(0, 1, (40, D))
+        alphas = (0.14, 0.17, 0.2)
+        each = _build(pts, None, alphas, D, flavor)
+        for cx, a in zip(each, alphas):
+            assert cx.simplices == build_complex(pts, None, a, D, flavor).simplices
+            dropped += sum(map(len, rips(pts, None, a, D).simplices.values())) - \
+                sum(map(len, cx.simplices.values()))
+    assert dropped > 0 if flavor == "cech" else dropped == 0
+
+
+def test_several_scale_build_wants_ascending_scales():
+    pts = np.zeros((3, 2))
+    with pytest.raises(ValueError, match="ascending"):
+        _build(pts, None, (0.2, 0.1), 1, "rips")
+    with pytest.raises(ValueError, match="ascending"):
+        _build(pts, None, (float("nan"), 0.1), 1, "cech")
 
 
 def test_min_enclosing_radius_of_no_point_or_one():

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from localhom.complexes import cone_pair
 from localhom.fieldla import (add, entries, kernel_basis, neg, pack, persistent_reduce,
                               rank, reduce_columns)
+from reference import persistent_reduce_plain
 
 PRIMES = (2, 3, 5, 7)
 
@@ -207,3 +211,36 @@ def test_persistent_reduce_two_level_edge():
 def test_persistent_reduce_level_order_enforced():
     with pytest.raises(ValueError):
         persistent_reduce([0, 0], 2, [2, 1], [0, 0])
+
+
+def test_persistent_reduce_rejects_nonzero_degree_0_column():
+    with pytest.raises(ValueError, match="degree-0"):
+        persistent_reduce([0, 1], 2, [1, 1], [0, 0])
+
+
+@pytest.mark.parametrize("flavor", ["rips", "cech"])
+@pytest.mark.parametrize("D", [2, 3])
+def test_persistent_reduce_with_clearing_matches_plain_reduction(D, flavor):
+    # coned two-level filtrations of 1/16-grid instances at max_dim 1-3; A
+    # is empty at both levels in every fifth instance; the columns are not
+    # mutated
+    rng = np.random.default_rng(40 + D)
+    for k in range(25):
+        n = int(rng.integers(4, 13))
+        pts = np.round(rng.uniform(-1, 1, (n, D)) * 16) / 16
+        p = int(rng.integers(0, n))
+        a1 = round(float(rng.uniform(0.15, 0.5)) * 32) / 32
+        a2 = a1 + round(float(rng.uniform(0.0, 0.3)) * 32) / 32
+        b1 = round(float(rng.uniform(0.2, 1.5)) * 32) / 32
+        b2 = round(float(rng.uniform(0.0, b1)) * 32) / 32
+        if k % 5 == 0:
+            b2 = 2 * math.sqrt(D) + 0.5
+            b1 = b2 + 0.5
+        cp = cone_pair(pts, pts[p], (a1, b1), (a2, b2), flavor, int(rng.integers(1, 4)))
+        for q in (2, 3, 5):
+            cols = cp.boundary_columns(q)
+            kept = list(cols)
+            got = persistent_reduce(cols, q, cp.levels, cp.dims)
+            assert cols == kept
+            assert got == persistent_reduce_plain(cols, q, cp.levels, cp.dims)
+            assert list(got) == sorted(got)

@@ -1,6 +1,9 @@
+import copy
 import dataclasses
 import itertools
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -492,6 +495,47 @@ def test_signature_helpers():
     sig = HomologySignature({0: 0, 1: 2}, "direct")
     assert sig.rank(1) == 2 and sig.rank(5) == 0
     assert sig.nonzero() == {1: 2}
+
+
+def test_signature_ranks_are_shared_and_read_only():
+    a = HomologySignature({0: 1, 1: 0}, "direct")
+    b = HomologySignature(dict([(0, 1), (1, 0)]), "coned")
+    assert a.ranks is b.ranks
+    assert HomologySignature({0: 1, 1: 2}, "direct").ranks is not a.ranks
+    for mutate in (lambda r: r.__setitem__(0, 2), lambda r: r.__delitem__(0),
+                   lambda r: r.update({2: 1}), lambda r: r.pop(0), lambda r: r.popitem(),
+                   lambda r: r.setdefault(2, 1), lambda r: r.clear(),
+                   lambda r: r.__ior__({2: 1})):
+        with pytest.raises(TypeError, match="read-only"):
+            mutate(a.ranks)
+    assert a.ranks == {0: 1, 1: 0} and isinstance(a.ranks, dict)
+    assert repr(a.ranks) == "{0: 1, 1: 0}"
+    assert json.dumps(a.ranks) == json.dumps({0: 1, 1: 0})
+    for twin in (copy.copy(a.ranks), copy.deepcopy(a.ranks),
+                 pickle.loads(pickle.dumps(a.ranks)), copy.deepcopy(a).ranks,
+                 pickle.loads(pickle.dumps(a)).ranks):
+        assert twin is a.ranks
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_image_rank_rejects_bad_samples_and_centres(oracle):
+    # a NaN point once gave {0: 0, 1: 0} directly and {0: 1, 1: 0} coned;
+    # p = -1 answered for the last point and p = n ended in an IndexError
+    fn = image_rank_oracle if oracle else image_rank
+    pts = np.random.default_rng(0).uniform(-1, 1, (14, 2))
+    pts[5] = (np.nan, 0)
+    with pytest.raises(ValueError, match="sample points must have finite coordinates"):
+        fn(QuerySpec(0, (0.3, 0.9), (0.4, 0.6)), pts)
+    pts[5] = (0.25, np.inf)
+    with pytest.raises(ValueError, match="sample points must have finite coordinates"):
+        fn(QuerySpec(0, (0.3, 0.9), (0.4, 0.6)), pts)
+    pts[5] = (0.25, 0.0)
+    for p in (-1, 14, 99):
+        with pytest.raises(ValueError, match=f"centre index {p} outside range"):
+            fn(QuerySpec(p, (0.3, 0.9), (0.4, 0.6)), pts)
+    assert fn(QuerySpec(13, (0.3, 0.9), (0.4, 0.6)), pts).ranks == \
+        image_rank(QuerySpec(13, (0.3, 0.9), (0.4, 0.6)), pts).ranks
 
 
 def test_engine_rejects_invalid_input():
