@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import localhom
-from localhom.fieldla import rank, reduce_columns
 from localhom import relhom
+from localhom.fieldla import rank, reduce_columns
 from localhom.relhom import QuerySpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,7 +18,7 @@ tomllib = pytest.importorskip("tomllib")
 
 
 def test_pyproject_matches_package():
-    text = (ROOT / "pyproject.toml").read_text()
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     project = tomllib.loads(text)["project"]
     assert project["name"] == "localhom"
     assert project["version"] == localhom.__version__
@@ -28,7 +28,7 @@ def test_pyproject_matches_package():
 def test_perfbench_tracer_targets_resolve(monkeypatch):
     # the benchmark's tracer rebinds these names; a rename in the library
     # would otherwise only show in the benchmark's own smoke test
-    path = ROOT / "perfbench" / "tracer.py"
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)
@@ -56,8 +56,8 @@ def test_traced_spans_of_the_oracle_and_engine_layers(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
     # 20 points on the unit circle, where every query sees H_1 = 1
-    t = np.linspace(0, 2 * np.pi, 20, endpoint=False)
-    pts = np.c_[np.cos(t), np.sin(t)]
+    theta = np.linspace(0, 2 * np.pi, 20, endpoint=False)
+    pts = np.c_[np.cos(theta), np.sin(theta)]
     t = tracer.Tracer()
     t.install()
     try:
@@ -106,7 +106,7 @@ def test_shared_ranks_digest_as_plain_dicts(monkeypatch):
 def test_bench_pairs_counts_runs_without_result(capsys):
     # a crashed run has no metrics, so its pair drops out of the summary; it
     # must still be counted, and its workload must claim no gain
-    path = ROOT / "tools" / "bench_pairs.py"
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
