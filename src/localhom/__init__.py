@@ -11,7 +11,7 @@ from .geometry import (Sample, StratifiedShape, circle, circle_chord,
                        hausdorff, make_shape, segment)
 from .complexes import (SimplicialComplex, QuotientPairComplex, ConedPair,
                         cech, cone_pair, delete_ball, quotient_pair, rips)
-from .fieldla import kernel_basis, persistent_reduce, rank
+from .fieldla import persistent_reduce, rank
 from .relhom import (HomologySignature, ImageRankEngine, QuerySpec,
                      exactness_check, image_rank, image_rank_oracle,
                      relative_betti)

@@ -21,11 +21,13 @@ from .fieldla import _bits, lane_width
 from .geometry import sq_dists
 
 
-def _adjacency_bits(points: np.ndarray, subset: np.ndarray, alphas):
+def _adjacency_bits(points: np.ndarray, subset: np.ndarray, alphas, sizes=None):
     """Per-vertex int bitmasks of the closed neighbourhoods in the Rips/Cech
     edge graph at each scale of ``alphas``, a tuple or list, one list per
     scale; a single scale gives its list alone.  Each vertex's own bit is
-    set, as its squared distance to itself is 0.
+    set, as its squared distance to itself is 0.  With ``sizes``, scale k's
+    graph is on the first ``sizes[k]`` vertices of ``subset`` only, as if
+    built on that prefix.
 
     Bit positions are LOCAL indices into ``subset``.  Edge rule: squared
     distance <= (2*alpha)^2.  Rows are computed in blocks of 256, so the
@@ -35,13 +37,16 @@ def _adjacency_bits(points: np.ndarray, subset: np.ndarray, alphas):
     one = not isinstance(alphas, (tuple, list))
     thr = [(2.0 * a) ** 2 for a in ((alphas,) if one else alphas)]
     pts = points[subset]
+    if sizes is None:
+        sizes = [len(pts)] * len(thr)
     adj: List[List[int]] = [[] for _ in thr]
     for lo in range(0, len(pts), 256):
         # the distance block is freed as the comprehension returns, and
         # ``close`` stays bound until the next block's is made: freed first,
         # it lets malloc trim the heap, and the next block faults its pages
         # in again (4x the page faults and 1.5x the time on 1500 points)
-        close = [block <= t for block in [sq_dists(pts[lo:lo + 256], pts)] for t in thr]
+        close = [block[:max(m - lo, 0), :m] <= t
+                 for block in [sq_dists(pts[lo:lo + 256], pts)] for t, m in zip(thr, sizes)]
         for rows, c in zip(adj, close):
             rows += _bitmasks(c)
     return adj[0] if one else adj
@@ -184,7 +189,8 @@ def _build(points, vertex_subset, alphas, max_dim: int,
     ``build_complex`` are its one-scale case.  One ``_adjacency_bits`` pass
     gives every scale's edge graph, and each is expanded into its cliques;
     a Cech build then measures the candidates of the largest scale once
-    (``_cech_filter``).
+    (``_cech_filter``).  Scales must be >= 0: the edge test squares 2a, so
+    a negative scale would join every pair, and a NaN one none.
     """
     if flavor not in ("rips", "cech"):
         raise ValueError(f"unknown complex flavor {flavor!r}")
@@ -192,6 +198,8 @@ def _build(points, vertex_subset, alphas, max_dim: int,
         raise ValueError("max_dim must be >= 0")
     if len(alphas) > 1 and not all(x <= y for x, y in zip(alphas, alphas[1:])):
         raise ValueError("scales must be ascending")
+    if not all(a >= 0 for a in alphas):
+        raise ValueError("scales must be >= 0")
     points = np.asarray(points, dtype=float)
     subset = _normalize_subset(points, vertex_subset)
     simps: List[Dict[int, List[Tuple[int, ...]]]] = [{} for _ in alphas]
@@ -292,6 +300,15 @@ def _adds_bad(holding, v: int, w: int, nv: int) -> bool:
             if all(u & ~s for x in _bits(s) for u in holding[x]):
                 return True
     return False
+
+
+def _finite_points(points) -> np.ndarray:
+    """``points`` as a float array; raises ``ValueError`` unless every
+    coordinate is finite."""
+    points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError("sample points must have finite coordinates")
+    return points
 
 
 def _normalize_subset(points, vertex_subset) -> np.ndarray:
@@ -588,7 +605,7 @@ def quotient_pair(points: np.ndarray, center, a: float, b: float,
         raise ValueError("ball radius b must be >= 0")
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
-    points = np.asarray(points, dtype=float)
+    points = _finite_points(points)
     c = np.asarray(center, dtype=float)
     # read before the empty pair of b = 0, which reads no distance
     if c.shape != points.shape[1:]:

@@ -110,9 +110,7 @@ def scan_alpha_section(K: StratifiedShape, x, alpha: float, eps: float,
             continue
         for i in range(j, n):
             R = grid[i]
-            res = engine.query(x, b1=R, b2=r)
-            nz = {d: v for d, v in res.ranks.items() if v}
-            member[i][j] = (nz == gt)
+            member[i][j] = engine.query(x, b1=R, b2=r).nonzero() == gt
     scan = AlphaSectionScan(tuple(float(v) for v in x), alpha, eps, values,
                             member, len(dense_points), hd)
     a, b = _largest_triangle(member)

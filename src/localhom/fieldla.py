@@ -7,14 +7,16 @@ sum of two coefficients, at most 2q - 2, stays below each lane's top (guard)
 bit: columns add with one integer addition, then adding 2^(k-1) - q to every
 lane sets the guard bit of exactly the lanes that reached q, and those have
 q subtracted.  A column's low (last nonzero row) is (bit_length - 1) // k,
--1 for the zero column.  Only this module knows the layout; others build
-columns with ``pack`` and ``lane_width`` and combine them with ``add``.
-A matrix is a list of such columns; its field is passed as ``q`` alongside.
+-1 for the zero column.  Other modules put a coefficient c in row r as
+``c << r * lane_width(q)`` and leave all arithmetic on columns to this
+module; ``pack`` builds columns from (row, coefficient) pairs.  A matrix
+is a list of such columns; its field is passed as ``q`` alongside.
 
 ``reduce_columns`` is the one reduction: lowest-nonzero-row pivots, left to
 right, with no further heuristics, so results are deterministic.  Ranks,
-kernel bases (by stacking unit columns under the matrix) and two-level
-persistence all read its lows.
+the direct image rank (``relhom._stacked_rank``, which stacks each level-1
+boundary under its level-2 image) and two-level persistence all read its
+lows.
 """
 
 from __future__ import annotations
@@ -159,24 +161,6 @@ def rank(columns, q: int) -> int:
     """Rank over GF(q); the input is not mutated."""
     _require_prime(q)
     return len(reduce_columns(list(columns), q)[1])
-
-
-def kernel_basis(columns, q: int) -> List[int]:
-    """Basis of the (right) kernel, as columns over the column-index space.
-
-    Under each of the n columns j sits the unit column e_j in rows 0..n-1,
-    with the matrix rows moved up to n and beyond, and one reduction does
-    the rest.  While a column's matrix part is nonzero its low stays there;
-    once that part vanishes its low is j, which no other column can claim.
-    So the columns with lows below n are kernel vectors, each a combination
-    of its own column and earlier ones, and their stacked parts are a basis.
-    """
-    _require_prime(q)
-    n, k = len(columns), lane_width(q)
-    stacked = [x << n * k | 1 << j * k for j, x in enumerate(columns)]
-    lows, _ = reduce_columns(stacked, q)
-    unit = (1 << n * k) - 1
-    return [x & unit for x, low in zip(stacked, lows) if low < n]
 
 
 def persistent_reduce(columns, q: int, levels: Sequence[int],

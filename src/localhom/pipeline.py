@@ -88,8 +88,7 @@ def infer_all(P: Sample, scales: SelectedScales, cc: ScaleConstants,
     eng = engine or make_engine(P, scales, cc, q, lmax)
     out = []
     for i in range(len(P)):
-        res = eng.query_index(i)
-        sig = HomologySignature(res.ranks, method="direct")
+        sig = eng.query_index(i)
         out.append(PointResult(i, sig, label_of(sig)))
     return out
 

@@ -1,27 +1,37 @@
 """Relative homology of deleted-ball pairs and inclusion-induced image ranks.
 
-Two independent computations of the same quantity:
-  * the direct method — quotient chain complexes plus the formula
-    rank(im) = rank([i(Z1) | B2]) - rank(B2), where Z1 is a basis of relative
-    cycles at level 1, i is the basis-diagonal chain map into level 2, and
-    B2 spans the relative boundaries at level 2.  For Rips, B2 in the top
-    degree is the boundaries of the simplices with no common neighbour
-    below their least vertex, which span the rest by ∂∂ = 0 on their
-    cofaces (``complexes._clique_expand``); Cech keeps every simplex;
-  * the coned oracle — two-level persistence on the cone model
-    H(X, A) = reduced H(X ∪ ωA).
-The direct method is the production path; the oracle cross-checks it.
+The estimate at a point is, per degree ell, the rank of the map
+H(level-1 pair) -> H(level-2 pair) that inclusion induces, each pair a
+Rips or Cech complex with an open ball deleted.  Two independent
+computations give it:
+  * the direct method, ``image_rank`` and ``ImageRankEngine``: one
+    reduction per degree of the stacked matrix [B2 | S] (``_stacked_rank``;
+    Cohen-Steiner, Edelsbrunner, Harer & Morozov, "Persistent homology for
+    kernels, images, and cokernels", SODA 2009).  B2 spans the level-2
+    relative boundaries over the n2 level-2 basis simplices.  S has one
+    column per level-1 basis simplex s: its level-2 image i(s) in rows
+    0..n2-1 and its level-1 relative boundary in rows n2 and up.  Pivots
+    are lowest nonzero rows, so an S column's low falls below n2 only once
+    its boundary part has cancelled, and those lows count
+    rank(im) = rank([B2 | i(Z1)]) - rank(B2), Z1 the level-1 relative
+    cycles.  For Rips, B2 in the top degree is the boundaries of the
+    simplices with no common neighbour below their least vertex, which
+    span the rest by ∂∂ = 0 on their cofaces (``complexes._clique_expand``);
+    Cech keeps every simplex;
+  * the coned oracle, ``image_rank_oracle``: two-level persistence on the
+    cone model H(X, A) = reduced H(X ∪ ωA).  It shares no step of the
+    formula, so it is the formula's arbiter: ``localhom check``,
+    acceptance criterion 4 and the oracle comparisons of the tests.
 Every rank comes from the one column reduction of packed int columns,
-``fieldla.reduce_columns``; Z1 is read off the same reduction with unit
-columns stacked under the level-1 boundary (``fieldla.kernel_basis``).
+``fieldla.reduce_columns``.  ``image_rank`` takes both levels from
+``quotient_pair`` and maps a level-1 basis simplex to its own level-2 row,
+or to 0 once it misses the smaller ball (the basis-diagonal chain map).
 ``ImageRankEngine`` evaluates the direct method for many query points.  A
 query, Rips or Cech, builds both levels locally and strong-collapses each
 one, at every lmax: a Cech level is its local Rips graph less the cofaces
 of its bad simplices (``complexes._bad_simplices``), which the collapse
 keeps (``complexes.collapse_vertices``).  A level-1 simplex maps by the
-level-2 collapse's vertex map, and one stacked matrix per degree is reduced
-instead of a kernel basis (Cohen-Steiner, Edelsbrunner, Harer & Morozov,
-"Persistent homology for kernels, images, and cokernels", SODA 2009).
+level-2 collapse's vertex map.
 """
 
 from __future__ import annotations
@@ -33,11 +43,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .complexes import (QuotientPairComplex, _bad_simplices, _bitmasks, _clique_expand,
-                        _induced, _pair_basis, boundary, build_complex,
-                        collapse_vertices, cone_pair, delete_ball, quotient_pair)
-from .fieldla import (_bits, _require_prime, entries, kernel_basis, lane_width, pack,
-                      persistent_reduce, rank, reduce_columns)
+from .complexes import (QuotientPairComplex, _adjacency_bits, _bad_simplices,
+                        _clique_expand, _finite_points, _induced, _pair_basis, boundary,
+                        build_complex, collapse_vertices, cone_pair, delete_ball,
+                        quotient_pair)
+from .fieldla import (_bits, _require_prime, lane_width, persistent_reduce, rank,
+                      reduce_columns)
 from .geometry import sq_dists
 
 
@@ -112,21 +123,21 @@ def _shared_ranks(ranks) -> _Ranks:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class HomologySignature:
     """Per-degree ranks of the inclusion-induced image — the local homology
     estimate.
 
-    ``ranks`` is read-only and shared: every signature with the same
-    mapping holds the same ``_Ranks``, so a caller that keeps many results
-    keeps one small dict per distinct mapping.  It reads, prints, compares
-    and serialises as a plain dict."""
+    Signatures are immutable.  ``ranks`` is read-only and shared: every
+    signature with the same mapping holds the same ``_Ranks``, so a caller
+    that keeps many results keeps one small dict per distinct mapping.  It
+    reads, prints, compares and serialises as a plain dict."""
 
     ranks: Dict[int, int]
     method: str
 
     def __post_init__(self):
-        self.ranks = _shared_ranks(self.ranks)
+        object.__setattr__(self, "ranks", _shared_ranks(self.ranks))
 
     def rank(self, ell: int) -> int:
         return self.ranks.get(ell, 0)
@@ -148,25 +159,34 @@ def relative_betti(Q: QuotientPairComplex, ell: int, q: int = 2) -> int:
     return n_ell - r_d - r_up
 
 
-def _count_below(lows, n2: int) -> int:
-    """Reduced columns of a stacked matrix whose low lies in rows 0..n2-1."""
-    return sum(1 for low in lows if 0 <= low < n2)
+def _stacked_rank(b2_cols: list, images, boundary1, n2: int, q: int) -> int:
+    """The image rank in one degree, from one reduction of [B2 | S].
+
+    ``b2_cols`` spans the level-2 relative boundaries over the n2 level-2
+    basis simplices.  Per level-1 basis simplex, ``images`` holds its
+    level-2 image over those rows and ``boundary1`` its level-1 relative
+    boundary, which goes to rows n2 and up.  The S lows below n2 count the
+    rank (see the module docstring).  No input is mutated.
+    """
+    shift = n2 * lane_width(q)
+    cols = b2_cols + [x | b << shift for x, b in zip(images, boundary1)]
+    lows, _ = reduce_columns(cols, q)
+    return sum(1 for low in lows[len(b2_cols):] if 0 <= low < n2)
 
 
 def _sample_and_centre(spec: QuerySpec, points):
     """The sample as a float array and its point ``spec.p``, the centre of
     the query; raises ``ValueError`` if a coordinate is not finite or p is
     not an index in range(n)."""
-    points = np.asarray(points, dtype=float)
-    if not np.isfinite(points).all():
-        raise ValueError("sample points must have finite coordinates")
+    points = _finite_points(points)
     if not 0 <= spec.p < len(points):
         raise ValueError(f"centre index {spec.p} outside range({len(points)})")
     return points, points[spec.p]
 
 
 def image_rank(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
-    """Rank of H(level-1 pair) -> H(level-2 pair) per degree (direct method).
+    """Rank of H(level-1 pair) -> H(level-2 pair) per degree (direct method),
+    by ``_stacked_rank``.
 
     The level-1 pair is ``quotient_pair``'s, and so is the level-2 pair in
     degrees up to lmax, where its simplices index rows.  Its degree-(lmax+1)
@@ -184,23 +204,18 @@ def image_rank(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
     basis2 = _pair_basis(points, center, a2, b2, spec.flavor, lmax + 1, spanning=True)
     top = basis2.pop(lmax + 1, [])
     Q2 = QuotientPairComplex(center, a2, b2, spec.flavor, lmax, basis2)
+    k = lane_width(q)
     ranks = {}
     for ell in range(lmax + 1):
         ranks[ell] = 0
-        if Q1.dim_count(ell) == 0 or Q2.dim_count(ell) == 0:
-            continue
-        Z1 = kernel_basis(Q1.boundary_columns(ell, q), q)
-        if not Z1:
+        row2 = Q2._index.get(ell)
+        if not Q1.dim_count(ell) or not row2:
             continue
         # basis-diagonal chain map into level 2: a level-1 basis simplex maps
-        # to itself when it still meets the smaller ball, else to 0
-        row2 = Q2._index[ell]
-        mapped = [row2.get(s, -1) for s in Q1.basis[ell]]
-        iZ1 = pack([[(mapped[r], c) for r, c in entries(z, q) if mapped[r] >= 0]
-                    for z in Z1], q)
+        # to its own row while it still meets the smaller ball, else to 0
+        images = [0 if (r := row2.get(s)) is None else 1 << r * k for s in Q1.basis[ell]]
         B2 = Q2.boundary_columns(ell + 1, q) if ell < lmax else boundary(top, row2, q)
-        lows, _ = reduce_columns(B2 + iZ1, q)
-        ranks[ell] = sum(1 for low in lows[len(B2):] if low >= 0)
+        ranks[ell] = _stacked_rank(B2, images, Q1.boundary_columns(ell, q), len(row2), q)
     return HomologySignature(ranks, method="direct")
 
 
@@ -241,7 +256,7 @@ def exactness_check(points: np.ndarray, center, a: float, b: float,
     dim H(A), dim H(X), dim H(X, A) cancel, and that the relative Euler
     characteristic equals the simplex-count difference.
     """
-    points = np.asarray(points, dtype=float)
+    points = _finite_points(points)
     full = len(points) - 1
     X = build_complex(points, None, a, full, flavor)
     A = _induced(X, delete_ball(points, center, b))
@@ -264,21 +279,6 @@ def exactness_check(points: np.ndarray, center, a: float, b: float,
 
 # ---------------------------------------------------------------------------
 # Batch engine
-
-
-@dataclass(frozen=True, slots=True)
-class QueryResult:
-    """One engine query: ``by_degree[d]`` is the image rank in degree d, for
-    d = 0..lmax.  A tuple of small ints takes a quarter of the memory of a
-    dict, which counts for a caller that keeps every result; ``ranks`` gives
-    them as a dict.  Results are immutable, so an engine hands out one
-    instance per distinct rank tuple."""
-
-    by_degree: Tuple[int, ...]
-
-    @property
-    def ranks(self) -> Dict[int, int]:
-        return dict(enumerate(self.by_degree))
 
 
 class _Centre:
@@ -308,12 +308,8 @@ class _Centre:
 class ImageRankEngine:
     """Evaluates many image-rank queries sharing one scale configuration.
 
-    Each query has a level-1 basis S (``_level1``), and one reduction of
-    [B2 | S] per degree answers it.  The column of s in S holds its level-2
-    image i(s) in rows 0..n2-1 and its restricted level-1 boundary in rows
-    n2 and up.  Pivots are lowest nonzero rows, so the S columns' lows below
-    n2 count the image rank, rank(B2 + i(Z1)) - rank(B2), and all lows at n2
-    and up count |S| - dim Z1.
+    Each query has a level-1 basis S (``_level1``), and ``_stacked_rank``
+    answers it in each degree, as for ``image_rank``.
 
     Both levels are a ``_CollapsedPair``, for Rips and Cech alike and at
     every lmax: built on the centre's local graph at the level's scale and
@@ -342,9 +338,7 @@ class ImageRankEngine:
     def __init__(self, points: np.ndarray, level1, level2,
                  flavor: str = "rips", q: int = 2, lmax: int = 1):
         _check_levels(level1, level2, flavor, q, lmax)
-        self.points = np.asarray(points, dtype=float)
-        if not np.isfinite(self.points).all():
-            raise ValueError("sample points must have finite coordinates")
+        self.points = _finite_points(points)
         self.a1, self.b1 = level1
         self.a2, self.b2 = level2
         self.flavor = flavor
@@ -353,8 +347,8 @@ class ImageRankEngine:
         self.base = len(self.points) + 1
         self._check_keys(build_complex(self.points, None, self.a1, lmax, flavor))
         self._at: Optional[_Centre] = None
-        # rank tuple -> its one QueryResult
-        self._results: Dict[Tuple[int, ...], QueryResult] = {}
+        # rank tuple -> its one signature
+        self._results: Dict[Tuple[int, ...], HomologySignature] = {}
 
     @property
     def kernel(self) -> str:
@@ -374,18 +368,20 @@ class ImageRankEngine:
                                  f"{d}-simplices of the complex as int64")
 
     def query(self, center, keep_detail: bool = False,
-              b1: Optional[float] = None, b2: Optional[float] = None) -> QueryResult:
+              b1: Optional[float] = None,
+              b2: Optional[float] = None) -> HomologySignature:
         """One image-rank query; ``b1``/``b2`` override the default deleted-ball
-        radii (the complex scales stay fixed per engine).  Negative or NaN
-        radii raise ``ValueError``, as in ``quotient_pair``, and so does a
-        centre that is not one point of the sample's dimension with finite
-        coordinates.
+        radii (the complex scales stay fixed per engine).  Radii that
+        ``QuerySpec`` would reject, NaN, negative or not nested, raise its
+        ``ValueError``, and so does a centre that is not one point of the
+        sample's dimension with finite coordinates.
 
         Queries at the centre of the latest one reuse its distances, its
         local graphs and, at the same ``b2``, its level-2 pair: so a run of
         queries that varies only ``b1``, such as one column of an explorer
         scan, builds one level-2 pair, and a whole scan builds two
-        neighbourhoods.  Equal ranks return the same ``QueryResult``.
+        neighbourhoods.  Equal ranks return the same ``HomologySignature``,
+        whose method is "direct".
 
         A query returns ranks only.  ``keep_detail`` stays as a keyword, as
         the benchmark's engine wrapper passes it by name, and must be False.
@@ -400,12 +396,7 @@ class ImageRankEngine:
             b1 = self.b1
         if b2 is None:
             b2 = self.b2
-        if b1 != b1 or b2 != b2:
-            raise ValueError("ball radius b must not be NaN")
-        if b2 > b1:
-            raise ValueError("nesting violated: need b2 <= b1")
-        if b2 < 0:
-            raise ValueError("ball radius b must be >= 0")
+        _check_levels((self.a1, b1), (self.a2, b2), self.flavor, self.q, self.lmax)
         at = self._centre(center)
         ranks = [0] * (self.lmax + 1)
         # an empty smaller ball leaves the level-2 basis empty in every degree
@@ -423,19 +414,16 @@ class ImageRankEngine:
             if not n2:
                 continue
             simplices, bnd1 = level1[ell]
-            cols = pair.boundary_columns(ell)
-            nb2 = len(cols)
-            cols += pair.stacked_columns(ell, simplices, bnd1, n2)
-            lows, _ = reduce_columns(cols, self.q)
-            ranks[ell] = _count_below(lows[nb2:], n2)
+            ranks[ell] = _stacked_rank(pair.boundary_columns(ell),
+                                       pair.images(ell, simplices), bnd1, n2, self.q)
         return self._result(ranks)
 
-    def _result(self, ranks: list) -> QueryResult:
-        """The one ``QueryResult`` this engine returns for these ranks."""
+    def _result(self, ranks: list) -> HomologySignature:
+        """The one signature this engine returns for these ranks."""
         key = tuple(ranks)
         out = self._results.get(key)
         if out is None:
-            out = self._results[key] = QueryResult(key)
+            out = self._results[key] = HomologySignature(dict(enumerate(key)), "direct")
         return out
 
     def _centre(self, center: np.ndarray) -> _Centre:
@@ -517,7 +505,7 @@ class ImageRankEngine:
             at.level2 = (b2, self._collapsed(at, self.a2, b2, self.lmax + 1, True))
         return at.level2[1]
 
-    def query_index(self, i: int, keep_detail: bool = False) -> QueryResult:
+    def query_index(self, i: int, keep_detail: bool = False) -> HomologySignature:
         return self.query(self.points[i], keep_detail=keep_detail)
 
 
@@ -531,28 +519,17 @@ def _neighbourhood(points, sq, balls: dict):
     excision ``quotient_pair`` relies on).  All are numbered in one order,
     by distance to the centre with ties in index order, so each scale's
     vertices are a prefix of the ids within the largest radius and a
-    ball's are 0..nb-1.  One distance block over those ids gives every
-    scale's edges, by thresholding its leading block at (2a)^2.  Returns
-    the global ids in that order, their sq, and per scale the
+    ball's are 0..nb-1.  One ``_adjacency_bits`` pass over those ids gives
+    every scale's edges, each thresholded on its own prefix.  Returns the
+    global ids in that order, their sq, and per scale the
     closed-neighbourhood bitmasks.
     """
     reach = [(b + 2 * a) ** 2 * (1 + 1e-12) for a, b in balls.items()]
     local = np.flatnonzero(sq <= max(reach))
     local = local[np.argsort(sq[local], kind="stable")]
     sqs = sq[local]
-    size = dict(zip(balls, np.searchsorted(sqs, reach, "right").tolist()))
-    pts = points[local]
-    bits = {a: [] for a in balls}
-    # rows in blocks of 256, so the temporaries stay a few MB on large sets
-    for lo in range(0, len(pts), 256):
-        # ``block`` stays bound until the next one is made: freed first, it
-        # lets malloc trim the heap, and the next block faults its pages in
-        # again (4x the page faults and 1.5x the time on 1500 points)
-        block = sq_dists(pts[lo:lo + 256], pts)
-        for a, m in size.items():
-            if lo < m:
-                bits[a] += _bitmasks(block[:m - lo, :m] <= (2.0 * a) ** 2)
-    return local, sqs, bits
+    sizes = np.searchsorted(sqs, reach, "right").tolist()
+    return local, sqs, dict(zip(balls, _adjacency_bits(points, local, list(balls), sizes)))
 
 
 class _CollapsedPair:
@@ -574,8 +551,8 @@ class _CollapsedPair:
     Only the live core is expanded into cliques.
 
     As a level-2 pair it gives the boundary columns of degree ell + 1 over
-    its degree-ell basis, and the stacked columns of level-1 basis
-    simplices (``stacked_columns``).  It maps a level-1 simplex, in the
+    its degree-ell basis, and the images of level-1 basis simplices
+    (``images``), for ``_stacked_rank``.  It maps a level-1 simplex, in the
     same local ids, by f, the composed vertex map of the collapse: to the
     sorted f-image of its vertices, with the sign of the sorting
     permutation.  The image is 0 when the simplex has a vertex at or past
@@ -583,7 +560,7 @@ class _CollapsedPair:
     f is a simplicial map of pairs, homotopy inverse to the inclusion of
     the core, so the image rank is that of the uncollapsed pair.  A
     level-1 pair never maps a simplex, so f is built on the first
-    ``_images`` call.
+    ``images`` call.
     """
 
     def __init__(self, graph, top: int, q: int, spanning: bool = False, bad=()):
@@ -619,20 +596,16 @@ class _CollapsedPair:
         return len(self.rows.get(ell, ()))
 
     def boundary_columns(self, ell: int) -> list:
+        """The boundary columns of degree ell + 1, kept and shared: callers
+        only read them."""
         if ell not in self._bnd:
             self._bnd[ell] = boundary(self.simplices.get(ell + 1, []),
                                       self.rows.get(ell, {}), self.q)
-        return list(self._bnd[ell])
+        return self._bnd[ell]
 
-    def stacked_columns(self, ell: int, simplices, boundary: list,
-                        shift: int) -> list:
-        """Per level-1 basis simplex (one of ``simplices``, in local ids):
-        its image in rows 0..nrows(ell)-1 plus its restricted level-1
-        ``boundary`` column moved up by ``shift`` >= nrows(ell) rows."""
-        shift *= lane_width(self.q)
-        return [x | b << shift for x, b in zip(self._images(ell, simplices), boundary)]
-
-    def _images(self, ell: int, simplices) -> list:
+    def images(self, ell: int, simplices) -> list:
+        """The image of each level-1 basis simplex of ``simplices``, in
+        local ids, as a column over rows 0..nrows(ell)-1."""
         rows, q, k = self.rows.get(ell, {}), self.q, lane_width(self.q)
         f, m = self._vertex_map(), self.m
         image = f.__getitem__

@@ -7,7 +7,7 @@ import pytest
 from localhom import cli
 from localhom.cli import main
 from localhom.geometry import circle_chord, hausdorff_grid, load_sample_csv
-from localhom.relhom import HomologySignature, ImageRankEngine, QueryResult
+from localhom.relhom import HomologySignature, ImageRankEngine
 
 
 def _generate_circle(tmp_path, n=70, eps=0.05):
@@ -270,7 +270,7 @@ def test_check_mismatch_exit_code(monkeypatch, capsys):
 def test_check_engine_mismatch_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(
         ImageRankEngine, "query_index",
-        lambda self, i, keep_detail=False: QueryResult((99, 0)))
+        lambda self, i, keep_detail=False: HomologySignature({0: 99, 1: 0}, "direct"))
     rc = main(["check", "--random", "3", "--seed", "3"])
     assert rc == 4
     out = capsys.readouterr().out

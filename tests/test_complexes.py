@@ -9,6 +9,7 @@ from localhom.complexes import (_adjacency_bits, _bad_simplices, _build, _clique
                                 _too_wide, boundary, build_complex, cech, cone_pair,
                                 delete_ball, quotient_pair, rips)
 from localhom.fieldla import _bits, entries, rank
+from localhom.geometry import sq_dists
 from reference import boundary_by_slices, coned_order, det_leibniz, min_enclosing_radius
 
 
@@ -289,6 +290,39 @@ def test_several_scale_build_wants_ascending_scales():
         _build(pts, None, (0.2, 0.1), 1, "rips")
     with pytest.raises(ValueError, match="ascending"):
         _build(pts, None, (float("nan"), 0.1), 1, "cech")
+
+
+def test_build_wants_nonnegative_scales():
+    # the edge test squares 2a: a negative scale once joined every pair and
+    # a NaN one none; a = 0 stays valid and joins coincident points only
+    pts = np.array([(0.0, 0.0), (0.0, 0.0), (3.0, 4.0)])
+    for a in (-1.0, float("nan")):
+        for build in (rips, cech, lambda *args: build_complex(*args, "cech"), build_complex):
+            with pytest.raises(ValueError, match="scales must be >= 0"):
+                build(pts, None, a, 1)
+    with pytest.raises(ValueError, match="scales must be >= 0"):
+        _build(pts, None, (-0.5, 0.5), 1, "rips")
+    for flavor in ("rips", "cech"):
+        assert build_complex(pts, None, 0.0, 1, flavor).simplices[1] == [(0, 1)]
+
+
+@pytest.mark.parametrize("sizes", [(300, 600), (257, 513), (200, 600)])
+@pytest.mark.parametrize("alphas", [(1 / 32, 1 / 16), (1 / 16, 1 / 32)])
+def test_adjacency_bits_on_prefixes(alphas, sizes):
+    # scale k thresholded on the first sizes[k] vertices, as the engine's
+    # neighbourhood asks, equals a one-scale build on that prefix; the
+    # smaller prefix ends inside a 256-row block while the other scale's
+    # rows go on, or a whole block before a full one, and grid points lie
+    # exactly 2a apart at both scales
+    rng = np.random.default_rng(sizes[0])
+    pts = rng.integers(0, 40, (700, 2)) / 16
+    subset = rng.permutation(700)[:600]
+    for a, m in zip(alphas, sizes):
+        sq = sq_dists(pts[subset[:m]], pts[subset[:m]])
+        assert (sq == (2 * a) ** 2).any()
+    adj = _adjacency_bits(pts, subset, alphas, sizes)
+    assert adj == [_adjacency_bits(pts, subset[:m], a) for a, m in zip(alphas, sizes)]
+    assert [len(rows) for rows in adj] == list(sizes)
 
 
 def test_min_enclosing_radius_of_no_point_or_one():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from localhom.complexes import cone_pair
-from localhom.fieldla import (add, entries, kernel_basis, neg, pack, persistent_reduce,
-                              rank, reduce_columns)
+from localhom.fieldla import add, entries, neg, pack, persistent_reduce, rank, reduce_columns
 from reference import persistent_reduce_plain
 
 PRIMES = (2, 3, 5, 7)
@@ -77,21 +76,20 @@ def test_rank_trivial():
     assert rank(_columns([[0, 0], [0, 0]], 2), 2) == 0
     assert rank(_columns([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2), 2) == 3
     assert rank(_columns([[1, 1], [1, 1]], 2), 2) == 1
-    assert rank([], 2) == 0 and kernel_basis([], 2) == []
+    assert rank([], 2) == 0
 
 
 def test_rank_nonprime_modulus():
     with pytest.raises(ValueError, match="modulus 4 is not prime"):
         rank([1], 4)
     with pytest.raises(ValueError, match="modulus 1 is not prime"):
-        kernel_basis([1], 1)
+        rank([1], 1)
 
 
 def test_rank_does_not_mutate():
     cols = _columns([[1, 1], [1, 0]], 2)
     before = list(cols)
     rank(cols, 2)
-    kernel_basis(cols, 2)
     assert cols == before
 
 
@@ -174,23 +172,6 @@ def test_pack_takes_numpy_integers(q):
     for j, x in enumerate(packed):
         assert np.array_equal(_column(x, q, 100), dense[:, j])
     assert rank(packed, q) == _dense_rank(dense, q)
-
-
-def test_kernel_basis_annihilates():
-    # a basis: n - rank independent vectors, each mapped to zero
-    rng = np.random.default_rng(3)
-    for q in PRIMES:
-        for _ in range(25):
-            m, n = rng.integers(1, 8, size=2)
-            cols, dense = _random_matrix(rng, q, m, n)
-            if rng.integers(0, 2):
-                dense[:, rng.integers(0, n)] = 0
-                cols = _columns(dense, q)
-            K = kernel_basis(cols, q)
-            assert len(K) == n - rank(cols, q)
-            assert rank(K, q) == len(K)
-            for z in K:
-                assert not np.any((dense @ _column(z, q, n)) % q)
 
 
 def test_persistent_reduce_single_level_betti():

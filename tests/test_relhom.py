@@ -14,7 +14,7 @@ from localhom.complexes import (_adjacency_bits, _bad_simplices, cech, collapse_
                                 delete_ball, quotient_pair)
 from localhom.fieldla import _bits
 from localhom.geometry import circle_chord, generate_sample
-from localhom.relhom import (HomologySignature, ImageRankEngine, QueryResult, QuerySpec,
+from localhom.relhom import (HomologySignature, ImageRankEngine, QuerySpec,
                              exactness_check, image_rank, image_rank_oracle,
                              relative_betti)
 from reference import local_graph, min_enclosing_radius
@@ -538,6 +538,19 @@ def test_image_rank_rejects_bad_samples_and_centres(oracle):
         image_rank(QuerySpec(13, (0.3, 0.9), (0.4, 0.6)), pts).ranks
 
 
+def test_pair_builders_reject_non_finite_samples():
+    # a NaN point once stayed an isolated vertex of X while the quotient
+    # pair's local set dropped it, so exactness_check answered False, and
+    # quotient_pair dropped it silently
+    pts = np.random.default_rng(0).uniform(-1, 1, (8, 2))
+    for bad in ((np.nan, 0.0), (0.0, -np.inf)):
+        pts[3] = bad
+        with pytest.raises(ValueError, match="sample points must have finite coordinates"):
+            exactness_check(pts, pts[0], 0.5, 0.6)
+        with pytest.raises(ValueError, match="sample points must have finite coordinates"):
+            quotient_pair(pts, pts[0], 0.5, 0.6)
+
+
 def test_engine_rejects_invalid_input():
     # the messages of quotient_pair; b2 = 0, the explorer's default, is valid
     pts = np.random.default_rng(3).uniform(-1, 1, (30, 2))
@@ -708,17 +721,18 @@ def test_sliced_local_graph_equals_built_one(seed):
 
 
 def test_engine_results_are_shared_and_frozen():
-    # equal ranks are one immutable object; a hand-made result still works
+    # equal ranks are one immutable direct signature
     pts, p, level1, level2 = _clustered_instance(np.random.default_rng(4), True)
     eng = ImageRankEngine(pts, level1, level2)
     kept = {}
     for i in range(len(pts)):
         res = eng.query_index(i)
-        assert kept.setdefault(res.by_degree, res) is res
+        assert isinstance(res, HomologySignature) and res.method == "direct"
+        assert kept.setdefault(tuple(res.ranks.items()), res) is res
     assert len(kept) > 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        res.by_degree = (99, 0)
-    assert QueryResult((99, 0)).ranks == {0: 99, 1: 0}
+    for field, value in (("ranks", {0: 99, 1: 0}), ("method", "coned")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(res, field, value)
 
 
 def test_centres_of_another_dimension_rejected():
