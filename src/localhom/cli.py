@@ -103,11 +103,21 @@ def _max_pts(token: str) -> int:
     return int(token)
 
 
+def _finite(token: str) -> float:
+    """The value of a float option; nan and inf are usage errors."""
+    try:
+        if math.isfinite(value := float(token)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{token!r} is not a finite number")
+
+
 def _point(token: str) -> list:
     """A point of the plane, as x,y."""
     try:
-        x, y = (float(v) for v in token.split(","))
-    except ValueError:
+        x, y = (_finite(v) for v in token.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(f"{token!r} is not a point x,y") from None
     return [x, y]
 
@@ -117,8 +127,8 @@ def _grid(token: str) -> np.ndarray:
     to hi."""
     try:
         lo, hi, steps = token.split(":")
-        lo, hi, steps = float(lo), float(hi), int(steps)
-    except ValueError:
+        lo, hi, steps = _finite(lo), _finite(hi), int(steps)
+    except (ValueError, argparse.ArgumentTypeError):
         steps = 0
     if steps < 1:
         raise argparse.ArgumentTypeError(f"{token!r} is not lo:hi:steps with "
@@ -354,27 +364,27 @@ def _add_constants(sp):
 
 
 def _add_scale_args(sp):
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--scale1", type=float)
-    sp.add_argument("--scale2", type=float)
-    sp.add_argument("--ball-R", dest="ball_R", type=float)
-    sp.add_argument("--ball-r", dest="ball_r", type=float)
+    sp.add_argument("--eps", type=_finite, default=None)
+    sp.add_argument("--scale1", type=_finite)
+    sp.add_argument("--scale2", type=_finite)
+    sp.add_argument("--ball-R", dest="ball_R", type=_finite)
+    sp.add_argument("--ball-r", dest="ball_r", type=_finite)
     sp.add_argument("--select", choices=["manifold", "strong", "bounded"])
-    sp.add_argument("--nu", type=float)
-    sp.add_argument("--boundary-margin", dest="boundary_margin", type=float)
-    sp.add_argument("--rbar", type=float)
-    sp.add_argument("--Rbar", type=float)
-    sp.add_argument("--M", type=float)
-    sp.add_argument("--m", type=float, default=1.0)
-    sp.add_argument("--M0", type=float)
-    sp.add_argument("--R", type=float, help="explicit window choice (with --r)")
-    sp.add_argument("--r", type=float)
+    sp.add_argument("--nu", type=_finite)
+    sp.add_argument("--boundary-margin", dest="boundary_margin", type=_finite)
+    sp.add_argument("--rbar", type=_finite)
+    sp.add_argument("--Rbar", type=_finite)
+    sp.add_argument("--M", type=_finite)
+    sp.add_argument("--m", type=_finite, default=1.0)
+    sp.add_argument("--M0", type=_finite)
+    sp.add_argument("--R", type=_finite, help="explicit window choice (with --r)")
+    sp.add_argument("--r", type=_finite)
 
 
 def _add_shape_args(sp, required=False):
     sp.add_argument("--shape", required=required,
                     choices=["circle", "circle-chord", "segment"])
-    sp.add_argument("--radius", type=float)
+    sp.add_argument("--radius", type=_finite)
     sp.add_argument("--p0", type=_point)
     sp.add_argument("--p1", type=_point)
 
@@ -386,9 +396,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a verified eps-sample")
     _add_shape_args(g, required=True)
-    g.add_argument("--eps", type=float, required=True)
+    g.add_argument("--eps", type=_finite, required=True)
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--noise", type=float, default=0.0)
+    g.add_argument("--noise", type=_finite, default=0.0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_generate)
@@ -421,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("scan", help="empirical (R, r) admissibility scan")
     _add_shape_args(sc, required=True)
     sc.add_argument("--x", required=True, type=_point, help="scan center, e.g. 0.0,1.0")
-    sc.add_argument("--alpha", type=float, required=True)
-    sc.add_argument("--eps", type=float, required=True)
+    sc.add_argument("--alpha", type=_finite, required=True)
+    sc.add_argument("--eps", type=_finite, required=True)
     sc.add_argument("--grid", required=True, type=_grid, help="lo:hi:steps for R and r")
     sc.add_argument("--dense-n", dest="dense_n", type=int, default=1000)
     sc.add_argument("--field", type=_prime, default=2)

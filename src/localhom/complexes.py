@@ -6,11 +6,17 @@ Conventions (fixed throughout the package):
   * complex membership uses closed balls (<=), vertex DELETION removes the
     OPEN ball (points at distance exactly b survive);
   * distances are compared squared, with no fuzz epsilon.
+
+Input is checked once, at the public builders, by one gate that rejects
+what a deleted-ball pair is not defined for: ``_check_levels`` (scales,
+ball radii, flavor, top degree), ``_finite_points`` (the sample) and
+``_finite_centre`` (a centre of the sample's dimension).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Dict, List, Sequence, Tuple
@@ -192,15 +198,12 @@ def _build(points, vertex_subset, alphas, max_dim: int,
     (``_cech_filter``).  Scales must be >= 0: the edge test squares 2a, so
     a negative scale would join every pair, and a NaN one none.
     """
-    if flavor not in ("rips", "cech"):
-        raise ValueError(f"unknown complex flavor {flavor!r}")
-    if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
+    _check_complex(flavor, max_dim)
     if len(alphas) > 1 and not all(x <= y for x, y in zip(alphas, alphas[1:])):
         raise ValueError("scales must be ascending")
     if not all(a >= 0 for a in alphas):
         raise ValueError("scales must be >= 0")
-    points = np.asarray(points, dtype=float)
+    points = _finite_points(points)
     subset = _normalize_subset(points, vertex_subset)
     simps: List[Dict[int, List[Tuple[int, ...]]]] = [{} for _ in alphas]
     if len(subset):
@@ -302,13 +305,57 @@ def _adds_bad(holding, v: int, w: int, nv: int) -> bool:
     return False
 
 
+def _check_levels(level1, level2, flavor: str, lmax: int) -> None:
+    """Raises ``ValueError`` unless no scale or radius of the levels
+    (a1, b1), (a2, b2) is NaN, they nest (a1 <= a2, b2 <= b1) with a1 > 0
+    and b2 >= 0, and ``_check_complex`` takes ``flavor`` and ``lmax``; one
+    level (a, b) is the pair ((a, b), (a, b)).  The field q is checked
+    where it is given (``fieldla._require_prime``)."""
+    a1, b1 = level1
+    a2, b2 = level2
+    if a1 != a1 or b1 != b1 or a2 != a2 or b2 != b2:
+        raise ValueError("scales and ball radii must not be NaN")
+    if a1 > a2 or b2 > b1:
+        raise ValueError("nesting violated: need a1 <= a2 and b2 <= b1")
+    if a1 <= 0:
+        raise ValueError("scale a must be positive")
+    _check_radius(b2)
+    _check_complex(flavor, lmax)
+
+
+def _check_radius(b: float) -> None:
+    """Raises ``ValueError`` unless the ball radius b is >= 0 (so not NaN)."""
+    if not b >= 0:
+        raise ValueError(f"ball radius b must be >= 0, got {b}")
+
+
+def _check_complex(flavor: str, top: int) -> None:
+    """Raises ``ValueError`` unless ``flavor`` is known and the top degree >= 0."""
+    if flavor not in ("rips", "cech"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    if top < 0:
+        raise ValueError("top degree max_dim or lmax must be >= 0")
+
+
 def _finite_points(points) -> np.ndarray:
-    """``points`` as a float array; raises ``ValueError`` unless every
-    coordinate is finite."""
+    """``points`` as an (n, D) float array of finite coordinates, or ``ValueError``."""
     points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ValueError(f"sample of shape {points.shape} is not an (n, D) array")
     if not np.isfinite(points).all():
         raise ValueError("sample points must have finite coordinates")
     return points
+
+
+def _finite_centre(points: np.ndarray, center) -> np.ndarray:
+    """``center`` as a float array, checked to be a finite point of the sample's R^D."""
+    c = np.asarray(center, dtype=float)
+    if c.shape != points.shape[1:]:
+        raise ValueError(f"centre of shape {c.shape} for points with "
+                         f"{points.shape[1]} coordinates")
+    if not all(map(math.isfinite, c.tolist())):
+        raise ValueError("centre coordinates must be finite")
+    return c
 
 
 def _normalize_subset(points, vertex_subset) -> np.ndarray:
@@ -515,9 +562,10 @@ def build_complex(points, vertex_subset, alpha, max_dim, flavor="rips"):
 
 def delete_ball(points: np.ndarray, center, radius: float) -> np.ndarray:
     """Indices of points at distance >= radius from center (open ball removed)."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    return np.flatnonzero(sq_dists(points, center) >= radius * radius)
+    _check_radius(radius)
+    points = _finite_points(points)
+    sq = sq_dists(points, _finite_centre(points, center))
+    return np.flatnonzero(sq >= radius * radius)
 
 
 def boundary(simplices, rows: Dict[Tuple[int, ...], int], q: int) -> List[int]:
@@ -567,12 +615,6 @@ class QuotientPairComplex:
     flavor: str
     max_dim: int
     basis: Dict[int, List[Tuple[int, ...]]]
-    _index: Dict[int, Dict[Tuple[int, ...], int]] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._index is None:
-            self._index = {d: {s: i for i, s in enumerate(ss)}
-                           for d, ss in self.basis.items()}
 
     def dim_count(self, d: int) -> int:
         return len(self.basis.get(d, []))
@@ -581,7 +623,8 @@ class QuotientPairComplex:
         """Packed GF(q) boundary columns of the basis d-simplices, one per
         simplex, over ``dim_count(d - 1)`` rows that index the
         (d-1)-basis; faces outside the basis are dropped."""
-        return boundary(self.basis.get(d, []), self._index.get(d - 1, {}), q)
+        rows = {s: i for i, s in enumerate(self.basis.get(d - 1, ()))}
+        return boundary(self.basis.get(d, []), rows, q)
 
 
 def quotient_pair(points: np.ndarray, center, a: float, b: float,
@@ -599,20 +642,10 @@ def quotient_pair(points: np.ndarray, center, a: float, b: float,
     span all the relative boundaries by ∂∂ = 0 on their cofaces.  That
     lemma needs a flag complex, so it is for Rips only.
     """
-    if a <= 0:
-        raise ValueError("scale a must be positive")
-    if b < 0:
-        raise ValueError("ball radius b must be >= 0")
-    if max_dim < 0:
-        raise ValueError("max_dim must be >= 0")
+    _check_levels((a, b), (a, b), flavor, max_dim)
     points = _finite_points(points)
-    c = np.asarray(center, dtype=float)
     # read before the empty pair of b = 0, which reads no distance
-    if c.shape != points.shape[1:]:
-        raise ValueError(f"centre of shape {c.shape} for points with "
-                         f"{points.shape[1]} coordinates")
-    if not np.isfinite(c).all():
-        raise ValueError("centre coordinates must be finite")
+    c = _finite_centre(points, center)
     return QuotientPairComplex(c, a, b, flavor, max_dim,
                                _pair_basis(points, c, a, b, flavor, max_dim))
 
@@ -701,8 +734,9 @@ def cone_pair(points: np.ndarray, center, level1, level2,
               flavor: str = "rips", max_dim: int = 2) -> ConedPair:
     """Two-level coned filtration for the inclusion-induced image oracle.
 
-    level1 = (a1, b1), level2 = (a2, b2); requires a1 <= a2 and b2 <= b1
-    so that both the complexes and the deleted-ball subcomplexes nest.
+    level1 = (a1, b1), level2 = (a2, b2), checked as a query's levels
+    (``_check_levels``): a1 <= a2 and b2 <= b1, so that both the complexes
+    and the deleted-ball subcomplexes nest.
     The simplices are ordered by length, then lexicographically (ω, the
     largest id, last), with every simplex of level 1 before the rest of
     level 2.
@@ -712,15 +746,11 @@ def cone_pair(points: np.ndarray, center, level1, level2,
     each level's A takes the points at distance >= b, as ``delete_ball``
     does.
     """
-    a1, b1 = level1
-    a2, b2 = level2
-    if a1 > a2 or b2 > b1:
-        raise ValueError("pair nesting violated: need a1 <= a2 and b2 <= b1")
-    if b2 < 0:
-        raise ValueError("radius must be >= 0")
-    points = np.asarray(points, dtype=float)
+    _check_levels(level1, level2, flavor, max_dim)
+    (a1, b1), (a2, b2) = level1, level2
+    points = _finite_points(points)
     omega = len(points)
-    sq = sq_dists(points, center)
+    sq = sq_dists(points, _finite_centre(points, center))
     X1, X2 = _build(points, None, (a1, a2), max_dim, flavor)
     k1, k2 = (_coned_level(X, set(np.flatnonzero(sq >= b * b).tolist()), max_dim, omega)
               for X, b in ((X1, b1), (X2, b2)))

@@ -9,8 +9,8 @@ lane sets the guard bit of exactly the lanes that reached q, and those have
 q subtracted.  A column's low (last nonzero row) is (bit_length - 1) // k,
 -1 for the zero column.  Other modules put a coefficient c in row r as
 ``c << r * lane_width(q)`` and leave all arithmetic on columns to this
-module; ``pack`` builds columns from (row, coefficient) pairs.  A matrix
-is a list of such columns; its field is passed as ``q`` alongside.
+module.  A matrix is a list of such columns; its field is passed as ``q``
+alongside.
 
 ``reduce_columns`` is the one reduction: lowest-nonzero-row pivots, left to
 right, with no further heuristics, so results are deterministic.  Ranks,
@@ -56,13 +56,6 @@ def _masks(q: int, x: int) -> Tuple[int, int, int, int]:
     return _lane_masks(q, 1 << x.bit_length().bit_length())
 
 
-def pack(cols, q: int) -> List[int]:
-    """Columns from lists of (row, coefficient) pairs of integers, numpy ones
-    included, with distinct rows; coefficients are taken mod q."""
-    k = lane_width(q)
-    return [sum([int(c) % q << int(r) * k for r, c in col]) for col in cols]
-
-
 def add(x: int, y: int, q: int) -> int:
     """Sum of two columns."""
     if q == 2:
@@ -83,12 +76,6 @@ def _nonzero(x: int, q: int) -> int:
 def neg(x: int, q: int) -> int:
     """Negated column: q - c in every nonzero lane c."""
     return x if q == 2 else _nonzero(x, q) * q - x
-
-
-def entries(x: int, q: int) -> List[Tuple[int, int]]:
-    """Sorted (row, coefficient) pairs of a column."""
-    k = lane_width(q)
-    return [(b // k, x >> b & (1 << k) - 1) for b in _bits(_nonzero(x, q))]
 
 
 def _multiples(x: int, q: int) -> List[int]:

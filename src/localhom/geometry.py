@@ -76,8 +76,8 @@ class Sample:
             raise ValueError("sample must be a nonempty (n, dim) array")
         if not np.isfinite(pts).all():
             raise ValueError("sample coordinates must be finite")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -538,8 +538,8 @@ def generate_sample(shape: StratifiedShape, eps: float, n: int,
 def _generate_verified(shape: StratifiedShape, eps: float, n: int, noise: float,
                        seed: int) -> Tuple[Sample, HausdorffResult]:
     """``generate_sample`` and the Hausdorff distance that verified it."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     base = shape.even_points(n)
     if noise > 0:
         rng = np.random.default_rng(seed)

@@ -24,19 +24,21 @@ computations give it:
     acceptance criterion 4 and the oracle comparisons of the tests.
 Every rank comes from the one column reduction of packed int columns,
 ``fieldla.reduce_columns``.  ``image_rank`` takes both levels from
-``quotient_pair`` and maps a level-1 basis simplex to its own level-2 row,
-or to 0 once it misses the smaller ball (the basis-diagonal chain map).
+``quotient_pair``'s basis and maps a level-1 basis simplex to its own
+level-2 row, or to 0 once it misses the smaller ball (the basis-diagonal
+chain map).
 ``ImageRankEngine`` evaluates the direct method for many query points.  A
 query, Rips or Cech, builds both levels locally and strong-collapses each
 one, at every lmax: a Cech level is its local Rips graph less the cofaces
 of its bad simplices (``complexes._bad_simplices``), which the collapse
 keeps (``complexes.collapse_vertices``).  A level-1 simplex maps by the
 level-2 collapse's vertex map.
+Input goes through the one gate of ``complexes``; this module adds only
+the prime q (``fieldla._require_prime``) and a centre index in range(n).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Optional, Tuple
@@ -44,9 +46,9 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .complexes import (QuotientPairComplex, _adjacency_bits, _bad_simplices,
-                        _clique_expand, _finite_points, _induced, _pair_basis, boundary,
-                        build_complex, collapse_vertices, cone_pair, delete_ball,
-                        quotient_pair)
+                        _check_levels, _clique_expand, _finite_centre, _finite_points,
+                        _induced, _pair_basis, boundary, build_complex, collapse_vertices,
+                        cone_pair, delete_ball, quotient_pair)
 from .fieldla import (_bits, _require_prime, lane_width, persistent_reduce, rank,
                       reduce_columns)
 from .geometry import sq_dists
@@ -68,28 +70,8 @@ class QuerySpec:
     lmax: int = 1
 
     def __post_init__(self):
-        _check_levels(self.level1, self.level2, self.flavor, self.q, self.lmax)
-
-
-def _check_levels(level1, level2, flavor: str, q: int, lmax: int) -> None:
-    """Raises ``ValueError`` unless no scale or radius is NaN, the levels
-    nest with a1 > 0 and b2 >= 0, ``flavor`` is known, q is prime and
-    lmax >= 0."""
-    a1, b1 = level1
-    a2, b2 = level2
-    if a1 != a1 or b1 != b1 or a2 != a2 or b2 != b2:
-        raise ValueError("scales and ball radii must not be NaN")
-    if a1 > a2 or b2 > b1:
-        raise ValueError("nesting violated: need a1 <= a2 and b2 <= b1")
-    if a1 <= 0:
-        raise ValueError("scale a must be positive")
-    if b2 < 0:
-        raise ValueError("ball radius b must be >= 0")
-    if lmax < 0:
-        raise ValueError("lmax must be >= 0")
-    if flavor not in ("rips", "cech"):
-        raise ValueError(f"unknown flavor {flavor!r}")
-    _require_prime(q)
+        _check_levels(self.level1, self.level2, self.flavor, self.lmax)
+        _require_prime(self.q)
 
 
 class _Ranks(dict):
@@ -188,13 +170,14 @@ def image_rank(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
     """Rank of H(level-1 pair) -> H(level-2 pair) per degree (direct method),
     by ``_stacked_rank``.
 
-    The level-1 pair is ``quotient_pair``'s, and so is the level-2 pair in
-    degrees up to lmax, where its simplices index rows.  Its degree-(lmax+1)
-    simplices are only ever columns of B2, and the rank reads only their
-    span; for Rips they are the spanning set of ``_clique_expand``, the
-    simplices with no common neighbour below their least vertex, whose
-    boundaries span the relative boundaries by ∂∂ = 0 on the cofaces of a
-    flag complex.  A Cech complex is not a flag complex and keeps them all.
+    The level-1 pair is ``quotient_pair``'s, and the level-2 pair is that
+    pair's basis (``_pair_basis``) in degrees up to lmax, where its
+    simplices index rows.  Its degree-(lmax+1) simplices are only ever
+    columns of B2, and the rank reads only their span; for Rips they are
+    the spanning set of ``_clique_expand``, the simplices with no common
+    neighbour below their least vertex, whose boundaries span the relative
+    boundaries by ∂∂ = 0 on the cofaces of a flag complex.  A Cech complex
+    is not a flag complex and keeps them all.
     """
     points, center = _sample_and_centre(spec, points)
     a1, b1 = spec.level1
@@ -202,20 +185,18 @@ def image_rank(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
     q, lmax = spec.q, spec.lmax
     Q1 = quotient_pair(points, center, a1, b1, spec.flavor, lmax)
     basis2 = _pair_basis(points, center, a2, b2, spec.flavor, lmax + 1, spanning=True)
-    top = basis2.pop(lmax + 1, [])
-    Q2 = QuotientPairComplex(center, a2, b2, spec.flavor, lmax, basis2)
     k = lane_width(q)
     ranks = {}
     for ell in range(lmax + 1):
         ranks[ell] = 0
-        row2 = Q2._index.get(ell)
-        if not Q1.dim_count(ell) or not row2:
+        rows = {s: i for i, s in enumerate(basis2.get(ell, ()))}
+        if not Q1.dim_count(ell) or not rows:
             continue
         # basis-diagonal chain map into level 2: a level-1 basis simplex maps
         # to its own row while it still meets the smaller ball, else to 0
-        images = [0 if (r := row2.get(s)) is None else 1 << r * k for s in Q1.basis[ell]]
-        B2 = Q2.boundary_columns(ell + 1, q) if ell < lmax else boundary(top, row2, q)
-        ranks[ell] = _stacked_rank(B2, images, Q1.boundary_columns(ell, q), len(row2), q)
+        images = [0 if (r := rows.get(s)) is None else 1 << r * k for s in Q1.basis[ell]]
+        B2 = boundary(basis2.get(ell + 1, []), rows, q)
+        ranks[ell] = _stacked_rank(B2, images, Q1.boundary_columns(ell, q), len(rows), q)
     return HomologySignature(ranks, method="direct")
 
 
@@ -256,11 +237,10 @@ def exactness_check(points: np.ndarray, center, a: float, b: float,
     dim H(A), dim H(X), dim H(X, A) cancel, and that the relative Euler
     characteristic equals the simplex-count difference.
     """
-    points = _finite_points(points)
     full = len(points) - 1
+    Q = quotient_pair(points, center, a, b, flavor, full + 1)
     X = build_complex(points, None, a, full, flavor)
     A = _induced(X, delete_ball(points, center, b))
-    Q = quotient_pair(points, center, a, b, flavor, full + 1)
     bX = _absolute_betti(X, q)
     bA = _absolute_betti(A, q)
     top = max([d for d in X.simplices] + [0])
@@ -329,23 +309,24 @@ class ImageRankEngine:
     a few neighbourhoods and one level-2 pair per b2.  Level-1 pairs are
     built per query.
 
-    Set-up rejects a sample with a non-finite coordinate, builds the global
-    level-1 complex (scale a1, to lmax) and checks that its simplices key as
-    int64; no query reads it.  Results are identical to sequential
-    per-point evaluation with ``image_rank``.
+    Set-up checks its input through the gate of ``complexes``
+    (``_check_levels``, ``_finite_points``) and builds the global level-1
+    complex (scale a1, to lmax), which no query reads.  Results are
+    identical to sequential per-point evaluation with ``image_rank``.
     """
 
     def __init__(self, points: np.ndarray, level1, level2,
                  flavor: str = "rips", q: int = 2, lmax: int = 1):
-        _check_levels(level1, level2, flavor, q, lmax)
+        _check_levels(level1, level2, flavor, lmax)
+        _require_prime(q)
         self.points = _finite_points(points)
         self.a1, self.b1 = level1
         self.a2, self.b2 = level2
         self.flavor = flavor
         self.q = q
         self.lmax = lmax
-        self.base = len(self.points) + 1
-        self._check_keys(build_complex(self.points, None, self.a1, lmax, flavor))
+        # no query reads it: the benchmark's set-up metrics time this build
+        build_complex(self.points, None, self.a1, lmax, flavor)
         self._at: Optional[_Centre] = None
         # rank tuple -> its one signature
         self._results: Dict[Tuple[int, ...], HomologySignature] = {}
@@ -354,18 +335,6 @@ class ImageRankEngine:
     def kernel(self) -> str:
         """The pairs of every query, for reports."""
         return "local vertex collapse"
-
-    def _check_keys(self, cx) -> None:
-        """Simplices are keyed as base-(n+1) int64 numbers; the key of the
-        lexicographically last simplex of each degree is the largest."""
-        top = int(np.iinfo(np.int64).max)
-        for d, ss in cx.simplices.items():
-            key = 0
-            for v in (ss[-1] if ss else ()):
-                key = key * self.base + v
-            if key > top:
-                raise ValueError(f"{self.base - 1} points are too many to key the "
-                                 f"{d}-simplices of the complex as int64")
 
     def query(self, center, keep_detail: bool = False,
               b1: Optional[float] = None,
@@ -388,15 +357,11 @@ class ImageRankEngine:
         """
         if keep_detail:
             raise ValueError("queries keep no detail: keep_detail must be False")
-        center = np.asarray(center, dtype=float)
-        if center.shape != self.points.shape[1:]:
-            raise ValueError(f"centre of shape {center.shape} for points of "
-                             f"shape {self.points.shape[1:]}")
         if b1 is None:
             b1 = self.b1
         if b2 is None:
             b2 = self.b2
-        _check_levels((self.a1, b1), (self.a2, b2), self.flavor, self.q, self.lmax)
+        _check_levels((self.a1, b1), (self.a2, b2), self.flavor, self.lmax)
         at = self._centre(center)
         ranks = [0] * (self.lmax + 1)
         # an empty smaller ball leaves the level-2 basis empty in every degree
@@ -426,14 +391,14 @@ class ImageRankEngine:
             out = self._results[key] = HomologySignature(dict(enumerate(key)), "direct")
         return out
 
-    def _centre(self, center: np.ndarray) -> _Centre:
+    def _centre(self, center) -> _Centre:
         """The kept state of ``center``, made anew unless it is the latest
-        query's centre.  A centre with a non-finite coordinate raises
-        ``ValueError``; it is never kept, so only a new centre is read."""
+        query's centre.  A new centre, or one of another shape with the
+        kept one's bytes, goes through ``_finite_centre``."""
+        center = np.asarray(center, dtype=float)
         key = center.tobytes()
-        if self._at is None or self._at.key != key:
-            if not all(map(math.isfinite, center.tolist())):
-                raise ValueError("centre coordinates must be finite")
+        if self._at is None or self._at.key != key or center.shape != self.points.shape[1:]:
+            center = _finite_centre(self.points, center)
             self._at = _Centre(key, sq_dists(self.points, center))
         return self._at
 

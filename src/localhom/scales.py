@@ -107,6 +107,9 @@ class SelectedScales:
     warnings: List[str] = field(default_factory=list)
 
     def __post_init__(self):
+        values = (self.scale1, self.scale2, self.ball_R, self.ball_r)
+        if not all(map(math.isfinite, values)):
+            raise InfeasibleScales(f"scales and ball radii must be finite, got {values}")
         if self.scale1 > self.scale2 or self.ball_r > self.ball_R:
             raise InfeasibleScales(
                 f"nesting violated: a1={self.scale1} a2={self.scale2} "
@@ -116,6 +119,12 @@ class SelectedScales:
         return {"scale1": self.scale1, "scale2": self.scale2,
                 "ball_R": self.ball_R, "ball_r": self.ball_r,
                 "regime": self.regime, "warnings": list(self.warnings)}
+
+
+def _check_eps(eps: float) -> None:
+    """Raises ``ValueError`` unless the density eps is positive and finite."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
 
 def _pick(lo: float, hi: float, value: Optional[float], what: str) -> float:
@@ -138,8 +147,7 @@ def select_strong(cc: ScaleConstants, eps: float, rbar_beta: float,
     R' and r' at interval midpoints unless choice=(R', r') is given, then
     returns a1 = eps, a2 = (1+c+t)*eps, b1 = R' - (1+t)*eps, b2 = r' + beta.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     bcoef, gcoef = strong_coefficients(cc)
     beta, gamma = bcoef * eps, gcoef * eps
     tau = Rbar_beta - rbar_beta
@@ -156,8 +164,7 @@ def select_strong(cc: ScaleConstants, eps: float, rbar_beta: float,
 def select_bounded(cc: ScaleConstants, eps: float, sb: SeemlinessBound,
                    choice: Optional[Tuple[float, float]] = None) -> SelectedScales:
     """Strong regime specialized to rbar(beta) <= M*beta**m, Rbar = M0."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     bcoef, gcoef = strong_coefficients(cc)
     rbar = sb.M * (bcoef * eps) ** sb.m
     if rbar + gcoef * eps >= sb.M0:
@@ -195,8 +202,7 @@ def select_manifold(cc: ScaleConstants, eps: float, rb: ReachBound,
     when a boundary margin w is supplied.  choice=(R, r) overrides the
     midpoint default.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     bcoef, gcoef = strong_coefficients(cc)
     t = cc.t
     bound = 2 * rb.nu / (2 * bcoef + gcoef)
@@ -257,6 +263,7 @@ def validate_manual(cc: ScaleConstants, eps: float,
 def manual_scales(cc: ScaleConstants, eps: float, scale1: float, scale2: float,
                   ball_R: float, ball_r: float) -> SelectedScales:
     """Wrap manual values as SelectedScales with advisory warnings attached."""
+    _check_eps(eps)
     out = SelectedScales(scale1, scale2, ball_R, ball_r, "manual")
     out.warnings = validate_manual(cc, eps, out)
     return out

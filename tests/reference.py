@@ -6,7 +6,21 @@ from itertools import combinations, permutations
 import numpy as np
 
 from localhom.complexes import _adjacency_bits, _support_sets, build_complex, delete_ball
-from localhom.fieldla import lane_width, reduce_columns
+from localhom.fieldla import _bits, _nonzero, lane_width, reduce_columns
+
+
+def pack(cols, q: int):
+    """Packed GF(q) columns from lists of (row, coefficient) pairs of
+    integers, numpy ones included, with distinct rows; coefficients are
+    taken mod q."""
+    k = lane_width(q)
+    return [sum([int(c) % q << int(r) * k for r, c in col]) for col in cols]
+
+
+def entries(x: int, q: int):
+    """Sorted (row, coefficient) pairs of a packed GF(q) column."""
+    k = lane_width(q)
+    return [(b // k, x >> b & (1 << k) - 1) for b in _bits(_nonzero(x, q))]
 
 
 def min_enclosing_radius(points_subset) -> float:

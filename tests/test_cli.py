@@ -173,10 +173,21 @@ _SCAN = ["scan", "--shape", "circle", "--alpha", "0.12", "--eps", "0.05"]
     ["group", "--sample", "x.csv", "--maxdim", "-1"],
     ["check", "--max-pts", "3"],
     ["check", "--random", "-3"],
+    ["scales", "--eps", "nan", "--select", "manifold", "--nu", "1"],
+    ["infer", "--sample", "x.csv", "--eps", "nan", "--select", "manifold", "--nu", "1"],
+    ["group", "--sample", "x.csv", "--scale1", "0.1", "--scale2", "inf",
+     "--ball-R", "0.5", "--ball-r", "0.2"],
+    ["generate", "--shape", "circle", "--eps", "inf", "--n", "30", "-o", "x.csv"],
+    ["scan", "--shape", "circle", "--alpha", "nan", "--eps", "0.05", "--x", "1.0,0.0",
+     "--grid", "0.2:1.6:8"],
+    _SCAN + ["--x", "nan,0", "--grid", "0.2:1.6:8"],
+    _SCAN + ["--x", "1.0,0.0", "--grid", "0.2:inf:8"],
 ], ids=["grid-no-steps", "grid-zero-steps", "grid-fractional-steps", "grid-bad-lo",
         "x-not-numbers", "x-three-coordinates", "p0-not-numbers",
         "p1-one-coordinate", "infer-negative-maxdim",
-        "group-negative-maxdim", "check-max-pts-below-4", "check-negative-random"])
+        "group-negative-maxdim", "check-max-pts-below-4", "check-negative-random",
+        "scales-nan-eps", "infer-nan-eps", "group-inf-scale", "generate-inf-eps",
+        "scan-nan-alpha", "x-nan", "grid-inf-hi"])
 def test_malformed_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from localhom.complexes import cone_pair
-from localhom.fieldla import add, entries, neg, pack, persistent_reduce, rank, reduce_columns
-from reference import persistent_reduce_plain
+from localhom.fieldla import add, neg, persistent_reduce, rank, reduce_columns
+from reference import entries, pack, persistent_reduce_plain
 
 PRIMES = (2, 3, 5, 7)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from localhom import geometry
-from localhom.geometry import (StratifiedShape, Stratum, circle, circle_chord,
+from localhom.geometry import (Sample, StratifiedShape, Stratum, circle, circle_chord,
                                distance, generate_sample, ground_truth, hausdorff,
                                load_sample_csv, save_sample_csv, segment, sq_dists)
 
@@ -408,3 +408,10 @@ def test_hausdorff_values_pinned():
     P = generate_sample(K, 0.018, 1500, noise=0.009, seed=7)
     assert repr(hausdorff(P.points, K, grid=445).value) == "0.01033413366718397"
     assert repr(hausdorff(K.even_points(400), K, grid=160).value) == "0.010384012539184972"
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+def test_sample_wants_positive_finite_epsilon(eps):
+    # a NaN epsilon once passed the epsilon > 0 test
+    with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+        Sample(np.zeros((3, 2)), eps, False)

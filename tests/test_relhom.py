@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localhom.complexes import (_adjacency_bits, _bad_simplices, cech, collapse_vertices,
-                                delete_ball, quotient_pair)
+from localhom.complexes import (_adjacency_bits, _bad_simplices, build_complex, cech,
+                                collapse_vertices, cone_pair, delete_ball, quotient_pair,
+                                rips)
 from localhom.fieldla import _bits
 from localhom.geometry import circle_chord, generate_sample
 from localhom.relhom import (HomologySignature, ImageRankEngine, QuerySpec,
@@ -434,12 +435,14 @@ def _line_with_clusters(far_cluster):
     return pts
 
 
-def test_engine_rejects_int64_key_overflow():
-    # the 5-simplex on points 1494-1499 keys above 2**63 in base 1501
-    with pytest.raises(ValueError, match="1500 points .* 5-simplices"):
-        ImageRankEngine(_line_with_clusters(True), (0.01, 0.5), (0.01, 0.5),
-                        flavor="rips", lmax=5)
-    # the 5-simplex on points 0-5 keys well below it
+def test_engine_answers_lmax5_on_far_clusters():
+    # the 5-simplex on points 1494-1499 would key above 2**63 in base 1501;
+    # queries key no simplex, so the engine answers there as the oracle does
+    pts = _line_with_clusters(True)
+    eng = ImageRankEngine(pts, (0.01, 0.5), (0.01, 0.5), flavor="rips", lmax=5)
+    spec = QuerySpec(1494, (0.01, 0.5), (0.01, 0.5), flavor="rips", lmax=5)
+    assert eng.query_index(1494).ranks == image_rank_oracle(spec, pts).ranks
+    # and on the cluster of points 0-5 alone
     eng = ImageRankEngine(_line_with_clusters(False), (0.01, 0.5), (0.01, 0.5),
                           flavor="rips", lmax=5)
     assert eng.query_index(0).ranks == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0}
@@ -733,6 +736,72 @@ def test_engine_results_are_shared_and_frozen():
     for field, value in (("ranks", {0: 99, 1: 0}), ("method", "coned")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(res, field, value)
+
+
+_GATE_PTS = np.random.default_rng(5).uniform(-1, 1, (10, 2))
+
+# every public builder, as a call on (sample, centre, scale a, radius b,
+# flavor), the inputs it reads, and the messages it gives where they are
+# not the pair's; the image-rank methods centre on point 0
+_BUILDERS = {
+    "rips": (lambda P, c, a, b, fl: rips(P, None, a, 1), "Pa",
+             {"nan-scale": "scales must be >= 0"}),
+    "cech": (lambda P, c, a, b, fl: cech(P, None, a, 1), "Pa",
+             {"nan-scale": "scales must be >= 0"}),
+    "build_complex": (lambda P, c, a, b, fl: build_complex(P, None, a, 1, fl), "Paf",
+                      {"nan-scale": "scales must be >= 0"}),
+    "delete_ball": (lambda P, c, a, b, fl: delete_ball(P, c, b), "Pcb",
+                    {"nan-radius": "ball radius b must be >= 0"}),
+    "quotient_pair": (lambda P, c, a, b, fl: quotient_pair(P, c, a, b, fl), "Pcabf", {}),
+    "cone_pair": (lambda P, c, a, b, fl: cone_pair(P, c, (a, b), (a, b), fl), "Pcabf", {}),
+    "image_rank": (lambda P, c, a, b, fl: image_rank(QuerySpec(0, (a, b), (a, b), fl), P),
+                   "Pabf", {}),
+    "image_rank_oracle": (lambda P, c, a, b, fl:
+                          image_rank_oracle(QuerySpec(0, (a, b), (a, b), fl), P), "Pabf", {}),
+    "ImageRankEngine": (lambda P, c, a, b, fl: ImageRankEngine(P, (a, b), (a, b), fl),
+                        "Pabf", {}),
+    "query": (lambda P, c, a, b, fl:
+              ImageRankEngine(_GATE_PTS, (0.3, 0.6), (0.3, 0.6)).query(c, b1=b, b2=b), "cb", {}),
+    "exactness_check": (lambda P, c, a, b, fl: exactness_check(P, c, a, b, fl), "Pcabf", {}),
+}
+
+# each case changes the inputs of a valid call, "P" setting point 3; the
+# first input it names is the one a builder must read for the case to apply
+_NAN, _INF = float("nan"), float("inf")
+_GATE_CASES = {
+    "valid": ({}, None),
+    "nan-coordinate": ({"P": (_NAN, 0.0)}, "sample points must have finite coordinates"),
+    "inf-coordinate": ({"P": (0.0, -_INF)}, "sample points must have finite coordinates"),
+    "nan-centre": ({"c": (_NAN, 0.0)}, "centre coordinates must be finite"),
+    "inf-centre": ({"c": (0.0, _INF)}, "centre coordinates must be finite"),
+    "3d-centre": ({"c": (0.0, 0.0, 0.0)}, "centre of shape"),
+    "nan-scale": ({"a": _NAN}, "must not be NaN"),
+    "nan-radius": ({"b": _NAN}, "must not be NaN"),
+    "flavor-at-b0": ({"f": "alpha", "b": 0.0}, "unknown flavor 'alpha'"),
+}
+
+
+@pytest.mark.parametrize("builder,case", [
+    (builder, case) for builder, (_, reads, _) in _BUILDERS.items()
+    for case, (change, _) in _GATE_CASES.items() if not change or next(iter(change)) in reads])
+def test_public_builders_share_one_input_gate(builder, case):
+    # at the parent of the gate, rips, cech and build_complex kept a NaN
+    # point as an isolated vertex, cone_pair took a NaN radius and an
+    # infinite centre, delete_ball kept no point at a NaN radius, and
+    # quotient_pair gave an empty pair for a NaN scale or radius and for an
+    # unknown flavor at b = 0
+    call, _, messages = _BUILDERS[builder]
+    change, msg = _GATE_CASES[case]
+    values = {"c": _GATE_PTS[0], "a": 0.3, "b": 0.6, "f": "rips", **change}
+    P = _GATE_PTS.copy()
+    if "P" in change:
+        P[3] = change["P"]
+    args = (P, values["c"], values["a"], values["b"], values["f"])
+    if msg is None:
+        call(*args)
+        return
+    with pytest.raises(ValueError, match=messages.get(case, msg)):
+        call(*args)
 
 
 def test_centres_of_another_dimension_rejected():

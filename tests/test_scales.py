@@ -248,3 +248,21 @@ def test_as_dict_roundtrip():
     d = sel.as_dict()
     assert d == {"scale1": 0.05, "scale2": 0.12, "ball_R": 1.0,
                  "ball_r": 0.5, "regime": "manifold", "warnings": ["w"]}
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+def test_non_finite_eps_and_scales_rejected(x):
+    # a NaN eps once passed every selector's eps > 0 test, and a NaN scale
+    # or radius passed SelectedScales' nesting test
+    cc = ScaleConstants(t=1, c=S2)
+    for select in (lambda eps: select_manifold(cc, eps, ReachBound(nu=1.0)),
+                   lambda eps: select_strong(cc, eps, 0.1, 2.0),
+                   lambda eps: select_bounded(cc, eps, SeemlinessBound(M=1, m=1, M0=2)),
+                   lambda eps: manual_scales(cc, eps, 0.018, 0.06, 0.175, 0.116)):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            select(x)
+    for k in range(4):
+        values = [0.018, 0.06, 0.175, 0.116]
+        values[k] = x
+        with pytest.raises(InfeasibleScales, match="must be finite"):
+            SelectedScales(*values, "manual")
