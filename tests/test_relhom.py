@@ -785,7 +785,7 @@ _GATE_CASES = {
     (builder, case) for builder, (_, reads, _) in _BUILDERS.items()
     for case, (change, _) in _GATE_CASES.items() if not change or next(iter(change)) in reads])
 def test_public_builders_share_one_input_gate(builder, case):
-    # at the parent of the gate, rips, cech and build_complex kept a NaN
+    # before the one gate, rips, cech and build_complex kept a NaN
     # point as an isolated vertex, cone_pair took a NaN radius and an
     # infinite centre, delete_ball kept no point at a NaN radius, and
     # quotient_pair gave an empty pair for a NaN scale or radius and for an
