@@ -89,7 +89,7 @@ def _prime(token: str) -> int:
 
 
 def _nonnegative(token: str) -> int:
-    """A ``--maxdim`` or ``--random`` value: an integer >= 0."""
+    """A ``--maxdim``, ``--random`` or ``check --seed`` value: an integer >= 0."""
     if not token.isdigit():
         raise argparse.ArgumentTypeError(f"{token!r} is not an integer >= 0")
     return int(token)
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     ck = sub.add_parser("check", help="direct-vs-oracle-vs-engine cross validation")
     ck.add_argument("--random", type=_nonnegative, default=200)
     ck.add_argument("--max-pts", dest="max_pts", type=_max_pts, default=10)
-    ck.add_argument("--seed", type=int, default=1)
+    ck.add_argument("--seed", type=_nonnegative, default=1)
     ck.set_defaults(func=cmd_check)
 
     pl = sub.add_parser("plot", help="SVG scatter of an inference report")

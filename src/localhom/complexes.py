@@ -609,10 +609,6 @@ class QuotientPairComplex:
     which provably yields the same quotient as the full complex.
     """
 
-    center: np.ndarray
-    scale: float
-    ball: float
-    flavor: str
     max_dim: int
     basis: Dict[int, List[Tuple[int, ...]]]
 
@@ -625,6 +621,14 @@ class QuotientPairComplex:
         (d-1)-basis; faces outside the basis are dropped."""
         rows = {s: i for i, s in enumerate(self.basis.get(d - 1, ()))}
         return boundary(self.basis.get(d, []), rows, q)
+
+    def images(self, d: int, simplices, q: int) -> List[int]:
+        """The basis-diagonal chain map into this pair: each simplex of
+        ``simplices`` to its own degree-d row with coefficient 1, or to 0 if
+        it is not a basis simplex, as when it misses this pair's ball."""
+        rows = {s: i for i, s in enumerate(self.basis.get(d, ()))}
+        k = lane_width(q)
+        return [0 if (r := rows.get(s)) is None else 1 << r * k for s in simplices]
 
 
 def quotient_pair(points: np.ndarray, center, a: float, b: float,
@@ -646,8 +650,7 @@ def quotient_pair(points: np.ndarray, center, a: float, b: float,
     points = _finite_points(points)
     # read before the empty pair of b = 0, which reads no distance
     c = _finite_centre(points, center)
-    return QuotientPairComplex(c, a, b, flavor, max_dim,
-                               _pair_basis(points, c, a, b, flavor, max_dim))
+    return QuotientPairComplex(max_dim, _pair_basis(points, c, a, b, flavor, max_dim))
 
 
 def _pair_basis(points, center, a: float, b: float, flavor: str, max_dim: int,

@@ -398,6 +398,8 @@ class StratifiedShape:
 
 
 def circle(radius: float = 1.0) -> StratifiedShape:
+    if not 0 < radius < math.inf:
+        raise ValueError(f"circle radius must be positive and finite, got {radius}")
     s = Stratum(0, 0, "arc", (0.0, 0.0, radius, 0.0, 2 * math.pi))
     return StratifiedShape("circle", [s], [("circle", (0.0, 0.0), radius)],
                            reach_info=radius, meta_params={"radius": radius})
@@ -528,9 +530,9 @@ def generate_sample(shape: StratifiedShape, eps: float, n: int,
                     noise: float = 0.0, seed: int = 0) -> Sample:
     """Deterministic epsilon-sample of a shape, verified after generation.
 
-    ``noise`` is the radius of the uniform closed disc added to each point
-    (0 means noise-free).  Raises if the verified Hausdorff distance (value
-    plus discretization bound) is not below eps.
+    ``noise`` is the radius of the uniform closed disc added to each point,
+    >= 0 and finite (0 means noise-free).  Raises if the verified Hausdorff
+    distance (value plus discretization bound) is not below eps.
     """
     return _generate_verified(shape, eps, n, noise, seed)[0]
 
@@ -540,6 +542,8 @@ def _generate_verified(shape: StratifiedShape, eps: float, n: int, noise: float,
     """``generate_sample`` and the Hausdorff distance that verified it."""
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not 0 <= noise < math.inf:
+        raise ValueError(f"noise must be >= 0 and finite, got {noise}")
     base = shape.even_points(n)
     if noise > 0:
         rng = np.random.default_rng(seed)

@@ -23,16 +23,19 @@ computations give it:
     formula, so it is the formula's arbiter: ``localhom check``,
     acceptance criterion 4 and the oracle comparisons of the tests.
 Every rank comes from the one column reduction of packed int columns,
-``fieldla.reduce_columns``.  ``image_rank`` takes both levels from
-``quotient_pair``'s basis and maps a level-1 basis simplex to its own
-level-2 row, or to 0 once it misses the smaller ball (the basis-diagonal
-chain map).
-``ImageRankEngine`` evaluates the direct method for many query points.  A
-query, Rips or Cech, builds both levels locally and strong-collapses each
-one, at every lmax: a Cech level is its local Rips graph less the cofaces
-of its bad simplices (``complexes._bad_simplices``), which the collapse
-keeps (``complexes.collapse_vertices``).  A level-1 simplex maps by the
-level-2 collapse's vertex map.
+``fieldla.reduce_columns``.  Both direct methods answer through one
+per-degree driver, ``_image_ranks``, over one pair interface: ``basis``,
+``dim_count``, ``boundary_columns(d, q)`` and ``images(d, simplices, q)``,
+the chain map of level-1 basis simplices into a level-2 pair.  The methods
+differ only in their pairs.  ``image_rank``'s are ``QuotientPairComplex``es
+with the basis-diagonal map: a level-1 basis simplex goes to its own
+level-2 row, or to 0 once it misses the smaller ball.  ``ImageRankEngine``
+evaluates many query points.  A query, Rips or Cech, builds both levels
+locally and strong-collapses each one, at every lmax (``_CollapsedPair``):
+a Cech level is its local Rips graph less the cofaces of its bad simplices
+(``complexes._bad_simplices``), which the collapse keeps
+(``complexes.collapse_vertices``).  A level-1 simplex maps by the level-2
+collapse's vertex map.
 Input goes through the one gate of ``complexes``; this module adds only
 the prime q (``fieldla._require_prime``) and a centre index in range(n).
 """
@@ -128,9 +131,10 @@ class HomologySignature:
         return {k: v for k, v in self.ranks.items() if v}
 
 
-def relative_betti(Q: QuotientPairComplex, ell: int, q: int = 2) -> int:
+def relative_betti(Q, ell: int, q: int = 2) -> int:
     """dim ker of the degree-ell restricted boundary minus rank of the
-    degree-(ell+1) one, over GF(q)."""
+    degree-(ell+1) one, over GF(q), for a pair with the interface of
+    ``QuotientPairComplex``."""
     if Q.max_dim < ell + 1:
         raise ValueError(f"pair built to dimension {Q.max_dim}, need {ell + 1}")
     n_ell = Q.dim_count(ell)
@@ -156,6 +160,32 @@ def _stacked_rank(b2_cols: list, images, boundary1, n2: int, q: int) -> int:
     return sum(1 for low in lows[len(b2_cols):] if 0 <= low < n2)
 
 
+def _image_ranks(level1, make_level2, lmax: int, q: int) -> list:
+    """The image rank in each degree 0..lmax of the map from the pair
+    ``level1`` into the pair that ``make_level2()`` returns, by
+    ``_stacked_rank``: the one per-degree loop of both direct methods.
+
+    Both pairs have the interface of ``QuotientPairComplex``, and level 2
+    holds its degree-(lmax+1) simplices, or a set whose boundaries span
+    theirs.  Level 2 is made on the first degree with a level-1 basis
+    simplex, so a query whose level-1 basis is empty makes none.
+    """
+    ranks = [0] * (lmax + 1)
+    level2 = None
+    for ell in range(lmax + 1):
+        simplices = level1.basis.get(ell)
+        if not simplices:
+            continue
+        if level2 is None:
+            level2 = make_level2()
+        n2 = level2.dim_count(ell)
+        if n2:
+            ranks[ell] = _stacked_rank(level2.boundary_columns(ell + 1, q),
+                                       level2.images(ell, simplices, q),
+                                       level1.boundary_columns(ell, q), n2, q)
+    return ranks
+
+
 def _sample_and_centre(spec: QuerySpec, points):
     """The sample as a float array and its point ``spec.p``, the centre of
     the query; raises ``ValueError`` if a coordinate is not finite or p is
@@ -168,36 +198,25 @@ def _sample_and_centre(spec: QuerySpec, points):
 
 def image_rank(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
     """Rank of H(level-1 pair) -> H(level-2 pair) per degree (direct method),
-    by ``_stacked_rank``.
+    by ``_image_ranks``.
 
     The level-1 pair is ``quotient_pair``'s, and the level-2 pair is that
-    pair's basis (``_pair_basis``) in degrees up to lmax, where its
-    simplices index rows.  Its degree-(lmax+1) simplices are only ever
-    columns of B2, and the rank reads only their span; for Rips they are
-    the spanning set of ``_clique_expand``, the simplices with no common
-    neighbour below their least vertex, whose boundaries span the relative
-    boundaries by ∂∂ = 0 on the cofaces of a flag complex.  A Cech complex
-    is not a flag complex and keeps them all.
+    pair's basis (``_pair_basis``) to degree lmax + 1.  Its degree-(lmax+1)
+    simplices are only ever columns of B2, and the rank reads only their
+    span; for Rips they are the spanning set of ``_clique_expand``, the
+    simplices with no common neighbour below their least vertex, whose
+    boundaries span the relative boundaries by ∂∂ = 0 on the cofaces of a
+    flag complex.  A Cech complex is not a flag complex and keeps them all.
     """
     points, center = _sample_and_centre(spec, points)
-    a1, b1 = spec.level1
-    a2, b2 = spec.level2
-    q, lmax = spec.q, spec.lmax
-    Q1 = quotient_pair(points, center, a1, b1, spec.flavor, lmax)
-    basis2 = _pair_basis(points, center, a2, b2, spec.flavor, lmax + 1, spanning=True)
-    k = lane_width(q)
-    ranks = {}
-    for ell in range(lmax + 1):
-        ranks[ell] = 0
-        rows = {s: i for i, s in enumerate(basis2.get(ell, ()))}
-        if not Q1.dim_count(ell) or not rows:
-            continue
-        # basis-diagonal chain map into level 2: a level-1 basis simplex maps
-        # to its own row while it still meets the smaller ball, else to 0
-        images = [0 if (r := rows.get(s)) is None else 1 << r * k for s in Q1.basis[ell]]
-        B2 = boundary(basis2.get(ell + 1, []), rows, q)
-        ranks[ell] = _stacked_rank(B2, images, Q1.boundary_columns(ell, q), len(rows), q)
-    return HomologySignature(ranks, method="direct")
+    (a1, b1), (a2, b2) = spec.level1, spec.level2
+    top = spec.lmax + 1
+    Q1 = quotient_pair(points, center, a1, b1, spec.flavor, spec.lmax)
+    ranks = _image_ranks(
+        Q1, lambda: QuotientPairComplex(
+            top, _pair_basis(points, center, a2, b2, spec.flavor, top, spanning=True)),
+        spec.lmax, spec.q)
+    return HomologySignature(dict(enumerate(ranks)), method="direct")
 
 
 def image_rank_oracle(spec: QuerySpec, points: np.ndarray) -> HomologySignature:
@@ -288,17 +307,17 @@ class _Centre:
 class ImageRankEngine:
     """Evaluates many image-rank queries sharing one scale configuration.
 
-    Each query has a level-1 basis S (``_level1``), and ``_stacked_rank``
-    answers it in each degree, as for ``image_rank``.
-
-    Both levels are a ``_CollapsedPair``, for Rips and Cech alike and at
-    every lmax: built on the centre's local graph at the level's scale and
-    ball, less the cofaces of the level's bad simplices for Cech
-    (``_bad_simplices``), and strong-collapsed.  S is the level-1 core's
-    simplices that meet the larger ball, up to degree lmax, and a level-1
-    simplex maps by the vertex map of the level-2 collapse.  Both are in
-    local ids, one order per centre (``_Centre``), so S passes to level 2
-    as it is.  No global complex is read.
+    A query answers through ``_image_ranks``, as ``image_rank`` does.  Both
+    levels are a ``_CollapsedPair``, for Rips and Cech alike and at every
+    lmax: built on the centre's local graph at the level's scale and ball,
+    less the cofaces of the level's bad simplices for Cech
+    (``_bad_simplices``), and strong-collapsed.  The level-1 basis is the
+    level-1 core's simplices that meet the larger ball, up to degree lmax,
+    and a level-1 simplex maps by the vertex map of the level-2 collapse.
+    Both are in local ids, one order per centre (``_Centre``), so the
+    level-1 basis passes to level 2 as it is.  Its core pair includes into
+    the level-1 pair as a homotopy equivalence of pairs, so the image rank
+    is the same.  No global complex is read.
 
     The engine keeps what it learnt about the centre of its latest query
     (``_Centre``): the squared distances, one neighbourhood with a local
@@ -363,25 +382,13 @@ class ImageRankEngine:
             b2 = self.b2
         _check_levels((self.a1, b1), (self.a2, b2), self.flavor, self.lmax)
         at = self._centre(center)
-        ranks = [0] * (self.lmax + 1)
         # an empty smaller ball leaves the level-2 basis empty in every degree
         if not (at.sq < b2 * b2).any():
-            return self._result(ranks)
+            return self._result([0] * (self.lmax + 1))
         self._cover(at, b1, b2)
-        level1 = self._level1(at, b1)
-        pair = None
-        for ell in range(self.lmax + 1):
-            if ell not in level1:
-                continue
-            if pair is None:
-                pair = self._pair(at, b2)
-            n2 = pair.nrows(ell)
-            if not n2:
-                continue
-            simplices, bnd1 = level1[ell]
-            ranks[ell] = _stacked_rank(pair.boundary_columns(ell),
-                                       pair.images(ell, simplices), bnd1, n2, self.q)
-        return self._result(ranks)
+        level1 = self._collapsed(at, self.a1, b1, self.lmax)
+        return self._result(_image_ranks(level1, lambda: self._pair(at, b2),
+                                         self.lmax, self.q))
 
     def _result(self, ranks: list) -> HomologySignature:
         """The one signature this engine returns for these ranks."""
@@ -444,22 +451,9 @@ class ImageRankEngine:
         simplices."""
         graph = self._graph(at, a, b)
         if self.flavor == "rips":
-            return _CollapsedPair(graph, top, self.q, spanning)
+            return _CollapsedPair(graph, top, spanning)
         bad = _bad_simplices(self.points, at.local[:len(graph[1])], a)
-        return _CollapsedPair(graph, top, self.q, bad=bad)
-
-    def _level1(self, at: _Centre, b1: float) -> dict:
-        """The level-1 basis of a query, per degree ell <= lmax with a basis
-        simplex: the simplices, and their boundary columns over the
-        degree-(ell - 1) basis.
-
-        It is the basis of the collapsed level-1 pair at (a1, b1), as tuples
-        of local ids.  Its core pair includes into the level-1 pair as a
-        homotopy equivalence of pairs, so the image rank is the same.
-        """
-        pair = self._collapsed(at, self.a1, b1, self.lmax)
-        return {ell: (ss, pair.boundary_columns(ell - 1) if ell else [0] * len(ss))
-                for ell, ss in pair.simplices.items() if ss}
+        return _CollapsedPair(graph, top, bad=bad)
 
     def _pair(self, at: _Centre, b2: float) -> "_CollapsedPair":
         """The level-2 pair at the centre ``at`` with smaller ball radius
@@ -500,24 +494,22 @@ def _neighbourhood(points, sq, balls: dict):
 class _CollapsedPair:
     """The Rips or Cech pair (X, A) at scale a with the open b-ball
     deleted, for either level of a query and every lmax, in local ids, one
-    order per centre.
+    order per centre, with the pair interface of ``QuotientPairComplex``.
 
     The pair is built on the centre's local graph at (a, b), ``graph`` =
     (nb, closed-neighbourhood bitmasks of local vertices 0..m-1).  X is the
     clique complex of the graph less the cofaces of the vertex sets in
     ``bad``: none for Rips, the local bad simplices for Cech.  It is shrunk
     by ``collapse_vertices``: far vertices are tried first, each onto its
-    nearest dominating neighbour.  Its basis in degree d <= ``top`` is the
-    d-simplices of the live core that meet the ball, as tuples of local
+    nearest dominating neighbour.  Its ``basis`` in degree d <= ``top`` is
+    the d-simplices of the live core that meet the ball, as tuples of local
     ids; with ``spanning``, degree ``top`` holds the spanning set of
     ``_clique_expand`` instead, whose boundaries span the relative
     boundaries of degree top - 1.  That needs a flag complex, so a Cech
     pair keeps every top simplex.  Rows index the degrees below ``top``.
     Only the live core is expanded into cliques.
 
-    As a level-2 pair it gives the boundary columns of degree ell + 1 over
-    its degree-ell basis, and the images of level-1 basis simplices
-    (``images``), for ``_stacked_rank``.  It maps a level-1 simplex, in the
+    As a level-2 pair it maps a level-1 basis simplex (``images``), in the
     same local ids, by f, the composed vertex map of the collapse: to the
     sorted f-image of its vertices, with the sign of the sorting
     permutation.  The image is 0 when the simplex has a vertex at or past
@@ -528,22 +520,22 @@ class _CollapsedPair:
     ``images`` call.
     """
 
-    def __init__(self, graph, top: int, q: int, spanning: bool = False, bad=()):
-        self.q = q
+    def __init__(self, graph, top: int, spanning: bool = False, bad=()):
         nb, adj = graph
         self.m = len(adj)
+        self.max_dim = top
         live, self._onto = collapse_vertices(adj, (1 << nb) - 1, bad)
         core = {i: adj[i] & live ^ 1 << i for i in _bits(live)}
-        self.simplices = _clique_expand(range(self.m), core, top, (1 << nb) - 1, spanning)
+        self.basis = _clique_expand(range(self.m), core, top, (1 << nb) - 1, spanning)
         # a Cech core drops the cliques that hold a bad simplex of the core
         if held := bad and [t for t in bad if not t & ~live]:
-            for d, ss in self.simplices.items():
+            for d, ss in self.basis.items():
                 if d >= 2:
                     masks = (sum(1 << v for v in s) for s in ss)
-                    self.simplices[d] = [s for s, x in zip(ss, masks)
-                                         if all(t & ~x for t in held)]
+                    self.basis[d] = [s for s, x in zip(ss, masks)
+                                     if all(t & ~x for t in held)]
         self.rows = {d: {s: r for r, s in enumerate(ss)}
-                     for d, ss in self.simplices.items() if d < top}
+                     for d, ss in self.basis.items() if d < top}
         self._bnd = {}
         self.f = None
 
@@ -557,21 +549,21 @@ class _CollapsedPair:
             self.f = f
         return self.f
 
-    def nrows(self, ell: int) -> int:
-        return len(self.rows.get(ell, ()))
+    def dim_count(self, d: int) -> int:
+        return len(self.basis.get(d, ()))
 
-    def boundary_columns(self, ell: int) -> list:
-        """The boundary columns of degree ell + 1, kept and shared: callers
-        only read them."""
-        if ell not in self._bnd:
-            self._bnd[ell] = boundary(self.simplices.get(ell + 1, []),
-                                      self.rows.get(ell, {}), self.q)
-        return self._bnd[ell]
+    def boundary_columns(self, d: int, q: int) -> list:
+        """Packed GF(q) boundary columns of the degree-d basis over the
+        degree-(d-1) rows, kept per (d, q) and shared: callers only read
+        them."""
+        if (d, q) not in self._bnd:
+            self._bnd[d, q] = boundary(self.basis.get(d, []), self.rows.get(d - 1, {}), q)
+        return self._bnd[d, q]
 
-    def images(self, ell: int, simplices) -> list:
+    def images(self, d: int, simplices, q: int) -> list:
         """The image of each level-1 basis simplex of ``simplices``, in
-        local ids, as a column over rows 0..nrows(ell)-1."""
-        rows, q, k = self.rows.get(ell, {}), self.q, lane_width(self.q)
+        local ids, as a column over the degree-d rows."""
+        rows, k = self.rows.get(d, {}), lane_width(q)
         f, m = self._vertex_map(), self.m
         image = f.__getitem__
         out = []
@@ -583,6 +575,6 @@ class _CollapsedPair:
                 continue
             # the sign of the permutation that sorts the image, by its
             # inversion parity; a sign is 1 at q = 2 and for a vertex
-            odd = q > 2 and ell and sum(f[x] > f[y] for x, y in combinations(s, 2)) & 1
+            odd = q > 2 and d and sum(f[x] > f[y] for x, y in combinations(s, 2)) & 1
             out.append((q - 1 if odd else 1) << r * k)
         return out

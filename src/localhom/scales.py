@@ -77,8 +77,7 @@ class SeemlinessBound:
     M0: float
 
     def __post_init__(self):
-        if self.M <= 0 or self.m <= 0 or self.M0 <= 0:
-            raise ValueError("M, m, M0 must all be positive")
+        _check_positive(M=self.M, m=self.m, M0=self.M0)
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,9 @@ class ReachBound:
     boundary_margin: Optional[float] = None
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-        if self.boundary_margin is not None and self.boundary_margin <= 0:
-            raise ValueError("boundary margin must be positive")
+        _check_positive(nu=self.nu)
+        if self.boundary_margin is not None:
+            _check_positive(boundary_margin=self.boundary_margin)
 
 
 @dataclass
@@ -121,10 +119,12 @@ class SelectedScales:
                 "regime": self.regime, "warnings": list(self.warnings)}
 
 
-def _check_eps(eps: float) -> None:
-    """Raises ``ValueError`` unless the density eps is positive and finite."""
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+def _check_positive(**values: float) -> None:
+    """Raises ``ValueError``, under its name, for the first of ``values``
+    that is not positive and finite (so for NaN too)."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _pick(lo: float, hi: float, value: Optional[float], what: str) -> float:
@@ -147,7 +147,7 @@ def select_strong(cc: ScaleConstants, eps: float, rbar_beta: float,
     R' and r' at interval midpoints unless choice=(R', r') is given, then
     returns a1 = eps, a2 = (1+c+t)*eps, b1 = R' - (1+t)*eps, b2 = r' + beta.
     """
-    _check_eps(eps)
+    _check_positive(eps=eps)
     bcoef, gcoef = strong_coefficients(cc)
     beta, gamma = bcoef * eps, gcoef * eps
     tau = Rbar_beta - rbar_beta
@@ -164,7 +164,7 @@ def select_strong(cc: ScaleConstants, eps: float, rbar_beta: float,
 def select_bounded(cc: ScaleConstants, eps: float, sb: SeemlinessBound,
                    choice: Optional[Tuple[float, float]] = None) -> SelectedScales:
     """Strong regime specialized to rbar(beta) <= M*beta**m, Rbar = M0."""
-    _check_eps(eps)
+    _check_positive(eps=eps)
     bcoef, gcoef = strong_coefficients(cc)
     rbar = sb.M * (bcoef * eps) ** sb.m
     if rbar + gcoef * eps >= sb.M0:
@@ -202,7 +202,7 @@ def select_manifold(cc: ScaleConstants, eps: float, rb: ReachBound,
     when a boundary margin w is supplied.  choice=(R, r) overrides the
     midpoint default.
     """
-    _check_eps(eps)
+    _check_positive(eps=eps)
     bcoef, gcoef = strong_coefficients(cc)
     t = cc.t
     bound = 2 * rb.nu / (2 * bcoef + gcoef)
@@ -263,7 +263,7 @@ def validate_manual(cc: ScaleConstants, eps: float,
 def manual_scales(cc: ScaleConstants, eps: float, scale1: float, scale2: float,
                   ball_R: float, ball_r: float) -> SelectedScales:
     """Wrap manual values as SelectedScales with advisory warnings attached."""
-    _check_eps(eps)
+    _check_positive(eps=eps)
     out = SelectedScales(scale1, scale2, ball_R, ball_r, "manual")
     out.warnings = validate_manual(cc, eps, out)
     return out

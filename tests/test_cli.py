@@ -52,6 +52,22 @@ def test_generate_too_sparse_is_validation_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("option,message", [
+    (["--radius", "0"], "circle radius must be positive and finite"),
+    (["--radius", "-1"], "circle radius must be positive and finite"),
+    (["--noise", "-0.05"], "noise must be >= 0 and finite"),
+])
+def test_generate_bad_radius_or_noise_is_validation_error(tmp_path, option, message,
+                                                         capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["generate", "--shape", "circle", "--eps", "0.1", "--n", "100", *option,
+               "-o", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
+
+
 def test_scales_selector_json(tmp_path):
     out = tmp_path / "scales.json"
     rc = main(["scales", "--c", "sqrt2", "--t", "0", "--eps", "0.05",
@@ -173,6 +189,7 @@ _SCAN = ["scan", "--shape", "circle", "--alpha", "0.12", "--eps", "0.05"]
     ["group", "--sample", "x.csv", "--maxdim", "-1"],
     ["check", "--max-pts", "3"],
     ["check", "--random", "-3"],
+    ["check", "--seed", "-1"],
     ["scales", "--eps", "nan", "--select", "manifold", "--nu", "1"],
     ["infer", "--sample", "x.csv", "--eps", "nan", "--select", "manifold", "--nu", "1"],
     ["group", "--sample", "x.csv", "--scale1", "0.1", "--scale2", "inf",
@@ -185,7 +202,7 @@ _SCAN = ["scan", "--shape", "circle", "--alpha", "0.12", "--eps", "0.05"]
 ], ids=["grid-no-steps", "grid-zero-steps", "grid-fractional-steps", "grid-bad-lo",
         "x-not-numbers", "x-three-coordinates", "p0-not-numbers",
         "p1-one-coordinate", "infer-negative-maxdim",
-        "group-negative-maxdim", "check-max-pts-below-4", "check-negative-random",
+        "group-negative-maxdim", "check-max-pts-below-4", "check-negative-random", "check-negative-seed",
         "scales-nan-eps", "infer-nan-eps", "group-inf-scale", "generate-inf-eps",
         "scan-nan-alpha", "x-nan", "grid-inf-hi"])
 def test_malformed_values_are_usage_errors(argv, capsys):

@@ -152,10 +152,10 @@ def test_chord_scan_builds_one_pair_per_r(monkeypatch):
     neighbourhood = relhom._neighbourhood
 
     class Counted(relhom._CollapsedPair):
-        def __init__(self, graph, top, q, spanning=False, bad=()):
+        def __init__(self, graph, top, spanning=False, bad=()):
             if spanning:
                 built.append(graph[0])
-            super().__init__(graph, top, q, spanning, bad)
+            super().__init__(graph, top, spanning, bad)
 
     def counted(points, sq, balls):
         builds.append(dict(balls))

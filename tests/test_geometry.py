@@ -410,6 +410,22 @@ def test_hausdorff_values_pinned():
     assert repr(hausdorff(K.even_points(400), K, grid=160).value) == "0.010384012539184972"
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+def test_circle_wants_positive_finite_radius(radius):
+    # a zero radius once divided by zero in even_points, and a negative one
+    # failed the epsilon bound of the sample drawn on it
+    with pytest.raises(ValueError, match="circle radius must be positive and finite"):
+        circle(radius)
+
+
+@pytest.mark.parametrize("noise", [-0.05, -1e-12, float("nan"), float("inf")])
+def test_generate_sample_wants_nonnegative_finite_noise(noise):
+    # a negative noise once gave a noise-free sample whose metadata
+    # recorded that noise
+    with pytest.raises(ValueError, match="noise must be >= 0 and finite"):
+        generate_sample(circle(), 0.1, 80, noise=noise, seed=5)
+
+
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
 def test_sample_wants_positive_finite_epsilon(eps):
     # a NaN epsilon once passed the epsilon > 0 test

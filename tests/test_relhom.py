@@ -969,6 +969,47 @@ def test_collapse_replays_as_dominations_on_grid_ties(inst):
     _check_cech_collapse(pts, p, level2)
 
 
+def _collapsed_betti(pts, p, level, flavor, q, top=3):
+    """H(X, A) degree by degree, below ``top``, of one level of a query at
+    point p: from ``quotient_pair``, and from the engine's collapsed pair,
+    without and with the spanning top degree, through the one pair
+    interface.  Returns the number of collapses."""
+    (a, b), c = level, pts[p]
+    full = quotient_pair(pts, c, a, b, flavor, top)
+    want = [relative_betti(full, ell, q) for ell in range(top)]
+    eng = ImageRankEngine(pts, level, level, flavor=flavor, q=q)
+    at = eng._centre(c)
+    eng._cover(at, b, b)
+    for spanning in (False, True):
+        core = eng._collapsed(at, a, b, top, spanning)
+        assert [relative_betti(core, ell, q) for ell in range(top)] == want
+    return len(core._onto)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("flavor", ["rips", "cech"])
+def test_strong_collapse_keeps_relative_homology(flavor, q):
+    # each collapse is a strong deformation retraction of the pair, so the
+    # collapsed pair has the relative Betti numbers of the uncollapsed one
+    rng = np.random.default_rng(13)
+    collapses = 0
+    for _ in range(40):
+        pts, spec = _random_instance(rng, max_pts=12)
+        for level in (spec.level1, spec.level2):
+            collapses += _collapsed_betti(pts, spec.p, level, flavor, q)
+    assert collapses > 0
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("flavor", ["rips", "cech"])
+@settings(max_examples=60)
+@given(data=st.data())
+def test_strong_collapse_keeps_relative_homology_on_grid_ties(flavor, q, data):
+    pts, p, level1, level2 = data.draw(_grid_ties() | _lattice())
+    for level in (level1, level2):
+        _collapsed_betti(pts, p, level, flavor, q)
+
+
 @pytest.mark.parametrize("lmax", [0, 1, 2, 3])
 def test_rips_rank_query_reads_no_global_complex(lmax):
     # a rank query, Rips or Cech, builds both of its levels from the local

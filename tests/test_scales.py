@@ -243,6 +243,19 @@ def test_seemliness_reach_validation():
         ReachBound(nu=1, boundary_margin=0)
 
 
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["nu", "boundary_margin", "M", "m", "M0"])
+def test_bounds_reject_non_finite_values_by_name(name, x):
+    # a NaN passed the old <= 0 tests and surfaced later as an infeasible
+    # scale under another name; inf, a flat stratum's reach, did the same
+    values = ({"nu": 1.0, "boundary_margin": 0.5} if name in ("nu", "boundary_margin")
+              else {"M": 1.0, "m": 1.0, "M0": 2.0})
+    values[name] = x
+    bound = ReachBound if "nu" in values else SeemlinessBound
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        bound(**values)
+
+
 def test_as_dict_roundtrip():
     sel = SelectedScales(0.05, 0.12, 1.0, 0.5, "manifold", ["w"])
     d = sel.as_dict()
