@@ -575,8 +575,7 @@ def boundary(simplices, rows: Dict[Tuple[int, ...], int], q: int) -> List[int]:
     ``rows``; a facet without a row is dropped, so a vertex gives the zero
     column.  The facets come from ``combinations(s, d)``, which drops the
     last vertex first: the i-th drops vertex d - i.  GF(2) has no signs and
-    one-bit lanes, so it has a loop of its own.  With no rows, as for
-    vertices, every column is 0.
+    one-bit lanes, so it has a loop of its own.
     """
     if not rows:
         return [0] * len(simplices)

@@ -24,18 +24,12 @@ computations give it:
     acceptance criterion 4 and the oracle comparisons of the tests.
 Every rank comes from the one column reduction of packed int columns,
 ``fieldla.reduce_columns``.  Both direct methods answer through one
-per-degree driver, ``_image_ranks``, over one pair interface: ``basis``,
-``dim_count``, ``boundary_columns(d, q)`` and ``images(d, simplices, q)``,
-the chain map of level-1 basis simplices into a level-2 pair.  The methods
-differ only in their pairs.  ``image_rank``'s are ``QuotientPairComplex``es
-with the basis-diagonal map: a level-1 basis simplex goes to its own
-level-2 row, or to 0 once it misses the smaller ball.  ``ImageRankEngine``
-evaluates many query points.  A query, Rips or Cech, builds both levels
-locally and strong-collapses each one, at every lmax (``_CollapsedPair``):
-a Cech level is its local Rips graph less the cofaces of its bad simplices
-(``complexes._bad_simplices``), which the collapse keeps
-(``complexes.collapse_vertices``).  A level-1 simplex maps by the level-2
-collapse's vertex map.
+per-degree driver, ``_image_ranks``, over one pair interface, that of
+``QuotientPairComplex``, and differ only in their pairs: ``image_rank``'s
+are ``QuotientPairComplex``es, mapped basis-diagonally (a level-1 basis
+simplex to its own level-2 row, or to 0 once it misses the smaller ball);
+``ImageRankEngine``'s are strong-collapsed local pairs (``_CollapsedPair``),
+Rips or Cech at every lmax, mapped by the level-2 collapse's vertex map.
 Input goes through the one gate of ``complexes``; this module adds only
 the prime q (``fieldla._require_prime``) and a centre index in range(n).
 """
@@ -133,8 +127,7 @@ class HomologySignature:
 
 def relative_betti(Q, ell: int, q: int = 2) -> int:
     """dim ker of the degree-ell restricted boundary minus rank of the
-    degree-(ell+1) one, over GF(q), for a pair with the interface of
-    ``QuotientPairComplex``."""
+    degree-(ell+1) one, over GF(q), of a ``QuotientPairComplex``-like pair."""
     if Q.max_dim < ell + 1:
         raise ValueError(f"pair built to dimension {Q.max_dim}, need {ell + 1}")
     n_ell = Q.dim_count(ell)
@@ -556,9 +549,12 @@ class _CollapsedPair:
         """Packed GF(q) boundary columns of the degree-d basis over the
         degree-(d-1) rows, kept per (d, q) and shared: callers only read
         them."""
-        if (d, q) not in self._bnd:
-            self._bnd[d, q] = boundary(self.basis.get(d, []), self.rows.get(d - 1, {}), q)
-        return self._bnd[d, q]
+        key = d, q
+        cols = self._bnd.get(key)
+        if cols is None:
+            cols = self._bnd[key] = boundary(self.basis.get(d, []),
+                                             self.rows.get(d - 1, {}), q)
+        return cols
 
     def images(self, d: int, simplices, q: int) -> list:
         """The image of each level-1 basis simplex of ``simplices``, in
