@@ -24,7 +24,7 @@ computations give it:
     acceptance criterion 4 and the oracle comparisons of the tests.
 Every rank comes from the one column reduction of packed int columns,
 ``fieldla.reduce_columns``.  Both direct methods answer through one
-per-degree driver, ``_image_ranks``, over one pair interface, that of
+per-degree loop, ``_image_ranks``, over one pair interface, that of
 ``QuotientPairComplex``, and differ only in their pairs: ``image_rank``'s
 are ``QuotientPairComplex``es, mapped basis-diagonally (a level-1 basis
 simplex to its own level-2 row, or to 0 once it misses the smaller ball);
