@@ -89,7 +89,7 @@ def _prime(token: str) -> int:
 
 
 def _nonnegative(token: str) -> int:
-    """A ``--maxdim``, ``--random`` or ``check --seed`` value: an integer >= 0."""
+    """A ``--maxdim``, ``--random`` or ``--seed`` value: an integer >= 0."""
     if not token.isdigit():
         raise argparse.ArgumentTypeError(f"{token!r} is not an integer >= 0")
     return int(token)
@@ -210,6 +210,16 @@ def _scales_from_args(args, cc: ScaleConstants, eps: float) -> SelectedScales:
     return _select_scales(args, cc)
 
 
+def _scale_error(exc: ValueError) -> int:
+    """Reports why no scales were selected: exit 3 for infeasible scales, 2
+    for any other bad value, such as an eps or nu <= 0."""
+    if isinstance(exc, InfeasibleScales):
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def cmd_scales(args) -> int:
     cc = _constants(args)
     if args.eps is None:
@@ -217,9 +227,8 @@ def cmd_scales(args) -> int:
         return EXIT_VALIDATION
     try:
         sel = _scales_from_args(args, cc, args.eps)
-    except InfeasibleScales as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    except ValueError as exc:
+        return _scale_error(exc)
     _write_or_print(emit_json(sel.as_dict()), args.output)
     return EXIT_OK
 
@@ -242,9 +251,8 @@ def cmd_infer(args) -> int:
     cc = _constants(args, default_t=P.t)
     try:
         sel = _scales_from_args(args, cc, P.epsilon)
-    except InfeasibleScales as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    except ValueError as exc:
+        return _scale_error(exc)
     results = pipeline.infer_all(P, sel, cc, q=args.field, lmax=args.maxdim)
     if shape is not None:
         report = pipeline.classify(P, results, shape, sel)
@@ -264,9 +272,8 @@ def cmd_group(args) -> int:
     cc = _constants(args, default_t=P.t)
     try:
         sel = _scales_from_args(args, cc, P.epsilon)
-    except InfeasibleScales as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    except ValueError as exc:
+        return _scale_error(exc)
     groups = pipeline.group_strata(P, sel, cc, q=args.field, lmax=args.maxdim)
     _write_or_print(emit_json({"heuristic": True, "n_groups": len(groups),
                                "groups": groups}), args.output)
@@ -335,9 +342,23 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _check_report(report) -> None:
+    """Raises ``ValueError`` unless ``report`` reads as an ``infer`` report,
+    as ``plotting.report_svg`` reads it: an object whose ``points`` each
+    have a label and at least two numeric coords."""
+    points = report.get("points", []) if isinstance(report, dict) else None
+    if not isinstance(points, list) or not all(
+            isinstance(p, dict) and isinstance(p.get("label"), str)
+            and isinstance(c := p.get("coords"), list) and len(c) >= 2
+            and all(isinstance(v, (int, float)) for v in c) for p in points):
+        raise ValueError("not an infer report: need an object whose points each "
+                         "have a label and coords")
+
+
 def cmd_plot(args) -> int:
     try:
         report = json.loads(Path(args.report).read_text())
+        _check_report(report)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -399,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--eps", type=_finite, required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--noise", type=_finite, default=0.0)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_nonnegative, default=0)
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_generate)
 

@@ -361,8 +361,7 @@ def _finite_centre(points: np.ndarray, center) -> np.ndarray:
 def _normalize_subset(points, vertex_subset) -> np.ndarray:
     if vertex_subset is None:
         return np.arange(len(points))
-    out = np.asarray(sorted(int(v) for v in vertex_subset), dtype=int)
-    return out
+    return np.asarray(sorted(int(v) for v in vertex_subset), dtype=int)
 
 
 # --- smallest enclosing balls ------------------------------------------------
@@ -601,36 +600,72 @@ def boundary(simplices, rows: Dict[Tuple[int, ...], int], q: int) -> List[int]:
     return cols
 
 
-@dataclass
 class QuotientPairComplex:
-    """Relative chain complex of (full complex, complex after ball deletion).
+    """Relative chain complex of a deleted-ball pair (X, A), A the
+    subcomplex off the open ball: the one pair type of the direct method.
 
-    ``basis[d]`` lists the d-simplices having >= 1 vertex strictly inside the
-    deleted ball; ``boundary_columns`` drops faces outside the basis.  Built
-    locally: only sample points within ``b + 2a`` of the center participate,
-    which provably yields the same quotient as the full complex.
+    ``basis[d]`` lists the d-simplices of X with a vertex strictly inside
+    the ball, as ascending tuples, and ``rows[d]`` numbers them for the
+    degrees below ``max_dim``.  A pair from ``_collapsed_pair`` keeps its
+    collapses ``onto``, (v, w) in order, on local vertices 0..m-1; any
+    other pair has none.
     """
 
-    max_dim: int
-    basis: Dict[int, List[Tuple[int, ...]]]
+    def __init__(self, max_dim: int, basis: Dict[int, List[Tuple[int, ...]]],
+                 onto=(), m: int = 0):
+        self.max_dim = max_dim
+        self.basis = basis
+        self.rows = {d: {s: r for r, s in enumerate(ss)}
+                     for d, ss in basis.items() if d < max_dim}
+        self._onto, self._m = onto, m
+        self._f = None
+        self._bnd = {}
 
     def dim_count(self, d: int) -> int:
-        return len(self.basis.get(d, []))
+        return len(self.basis.get(d, ()))
 
     def boundary_columns(self, d: int, q: int) -> List[int]:
         """Packed GF(q) boundary columns of the basis d-simplices, one per
-        simplex, over ``dim_count(d - 1)`` rows that index the
-        (d-1)-basis; faces outside the basis are dropped."""
-        rows = {s: i for i, s in enumerate(self.basis.get(d - 1, ()))}
-        return boundary(self.basis.get(d, []), rows, q)
+        simplex, over ``dim_count(d - 1)`` rows that index the (d-1)-basis;
+        faces outside the basis are dropped.  They are kept per (d, q) and
+        shared: callers only read them."""
+        cols = self._bnd.get((d, q))
+        if cols is None:
+            cols = self._bnd[d, q] = boundary(self.basis.get(d, []),
+                                              self.rows.get(d - 1, {}), q)
+        return cols
 
     def images(self, d: int, simplices, q: int) -> List[int]:
-        """The basis-diagonal chain map into this pair: each simplex of
-        ``simplices`` to its own degree-d row with coefficient 1, or to 0 if
-        it is not a basis simplex, as when it misses this pair's ball."""
-        rows = {s: i for i, s in enumerate(self.basis.get(d, ()))}
-        k = lane_width(q)
-        return [0 if (r := rows.get(s)) is None else 1 << r * k for s in simplices]
+        """The chain map into this pair of each d-simplex of ``simplices``,
+        as a column over the degree-d rows: by f, the composed vertex map of
+        the collapses (the identity without any), to the sorted f-image with
+        the sign of the sorting permutation, or to 0 when a vertex lies at
+        or past m, the image is degenerate, or it has no row.  f is homotopy
+        inverse to the inclusion of the collapsed core, so the image rank is
+        that of the uncollapsed pair.  f is built on the first call.
+        """
+        rows, k = self.rows.get(d, {}), lane_width(q)
+        if not self._onto:
+            return [0 if (r := rows.get(s)) is None else 1 << r * k for s in simplices]
+        f, m = self._f, self._m
+        if f is None:
+            f = self._f = list(range(m))
+            # each vertex after the one it went onto
+            for v, w in reversed(self._onto):
+                f[v] = f[w]
+        image = f.__getitem__
+        out = []
+        for s in simplices:
+            # simplices ascend, so a vertex off the local set is s[-1] >= m
+            r = rows.get(tuple(sorted(map(image, s)))) if s[-1] < m else None
+            if r is None:
+                out.append(0)
+                continue
+            # the sign of the permutation that sorts the image, by its
+            # inversion parity; a sign is 1 at q = 2 and for a vertex
+            odd = q > 2 and d and sum(f[x] > f[y] for x, y in combinations(s, 2)) & 1
+            out.append((q - 1 if odd else 1) << r * k)
+        return out
 
 
 def quotient_pair(points: np.ndarray, center, a: float, b: float,
@@ -642,11 +677,6 @@ def quotient_pair(points: np.ndarray, center, a: float, b: float,
     no simplex off it is built.  A Cech complex is built whole on the local
     vertices and filtered, since its face-closure test reads the facets
     that lie off the ball.  The basis is complete in every degree.
-    ``image_rank`` and the engine build the top degree of a Rips level-2
-    pair as the spanning set of ``_clique_expand`` instead: the simplices
-    with no common neighbour below their least vertex, whose boundaries
-    span all the relative boundaries by ∂∂ = 0 on their cofaces.  That
-    lemma needs a flag complex, so it is for Rips only.
     """
     _check_levels((a, b), (a, b), flavor, max_dim)
     points = _finite_points(points)
@@ -677,6 +707,30 @@ def _pair_basis(points, center, a: float, b: float, flavor: str, max_dim: int,
         simp = {d: [s for s in ss if not ball.isdisjoint(s)] for d, ss in
                 build_complex(points, local, a, max_dim, flavor).simplices.items()}
     return {d: ss for d, ss in simp.items() if ss}
+
+
+def _collapsed_pair(graph, top: int, spanning: bool = False, bad=()) -> QuotientPairComplex:
+    """The pair (X, A) on a query centre's local graph at (a, b), ``graph``
+    = (nb, closed-neighbourhood bitmasks of local vertices 0..m-1, the
+    ball's first), strong-collapsed by ``collapse_vertices``.  X is the
+    clique complex less the cofaces of the vertex sets in ``bad``: none for
+    Rips, the local bad simplices for Cech.  The basis to degree ``top`` is
+    the live core's simplices that meet the ball; with ``spanning``, degree
+    ``top`` holds the spanning set of ``_clique_expand``, which needs a flag
+    complex, so a Cech pair keeps every top simplex.
+    """
+    nb, adj = graph
+    inside = (1 << nb) - 1
+    live, onto = collapse_vertices(adj, inside, bad)
+    core = {i: adj[i] & live ^ 1 << i for i in _bits(live)}
+    basis = _clique_expand(range(len(adj)), core, top, inside, spanning)
+    # a Cech core drops the cliques that hold a bad simplex of the core
+    if held := bad and [t for t in bad if not t & ~live]:
+        for d, ss in basis.items():
+            if d >= 2:
+                masks = (sum(1 << v for v in s) for s in ss)
+                basis[d] = [s for s, x in zip(ss, masks) if all(t & ~x for t in held)]
+    return QuotientPairComplex(top, basis, onto, len(adj))
 
 
 @dataclass

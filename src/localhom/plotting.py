@@ -8,7 +8,6 @@ rank1 blue, rank2 red, boundary gray, anything else black.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 LABEL_COLORS = {"rank1": "#1f5fbf", "rank2": "#c02020", "boundary": "#888888"}
 DEFAULT_COLOR = "#000000"

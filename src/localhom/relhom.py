@@ -24,12 +24,13 @@ computations give it:
     acceptance criterion 4 and the oracle comparisons of the tests.
 Every rank comes from the one column reduction of packed int columns,
 ``fieldla.reduce_columns``.  Both direct methods answer through one
-per-degree loop, ``_image_ranks``, over one pair interface, that of
-``QuotientPairComplex``, and differ only in their pairs: ``image_rank``'s
-are ``QuotientPairComplex``es, mapped basis-diagonally (a level-1 basis
-simplex to its own level-2 row, or to 0 once it misses the smaller ball);
-``ImageRankEngine``'s are strong-collapsed local pairs (``_CollapsedPair``),
-Rips or Cech at every lmax, mapped by the level-2 collapse's vertex map.
+per-degree loop, ``_image_ranks``, over one pair type,
+``QuotientPairComplex``, and differ only in how their pairs are built:
+``image_rank``'s are uncollapsed (``quotient_pair``), so a level-1 basis
+simplex maps to its own level-2 row, or to 0 once it misses the smaller
+ball; ``ImageRankEngine``'s are strong-collapsed local pairs
+(``complexes._collapsed_pair``), Rips or Cech at every lmax, which map by
+the level-2 collapse's vertex map.
 Input goes through the one gate of ``complexes``; this module adds only
 the prime q (``fieldla._require_prime``) and a centre index in range(n).
 """
@@ -37,17 +38,15 @@ the prime q (``fieldla._require_prime``) and a centre index in range(n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .complexes import (QuotientPairComplex, _adjacency_bits, _bad_simplices,
-                        _check_levels, _clique_expand, _finite_centre, _finite_points,
-                        _induced, _pair_basis, boundary, build_complex, collapse_vertices,
-                        cone_pair, delete_ball, quotient_pair)
-from .fieldla import (_bits, _require_prime, lane_width, persistent_reduce, rank,
-                      reduce_columns)
+                        _check_levels, _collapsed_pair, _finite_centre, _finite_points,
+                        _induced, _pair_basis, boundary, build_complex, cone_pair,
+                        delete_ball, quotient_pair)
+from .fieldla import _require_prime, lane_width, persistent_reduce, rank, reduce_columns
 from .geometry import sq_dists
 
 
@@ -127,7 +126,7 @@ class HomologySignature:
 
 def relative_betti(Q, ell: int, q: int = 2) -> int:
     """dim ker of the degree-ell restricted boundary minus rank of the
-    degree-(ell+1) one, over GF(q), of a ``QuotientPairComplex``-like pair."""
+    degree-(ell+1) one, over GF(q), of a ``QuotientPairComplex``."""
     if Q.max_dim < ell + 1:
         raise ValueError(f"pair built to dimension {Q.max_dim}, need {ell + 1}")
     n_ell = Q.dim_count(ell)
@@ -158,9 +157,8 @@ def _image_ranks(level1, make_level2, lmax: int, q: int) -> list:
     ``level1`` into the pair that ``make_level2()`` returns, by
     ``_stacked_rank``: the one per-degree loop of both direct methods.
 
-    Both pairs have the interface of ``QuotientPairComplex``, and level 2
-    holds its degree-(lmax+1) simplices, or a set whose boundaries span
-    theirs.  Level 2 is made on the first degree with a level-1 basis
+    Both pairs are ``QuotientPairComplex``es, and level 2 holds its
+    degree-(lmax+1) simplices, or a set whose boundaries span theirs.  Level 2 is made on the first degree with a level-1 basis
     simplex, so a query whose level-1 basis is empty makes none.
     """
     ranks = [0] * (lmax + 1)
@@ -301,10 +299,10 @@ class ImageRankEngine:
     """Evaluates many image-rank queries sharing one scale configuration.
 
     A query answers through ``_image_ranks``, as ``image_rank`` does.  Both
-    levels are a ``_CollapsedPair``, for Rips and Cech alike and at every
-    lmax: built on the centre's local graph at the level's scale and ball,
-    less the cofaces of the level's bad simplices for Cech
-    (``_bad_simplices``), and strong-collapsed.  The level-1 basis is the
+    levels are a ``QuotientPairComplex`` from ``_collapsed_pair``, for Rips
+    and Cech alike and at every lmax: built on the centre's local graph at
+    the level's scale and ball, less the cofaces of the level's bad
+    simplices for Cech (``_bad_simplices``), and strong-collapsed.  The level-1 basis is the
     level-1 core's simplices that meet the larger ball, up to degree lmax,
     and a level-1 simplex maps by the vertex map of the level-2 collapse.
     Both are in local ids, one order per centre (``_Centre``), so the
@@ -438,17 +436,17 @@ class ImageRankEngine:
         return nb, bits
 
     def _collapsed(self, at: _Centre, a: float, b: float, top: int,
-                   spanning: bool = False) -> "_CollapsedPair":
+                   spanning: bool = False) -> QuotientPairComplex:
         """The collapsed pair at (a, b) around the centre ``at``, to degree
-        ``top``; a Cech pair drops the cofaces of its local graph's bad
-        simplices."""
+        ``top`` (``_collapsed_pair``); a Cech pair drops the cofaces of its
+        local graph's bad simplices."""
         graph = self._graph(at, a, b)
         if self.flavor == "rips":
-            return _CollapsedPair(graph, top, spanning)
+            return _collapsed_pair(graph, top, spanning)
         bad = _bad_simplices(self.points, at.local[:len(graph[1])], a)
-        return _CollapsedPair(graph, top, bad=bad)
+        return _collapsed_pair(graph, top, bad=bad)
 
-    def _pair(self, at: _Centre, b2: float) -> "_CollapsedPair":
+    def _pair(self, at: _Centre, b2: float) -> QuotientPairComplex:
         """The level-2 pair at the centre ``at`` with smaller ball radius
         ``b2``.  It depends on nothing else, and it is read-only once built,
         so a query at the same centre and ``b2`` as the latest pair's reuses
@@ -482,95 +480,3 @@ def _neighbourhood(points, sq, balls: dict):
     sqs = sq[local]
     sizes = np.searchsorted(sqs, reach, "right").tolist()
     return local, sqs, dict(zip(balls, _adjacency_bits(points, local, list(balls), sizes)))
-
-
-class _CollapsedPair:
-    """The Rips or Cech pair (X, A) at scale a with the open b-ball
-    deleted, for either level of a query and every lmax, in local ids, one
-    order per centre, with the pair interface of ``QuotientPairComplex``.
-
-    The pair is built on the centre's local graph at (a, b), ``graph`` =
-    (nb, closed-neighbourhood bitmasks of local vertices 0..m-1).  X is the
-    clique complex of the graph less the cofaces of the vertex sets in
-    ``bad``: none for Rips, the local bad simplices for Cech.  It is shrunk
-    by ``collapse_vertices``: far vertices are tried first, each onto its
-    nearest dominating neighbour.  Its ``basis`` in degree d <= ``top`` is
-    the d-simplices of the live core that meet the ball, as tuples of local
-    ids; with ``spanning``, degree ``top`` holds the spanning set of
-    ``_clique_expand`` instead, whose boundaries span the relative
-    boundaries of degree top - 1.  That needs a flag complex, so a Cech
-    pair keeps every top simplex.  Rows index the degrees below ``top``.
-    Only the live core is expanded into cliques.
-
-    As a level-2 pair it maps a level-1 basis simplex (``images``), in the
-    same local ids, by f, the composed vertex map of the collapse: to the
-    sorted f-image of its vertices, with the sign of the sorting
-    permutation.  The image is 0 when the simplex has a vertex at or past
-    m, off the local set, is degenerate under f, or its image has no row.
-    f is a simplicial map of pairs, homotopy inverse to the inclusion of
-    the core, so the image rank is that of the uncollapsed pair.  A
-    level-1 pair never maps a simplex, so f is built on the first
-    ``images`` call.
-    """
-
-    def __init__(self, graph, top: int, spanning: bool = False, bad=()):
-        nb, adj = graph
-        self.m = len(adj)
-        self.max_dim = top
-        live, self._onto = collapse_vertices(adj, (1 << nb) - 1, bad)
-        core = {i: adj[i] & live ^ 1 << i for i in _bits(live)}
-        self.basis = _clique_expand(range(self.m), core, top, (1 << nb) - 1, spanning)
-        # a Cech core drops the cliques that hold a bad simplex of the core
-        if held := bad and [t for t in bad if not t & ~live]:
-            for d, ss in self.basis.items():
-                if d >= 2:
-                    masks = (sum(1 << v for v in s) for s in ss)
-                    self.basis[d] = [s for s, x in zip(ss, masks)
-                                     if all(t & ~x for t in held)]
-        self.rows = {d: {s: r for r, s in enumerate(ss)}
-                     for d, ss in self.basis.items() if d < top}
-        self._bnd = {}
-        self.f = None
-
-    def _vertex_map(self) -> list:
-        """f on local ids 0..m-1."""
-        if self.f is None:
-            f = list(range(self.m))
-            # each vertex after the one it went onto
-            for v, w in reversed(self._onto):
-                f[v] = f[w]
-            self.f = f
-        return self.f
-
-    def dim_count(self, d: int) -> int:
-        return len(self.basis.get(d, ()))
-
-    def boundary_columns(self, d: int, q: int) -> list:
-        """Packed GF(q) boundary columns of the degree-d basis over the
-        degree-(d-1) rows, kept per (d, q) and shared: callers only read
-        them."""
-        key = d, q
-        cols = self._bnd.get(key)
-        if cols is None:
-            cols = self._bnd[key] = boundary(self.basis.get(d, []),
-                                             self.rows.get(d - 1, {}), q)
-        return cols
-
-    def images(self, d: int, simplices, q: int) -> list:
-        """The image of each level-1 basis simplex of ``simplices``, in
-        local ids, as a column over the degree-d rows."""
-        rows, k = self.rows.get(d, {}), lane_width(q)
-        f, m = self._vertex_map(), self.m
-        image = f.__getitem__
-        out = []
-        for s in simplices:
-            # local tuples ascend, so a vertex off the local set is s[-1] >= m
-            r = rows.get(tuple(sorted(map(image, s)))) if s[-1] < m else None
-            if r is None:
-                out.append(0)
-                continue
-            # the sign of the permutation that sorts the image, by its
-            # inversion parity; a sign is 1 at q = 2 and for a vertex
-            odd = q > 2 and d and sum(f[x] > f[y] for x, y in combinations(s, 2)) & 1
-            out.append((q - 1 if odd else 1) << r * k)
-        return out

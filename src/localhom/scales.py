@@ -105,6 +105,7 @@ class SelectedScales:
     warnings: List[str] = field(default_factory=list)
 
     def __post_init__(self):
+        # the rules of a query's levels (``complexes._check_levels``)
         values = (self.scale1, self.scale2, self.ball_R, self.ball_r)
         if not all(map(math.isfinite, values)):
             raise InfeasibleScales(f"scales and ball radii must be finite, got {values}")
@@ -112,6 +113,10 @@ class SelectedScales:
             raise InfeasibleScales(
                 f"nesting violated: a1={self.scale1} a2={self.scale2} "
                 f"b1={self.ball_R} b2={self.ball_r}")
+        if self.scale1 <= 0:
+            raise InfeasibleScales(f"scale1 must be positive, got {self.scale1}")
+        if self.ball_r < 0:
+            raise InfeasibleScales(f"ball_r must be >= 0, got {self.ball_r}")
 
     def as_dict(self) -> dict:
         return {"scale1": self.scale1, "scale2": self.scale2,

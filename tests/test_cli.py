@@ -90,6 +90,51 @@ def test_scales_infeasible_exit_code():
     assert rc == 3
 
 
+@pytest.mark.parametrize("command", ["scales", "infer", "group"])
+@pytest.mark.parametrize("values,message", [
+    (["--scale1", "0.05", "--ball-r", "-0.1"], "ball_r must be >= 0, got -0.1"),
+    (["--scale1", "-0.1", "--ball-r", "0.5"], "scale1 must be positive, got -0.1"),
+    (["--scale1", "0", "--ball-r", "0.5"], "scale1 must be positive, got 0.0"),
+], ids=["negative-ball-r", "negative-scale1", "zero-scale1"])
+def test_bad_manual_scales_are_infeasible(tmp_path, command, values, message, capsys):
+    # SelectedScales applies a query's rules: exit 3 before any selector
+    # arithmetic or engine build, and nothing written
+    where = ["--eps", "0.05"]
+    if command != "scales":
+        where = ["--sample", str(_generate_circle(tmp_path))]
+        capsys.readouterr()
+    out = tmp_path / "out.json"
+    rc = main([command, *where, "--scale2", "0.12", "--ball-R", "1.0", *values,
+               "-o", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert f"infeasible: {message}" in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["scales", "--eps", "-1", "--select", "manifold", "--nu", "1"],
+     "error: eps must be positive and finite, got -1.0"),
+    (["scales", "--eps", "0", "--scale1", "0.05", "--scale2", "0.12",
+      "--ball-R", "1.0", "--ball-r", "0.5"], "error: eps must be positive and finite, got 0.0"),
+    (["scales", "--eps", "0.05", "--select", "manifold", "--nu", "-1"],
+     "error: nu must be positive and finite, got -1.0"),
+], ids=["negative-eps", "zero-eps-manual", "negative-nu"])
+def test_bad_scale_values_are_validation_errors(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_infer_bad_reach_is_validation_error(tmp_path, capsys):
+    sample = _generate_circle(tmp_path)
+    capsys.readouterr()
+    for command in ("infer", "group"):
+        assert main([command, "--sample", str(sample), "--select", "manifold",
+                     "--nu", "-1"]) == 2
+        assert "error: nu must be positive and finite" in capsys.readouterr().err
+
+
 def test_manual_scales_need_all_four():
     rc = main(["scales", "--eps", "0.05", "--scale1", "0.05",
                "--scale2", "0.12"])
@@ -190,6 +235,10 @@ _SCAN = ["scan", "--shape", "circle", "--alpha", "0.12", "--eps", "0.05"]
     ["check", "--max-pts", "3"],
     ["check", "--random", "-3"],
     ["check", "--seed", "-1"],
+    ["generate", "--shape", "circle", "--eps", "0.1", "--n", "100", "--seed", "-1",
+     "-o", "x.csv"],
+    ["generate", "--shape", "circle", "--eps", "0.1", "--n", "100", "--noise", "0.01",
+     "--seed", "-1", "-o", "x.csv"],
     ["scales", "--eps", "nan", "--select", "manifold", "--nu", "1"],
     ["infer", "--sample", "x.csv", "--eps", "nan", "--select", "manifold", "--nu", "1"],
     ["group", "--sample", "x.csv", "--scale1", "0.1", "--scale2", "inf",
@@ -203,6 +252,7 @@ _SCAN = ["scan", "--shape", "circle", "--alpha", "0.12", "--eps", "0.05"]
         "x-not-numbers", "x-three-coordinates", "p0-not-numbers",
         "p1-one-coordinate", "infer-negative-maxdim",
         "group-negative-maxdim", "check-max-pts-below-4", "check-negative-random", "check-negative-seed",
+        "generate-negative-seed", "generate-noisy-negative-seed",
         "scales-nan-eps", "infer-nan-eps", "group-inf-scale", "generate-inf-eps",
         "scan-nan-alpha", "x-nan", "grid-inf-hi"])
 def test_malformed_values_are_usage_errors(argv, capsys):
@@ -318,6 +368,24 @@ def test_plot_svg(tmp_path):
     svg = svg_path.read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert svg.count("<circle") >= 70
+
+
+@pytest.mark.parametrize("report", [
+    [1, 2],
+    {"points": [{"i": 0, "label": "rank1"}]},
+    {"points": [{"i": 0, "coords": [0.5], "label": "rank1"}]},
+    {"points": [{"i": 0, "coords": ["a", 0.0], "label": "rank1"}]},
+    {"points": {"0": {"coords": [0.0, 1.0], "label": "rank1"}}},
+    {"points": [{"i": 0, "coords": [0.0, 1.0]}]},
+], ids=["list", "no-coords", "one-coordinate", "text-coordinate", "points-object",
+        "no-label"])
+def test_plot_rejects_what_is_not_an_infer_report(tmp_path, report, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    svg = tmp_path / "plot.svg"
+    assert main(["plot", "--report", str(path), "-o", str(svg)]) == 2
+    assert "error: not an infer report" in capsys.readouterr().err
+    assert not svg.exists()
 
 
 def test_emit_json_formatting():

@@ -4,11 +4,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from localhom.complexes import (_adjacency_bits, _bad_simplices, _build, _clique_expand,
-                                _det, _induced, _leibniz, _pair_basis, _support_sets,
-                                _too_wide, boundary, build_complex, cech, cone_pair,
-                                delete_ball, quotient_pair, rips)
-from localhom.fieldla import _bits, rank
+from localhom.complexes import (QuotientPairComplex, _adjacency_bits, _bad_simplices,
+                                _build, _clique_expand, _det, _induced, _leibniz,
+                                _pair_basis, _support_sets, _too_wide, boundary,
+                                build_complex, cech, cone_pair, delete_ball, quotient_pair,
+                                rips)
+from localhom.fieldla import _bits, lane_width, rank
 from localhom.geometry import sq_dists
 from reference import (boundary_by_slices, coned_order, det_leibniz, entries,
                        min_enclosing_radius)
@@ -405,6 +406,48 @@ def test_quotient_pair_triangle_boundary():
     pts = np.array([(0, 0), (1, 0), (0.5, math.sqrt(3) / 2)])
     Q = quotient_pair(pts, (0.5, -0.1), 0.5, 0.6, "rips", 1)
     assert Q.dim_count(0) == 2 and Q.dim_count(1) == 3
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_quotient_pair_images_are_basis_diagonal(q):
+    # a pair without collapses maps by the identity: each basis simplex to
+    # its own row with coefficient 1, and a simplex outside the basis to 0
+    rng = np.random.default_rng(q)
+    k = lane_width(q)
+    triangles = outside = 0
+    for _ in range(10):
+        pts = rng.uniform(-1, 1, size=(12, 2))
+        Q = quotient_pair(pts, pts[0], 0.4, 0.6, "rips", 3)
+        for d in range(3):
+            basis = Q.basis.get(d, [])
+            assert Q.images(d, basis, q) == [1 << r * k for r in range(len(basis))]
+            assert Q.images(d, basis[::-1], q) == [1 << r * k for r in range(len(basis))][::-1]
+        triangles += Q.dim_count(2)
+        off = [s for s in rips(pts, None, 0.4, 1).simplices[1] if s not in Q.basis[1]]
+        off.append((0, 12))
+        assert Q.images(1, off, q) == [0] * len(off)
+        outside += len(off) - 1
+    assert triangles and outside
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_collapsed_pair_images_map_through_collapses(q):
+    # local vertices 0..5 (m = 6); 4 went onto 1 and then 1 onto 3, so
+    # f = 0 3 2 3 3 5, and the core's basis holds no 1 or 4
+    basis = {0: [(0,), (2,), (3,)], 1: [(0, 2), (0, 3), (2, 3)], 2: [(0, 2, 3)]}
+    Q = QuotientPairComplex(3, basis, [(4, 1), (1, 3)], 6)
+    k, minus = lane_width(q), q - 1
+    assert Q.images(0, [(1,), (4,), (5,), (0,)], q) == [1 << 2 * k, 1 << 2 * k, 0, 1]
+    # (1, 2) -> (3, 2) sorts with one swap, so -1; (2, 4) -> (2, 3) keeps
+    # its order; (1, 4) and (1, 3) collapse to a vertex; 5 has no row, and
+    # 6 lies past the local set
+    edges = [(0, 1), (1, 2), (2, 4), (1, 4), (1, 3), (0, 5), (0, 6)]
+    assert Q.images(1, edges, q) == [1 << k, minus << 2 * k, 1 << 2 * k, 0, 0, 0, 0]
+    # (0, 1, 2) -> (0, 3, 2): one swap; (0, 2, 4) -> (0, 2, 3): none
+    assert Q.images(2, [(0, 1, 2), (0, 2, 4), (0, 1, 4)], q) == [minus, 1, 0]
+    # the same pair without its collapses is basis-diagonal
+    plain = QuotientPairComplex(3, basis)
+    assert plain.images(1, edges + [(2, 3)], q) == [0] * len(edges) + [1 << 2 * k]
 
 
 def test_quotient_localization_soundness():

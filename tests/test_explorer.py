@@ -151,17 +151,18 @@ def test_chord_scan_builds_one_pair_per_r(monkeypatch):
     built, builds = [], []
     neighbourhood = relhom._neighbourhood
 
-    class Counted(relhom._CollapsedPair):
-        def __init__(self, graph, top, spanning=False, bad=()):
-            if spanning:
-                built.append(graph[0])
-            super().__init__(graph, top, spanning, bad)
+    collapsed_pair = relhom._collapsed_pair
+
+    def counted_pair(graph, top, spanning=False, bad=()):
+        if spanning:
+            built.append(graph[0])
+        return collapsed_pair(graph, top, spanning, bad)
 
     def counted(points, sq, balls):
         builds.append(dict(balls))
         return neighbourhood(points, sq, balls)
 
-    monkeypatch.setattr(relhom, "_CollapsedPair", Counted)
+    monkeypatch.setattr(relhom, "_collapsed_pair", counted_pair)
     monkeypatch.setattr(relhom, "_neighbourhood", counted)
     K, x, alpha, eps = circle_chord(), (-1.0, 0.0), 0.12, 0.05
     values = np.linspace(0.1, 1.0, 10)

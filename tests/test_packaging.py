@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import os
@@ -23,6 +24,46 @@ def test_pyproject_matches_package():
     assert project["name"] == "localhom"
     assert project["version"] == localhom.__version__
     assert not any("numba" in dep for dep in project["dependencies"])
+
+
+def _unused_imports(source: str) -> list:
+    """The names that a module imports and never reads.  A name is read
+    where it is an ``ast.Name``, the head of an attribute chain included,
+    or where a string annotation names it."""
+    tree = ast.parse(source)
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        notes = [getattr(node, "returns", None), getattr(node, "annotation", None)]
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                read.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_unused_imports_are_found():
+    source = ("from __future__ import annotations\n"
+              "import os, sys\n"
+              "from typing import Dict, List, Optional\n"
+              "import numpy as np\n"
+              "def f(x: Dict) -> 'List[int]':\n"
+              "    return np.asarray(sys.argv)\n")
+    assert _unused_imports(source) == [(2, "os"), (3, "Optional")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "localhom").glob("*.py")
+                                          if p.name != "__init__.py"))
+def test_library_module_has_no_unused_import(module):
+    # stdlib ast, so the check needs no linter; __init__.py imports in order
+    # to re-export
+    source = (ROOT / "src" / "localhom" / module).read_text()
+    assert _unused_imports(source) == []
 
 
 def test_perfbench_tracer_targets_resolve(monkeypatch):

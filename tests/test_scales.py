@@ -232,6 +232,21 @@ def test_manual_nesting_hard_error():
         SelectedScales(0.06, 0.018, 0.175, 0.116, "manual")  # a1 > a2
 
 
+@pytest.mark.parametrize("values,message", [
+    ((0.0, 0.06, 0.175, 0.116), "scale1 must be positive, got 0.0"),
+    ((-0.1, 0.06, 0.175, 0.116), "scale1 must be positive, got -0.1"),
+    ((0.018, 0.06, 0.175, -0.1), "ball_r must be >= 0, got -0.1"),
+])
+def test_selected_scales_reject_what_a_query_rejects(values, message):
+    # the rules of complexes._check_levels, so that bad manual scales stop
+    # here and not in a selector's arithmetic or in the engine
+    with pytest.raises(InfeasibleScales, match=f"^{message}$"):
+        SelectedScales(*values, "manual")
+    with pytest.raises(InfeasibleScales, match=f"^{message}$"):
+        manual_scales(ScaleConstants(t=1, c=S2), 0.018, *values)
+    assert SelectedScales(0.018, 0.06, 0.175, 0.0, "manual").ball_r == 0.0
+
+
 def test_seemliness_reach_validation():
     with pytest.raises(ValueError):
         SeemlinessBound(M=0, m=1, M0=1)
