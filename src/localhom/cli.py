@@ -342,31 +342,31 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _check_report(report) -> None:
-    """Raises ``ValueError`` unless ``report`` reads as an ``infer`` report,
-    as ``plotting.report_svg`` reads it: an object whose ``points`` each
-    have a label and at least two numeric coords."""
+def _report_shape(report) -> dict:
+    """The shape metadata of an ``infer`` report, {} if it has none.  Raises
+    ``ValueError`` unless ``report`` reads as one, as ``plotting.report_svg``
+    reads it: an object whose points each have a label and two or more
+    numeric coords, and whose sample metadata and shape are objects."""
     points = report.get("points", []) if isinstance(report, dict) else None
-    if not isinstance(points, list) or not all(
+    sample = report.get("sample") or {} if isinstance(report, dict) else None
+    shape = sample.get("shape") or {} if isinstance(sample, dict) else None
+    if not isinstance(points, list) or not isinstance(shape, dict) or not all(
             isinstance(p, dict) and isinstance(p.get("label"), str)
             and isinstance(c := p.get("coords"), list) and len(c) >= 2
             and all(isinstance(v, (int, float)) for v in c) for p in points):
-        raise ValueError("not an infer report: need an object whose points each "
-                         "have a label and coords")
+        raise ValueError("not an infer report: each point needs a label and "
+                         "coords, and the sample metadata must be an object")
+    return shape
 
 
 def cmd_plot(args) -> int:
     try:
         report = json.loads(Path(args.report).read_text())
-        _check_report(report)
+        meta = _report_shape(report)
+        shape = shape_from_meta(meta) if args.overlay_shape and "kind" in meta else None
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    shape = None
-    if args.overlay_shape:
-        meta = (report.get("sample") or {}).get("shape") or {}
-        if "kind" in meta:
-            shape = shape_from_meta(meta)
     svg = plotting.report_svg(report, only_correct=args.only_correct,
                               shape=shape)
     _write_or_print(svg, args.output)

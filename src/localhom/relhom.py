@@ -158,8 +158,9 @@ def _image_ranks(level1, make_level2, lmax: int, q: int) -> list:
     ``_stacked_rank``: the one per-degree loop of both direct methods.
 
     Both pairs are ``QuotientPairComplex``es, and level 2 holds its
-    degree-(lmax+1) simplices, or a set whose boundaries span theirs.  Level 2 is made on the first degree with a level-1 basis
-    simplex, so a query whose level-1 basis is empty makes none.
+    degree-(lmax+1) simplices, or a set whose boundaries span theirs.
+    Level 2 is made on the first degree with a level-1 basis simplex, so a
+    query whose level-1 basis is empty makes none.
     """
     ranks = [0] * (lmax + 1)
     level2 = None
@@ -302,11 +303,11 @@ class ImageRankEngine:
     levels are a ``QuotientPairComplex`` from ``_collapsed_pair``, for Rips
     and Cech alike and at every lmax: built on the centre's local graph at
     the level's scale and ball, less the cofaces of the level's bad
-    simplices for Cech (``_bad_simplices``), and strong-collapsed.  The level-1 basis is the
-    level-1 core's simplices that meet the larger ball, up to degree lmax,
-    and a level-1 simplex maps by the vertex map of the level-2 collapse.
-    Both are in local ids, one order per centre (``_Centre``), so the
-    level-1 basis passes to level 2 as it is.  Its core pair includes into
+    simplices for Cech (``_bad_simplices``), and strong-collapsed.  The
+    level-1 basis is the level-1 core's simplices that meet the larger
+    ball, up to degree lmax, and a level-1 simplex maps by the vertex map
+    of the level-2 collapse.  Both are in local ids, one order per centre
+    (``_Centre``), so the level-1 basis passes to level 2 as it is.  Its core pair includes into
     the level-1 pair as a homotopy equivalence of pairs, so the image rank
     is the same.  No global complex is read.
 

@@ -370,21 +370,24 @@ def test_plot_svg(tmp_path):
     assert svg.count("<circle") >= 70
 
 
-@pytest.mark.parametrize("report", [
-    [1, 2],
-    {"points": [{"i": 0, "label": "rank1"}]},
-    {"points": [{"i": 0, "coords": [0.5], "label": "rank1"}]},
-    {"points": [{"i": 0, "coords": ["a", 0.0], "label": "rank1"}]},
-    {"points": {"0": {"coords": [0.0, 1.0], "label": "rank1"}}},
-    {"points": [{"i": 0, "coords": [0.0, 1.0]}]},
+@pytest.mark.parametrize("report,message", [
+    ([1, 2], "not an infer report"),
+    ({"points": [{"i": 0, "label": "rank1"}]}, "not an infer report"),
+    ({"points": [{"i": 0, "coords": [0.5], "label": "rank1"}]}, "not an infer report"),
+    ({"points": [{"i": 0, "coords": ["a", 0.0], "label": "rank1"}]}, "not an infer report"),
+    ({"points": {"0": {"coords": [0.0, 1.0], "label": "rank1"}}}, "not an infer report"),
+    ({"points": [{"i": 0, "coords": [0.0, 1.0]}]}, "not an infer report"),
+    ({"points": [], "sample": [1]}, "not an infer report"),
+    ({"points": [], "sample": {"shape": "circle"}}, "not an infer report"),
+    ({"points": [], "sample": {"shape": {"kind": "blob"}}}, "unsupported shape kind 'blob'"),
 ], ids=["list", "no-coords", "one-coordinate", "text-coordinate", "points-object",
-        "no-label"])
-def test_plot_rejects_what_is_not_an_infer_report(tmp_path, report, capsys):
+        "no-label", "sample-list", "shape-text", "shape-kind"])
+def test_plot_rejects_what_is_not_an_infer_report(tmp_path, report, message, capsys):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(report))
     svg = tmp_path / "plot.svg"
-    assert main(["plot", "--report", str(path), "-o", str(svg)]) == 2
-    assert "error: not an infer report" in capsys.readouterr().err
+    assert main(["plot", "--report", str(path), "--overlay-shape", "-o", str(svg)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert not svg.exists()
 
 
